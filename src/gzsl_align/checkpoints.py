@@ -130,6 +130,8 @@ def load_checkpoint(path) -> Checkpoint:
     if data[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     pos = len(MAGIC)
+    if len(data) < pos + 4:
+        raise CheckpointError(f"{path}: truncated checkpoint (no header length)")
     (hlen,) = struct.unpack_from("<I", data, pos)
     pos += 4
     try:
@@ -140,7 +142,12 @@ def load_checkpoint(path) -> Checkpoint:
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')}")
 
-    values = np.frombuffer(data[pos:], dtype="<f8").astype(np.float64)
+    body = data[pos:]
+    if len(body) % 8:
+        raise CheckpointError(
+            f"{path}: parameter block of {len(body)} bytes is not a whole number of float64 values"
+        )
+    values = np.frombuffer(body, dtype="<f8").astype(np.float64)
     n = int(header["n_values"])
     opt = header.get("optimizer")
     expected = n * (3 if opt is not None else 1)
@@ -150,7 +157,10 @@ def load_checkpoint(path) -> Checkpoint:
         )
 
     params, offset = _take_model(values, 0, header["specs"])
-    params.validate()
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: invalid parameters: {exc}") from exc
 
     adam = None
     hparams = None

@@ -98,6 +98,12 @@ def _rank_loss_and_grad(
     Per image: (1/S) * sum over positive p, negative n of
     max(delta + s_n - s_p, 0); images lacking positives or negatives
     contribute 0. The batch value is the mean over all images.
+
+    A pair (p, n) is active when fl(delta + s_n) > s_p. Sorting each row
+    by key (s_p for positives, fl(delta + s_n) for negatives; negatives
+    first on ties) puts a positive's active negatives exactly after it
+    and a negative's active positives exactly before it, so cumulative
+    sums give every count in O(S log S) time and O(S) memory per image.
     """
     P = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(labels))
@@ -105,18 +111,28 @@ def _rank_loss_and_grad(
         raise ValueError(f"scores shape {P.shape} != labels shape {Y.shape}")
     n, s = P.shape
     pos = Y > 0.5
-    # margins[i, p, q] = delta + P[i, q] - P[i, p] for positive p, negative q
-    margins = delta + P[:, None, :] - P[:, :, None]
-    pairs = pos[:, :, None] & ~pos[:, None, :]
-    active = pairs & (margins > 0.0)
+    keys = np.where(pos, P, delta + P)
+    order = np.lexsort((pos, keys), axis=-1)
+    k_sorted = np.take_along_axis(keys, order, axis=1)
+    p_sorted = np.take_along_axis(pos, order, axis=1)
+    neg_sorted = ~p_sorted
+    # suffix sums over negatives: at a positive, the negatives ranked after it
+    negs_after = np.cumsum(neg_sorted[:, ::-1], axis=1)[:, ::-1]
+    keys_after = np.cumsum(np.where(neg_sorted, k_sorted, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    # prefix counts over positives: at a negative, the positives ranked before it
+    pos_before = np.cumsum(p_sorted, axis=1)
     if pair_normalize:
-        n_pairs = pairs.sum(axis=(1, 2))
+        n_pos = pos.sum(axis=1)
+        n_pairs = n_pos * (s - n_pos)
         scale = np.divide(1.0, n_pairs, out=np.zeros(n, dtype=np.float64), where=n_pairs > 0)
     else:
         scale = np.full(n, 1.0 / s)
-    per_image = (margins * active).sum(axis=(1, 2)) * scale
+    hinge = np.where(p_sorted, keys_after - negs_after * k_sorted, 0.0)
+    per_image = hinge.sum(axis=1) * scale
     loss = float(per_image.sum() / n)
-    d_scores = (active.sum(axis=1) - active.sum(axis=2)) * (scale / n)[:, None]
+    counts = np.empty_like(pos_before)
+    np.put_along_axis(counts, order, np.where(p_sorted, -negs_after, pos_before), axis=1)
+    d_scores = counts * (scale / n)[:, None]
     return loss, d_scores
 
 
@@ -191,6 +207,7 @@ def total_loss(
     params: ModelParams,
     cfg: LossConfig,
     compute_grads: bool = True,
+    semantic_cosines: np.ndarray | None = None,
 ) -> tuple[LossBreakdown, ModelGrads | None]:
     """Composite objective value and exact parameter gradients on one batch.
 
@@ -202,6 +219,10 @@ def total_loss(
         cfg: term weights and switches.
         compute_grads: skip all backward passes and return None grads
             (evaluation-only calls).
+        semantic_cosines: ``pairwise_cosine(semantics_seen, semantics_seen)``,
+            the fixed target of the consistency term. Callers that evaluate
+            many batches against the same semantics pass it once computed;
+            when omitted it is computed here.
 
     Returns:
         The per-term breakdown and gradients for every parameter array.
@@ -277,7 +298,9 @@ def total_loss(
 
     con_val = 0.0
     if cfg.use_con:
-        c_orig = pairwise_cosine(W, W, "semantic row")
+        c_orig = semantic_cosines
+        if c_orig is None:
+            c_orig = pairwise_cosine(W, W, "semantic row")
         c_proj = np.clip(That @ That.T, -1.0, 1.0)
         diff = c_proj - c_orig
         np.fill_diagonal(diff, 0.0)

@@ -23,7 +23,7 @@ from .exceptions import (
 )
 from .losses import LossBreakdown, LossConfig, total_loss
 from .metrics import MetricsReport, evaluate, infer_scores, per_class_auroc
-from .networks import MlpSpec, ModelParams
+from .networks import MlpSpec, ModelParams, pairwise_cosine
 from .optimizers import AdamState, PlateauScheduler, adam_step, init_adam
 
 
@@ -255,6 +255,8 @@ def train(
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
 
     W_seen = data.semantics.seen_rows(data.vocab)
+    # the consistency target depends only on the fixed semantics
+    c_seen = pairwise_cosine(W_seen, W_seen, "semantic row") if cfg.loss.use_con else None
     X = data.train.features
     Y = data.train.seen_label_view()
     Xv = data.val.features
@@ -274,15 +276,21 @@ def train(
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            breakdown, grads = total_loss(X[idx], Y[idx], W_seen, params, cfg.loss)
+            breakdown, grads = total_loss(
+                X[idx], Y[idx], W_seen, params, cfg.loss, semantic_cosines=c_seen
+            )
             if not np.isfinite(breakdown.total):
                 raise NonFiniteLossError(epoch=epoch, batch_index=b, value=breakdown.total)
             adam_step(
                 pick(param_arrays), pick(grads.arrays()), adam, lr=lr_now, names=trainable_names
             )
 
-        train_eval, _ = total_loss(X, Y, W_seen, params, cfg.loss, compute_grads=False)
-        val_eval, _ = total_loss(Xv, Yv, W_seen, params, cfg.loss, compute_grads=False)
+        train_eval, _ = total_loss(
+            X, Y, W_seen, params, cfg.loss, compute_grads=False, semantic_cosines=c_seen
+        )
+        val_eval, _ = total_loss(
+            Xv, Yv, W_seen, params, cfg.loss, compute_grads=False, semantic_cosines=c_seen
+        )
 
         report: MetricsReport | None = None
         if data.val.label_space is LabelSpace.ALL_CLASSES:

@@ -82,6 +82,34 @@ def test_truncated_payload_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("size", [8, 9, 10, 11])
+def test_file_cut_inside_header_length_is_rejected(tmp_path, size):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _model(seed=4), seed=4, epoch=1)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_body_of_partial_values_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _model(seed=4), seed=4, epoch=1)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(CheckpointError, match="float64"):
+        load_checkpoint(path)
+
+
+def test_non_finite_weight_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _model(seed=4), seed=4, epoch=1)
+    blob = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    blob[12 + header_len : 20 + header_len] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_checkpoint(path)
+
+
 def test_header_is_inspectable_json(tmp_path):
     params = _model(seed=5)
     path = tmp_path / "model.ckpt"

@@ -221,6 +221,20 @@ def test_eval_degenerate_model_is_runtime_error(bench, run_dir, tmp_path, capsys
     assert "zero" in capsys.readouterr().err
 
 
+def test_eval_truncated_checkpoint_is_input_error(bench, run_dir, tmp_path, capsys):
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((run_dir / "checkpoints" / "best.ckpt").read_bytes()[:10])
+    code = main(
+        [
+            "eval", "--checkpoint", str(cut), "--manifest", str(bench),
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_grid_summary_and_winner(bench, tmp_path, capsys):
     out = tmp_path / "grid"
     code = main(

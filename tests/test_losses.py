@@ -18,6 +18,7 @@ from gzsl_align import (
     relevance_scores,
     total_loss,
 )
+from gzsl_align.losses import _rank_loss_and_grad
 
 
 # ---------------------------------------------------------------- ranking
@@ -91,6 +92,59 @@ def test_ranking_zero_set_and_monotonicity(seed):
     bumped = scores.copy()
     bumped[i] += 0.3
     assert ranking_loss_image(bumped, labels, delta=delta) <= loss
+
+
+def _rank_oracle(scores, labels, delta, pair_normalize):
+    """The direct (N, S, S) margin-tensor form of the ranking term."""
+    P = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    Y = np.atleast_2d(np.asarray(labels))
+    n, s = P.shape
+    pos = Y > 0.5
+    # margins[i, p, q] = delta + P[i, q] - P[i, p] for positive p, negative q
+    margins = delta + P[:, None, :] - P[:, :, None]
+    pairs = pos[:, :, None] & ~pos[:, None, :]
+    active = pairs & (margins > 0.0)
+    if pair_normalize:
+        n_pairs = pairs.sum(axis=(1, 2))
+        scale = np.divide(1.0, n_pairs, out=np.zeros(n, dtype=np.float64), where=n_pairs > 0)
+    else:
+        scale = np.full(n, 1.0 / s)
+    per_image = (margins * active).sum(axis=(1, 2)) * scale
+    loss = float(per_image.sum() / n)
+    d_scores = (active.sum(axis=1) - active.sum(axis=2)) * (scale / n)[:, None]
+    return loss, d_scores
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    s=st.integers(2, 60),
+    decimals=st.integers(0, 3),
+    delta=st.sampled_from([0.0, 0.2, 0.5]),
+    pair_normalize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ranking_sort_form_matches_margin_tensor_oracle(n, s, decimals, delta, pair_normalize, seed):
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.uniform(-1, 1, size=(n, s)), decimals)  # rounding forces ties
+    labels = (rng.uniform(size=(n, s)) < rng.uniform(0.05, 0.95)).astype(np.int8)
+    labels[rng.uniform(size=n) < 0.15] = 0  # rows without positives
+    labels[rng.uniform(size=n) < 0.15] = 1  # rows without negatives
+    # one exact tie fl(delta + s_q) == s_p, which is not an active pair
+    r = int(rng.integers(n))
+    labels[r, :2] = (0, 1)
+    scores[r, 0] = float(rng.uniform(-1, 1 - delta))
+    scores[r, 1] = delta + scores[r, 0]
+
+    want_loss, want_grad = _rank_oracle(scores, labels, delta, pair_normalize)
+    loss, grad = _rank_loss_and_grad(scores, labels, delta, pair_normalize)
+    assert np.array_equal(grad, want_grad)
+    assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+
+    tie_loss, tie_grad = _rank_loss_and_grad(
+        scores[r : r + 1, :2], labels[r : r + 1, :2], delta, pair_normalize
+    )
+    assert tie_loss == 0.0 and not tie_grad.any()
 
 
 # -------------------------------------------------------------- alignment

@@ -1,5 +1,6 @@
 """Training protocol tests: determinism, selection, artifacts, grid search."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +22,9 @@ from gzsl_align import (
     grid_search,
     init_model_params,
     load_checkpoint,
+    reference_model_params,
+    reference_spec,
+    reference_train_config,
     train,
 )
 from gzsl_align.data import DataBundle
@@ -367,3 +371,38 @@ def test_train_config_validation():
         GridSpec(gamma_candidates=(), lr_candidates=(1e-3,))
     with pytest.raises(ValueError, match="lr"):
         GridSpec(gamma_candidates=(0.1,), lr_candidates=(0.0,))
+
+
+# Artifacts of a 3-epoch reference run at seed 1, recorded with the direct
+# (N, S, S) margin-tensor ranking term. Refactors that keep the maths must
+# reproduce the checkpoints byte for byte.
+PINNED_CKPT_SHA256 = {
+    "best.ckpt": "adc043bd60012a32df304bcaad59a38aacd2b8baf4a0914a99c7296641827194",
+    "last.ckpt": "ff5ee44138f7f6fd16a60c49d7e767d48b891c581242c3b5f2d3bf33585fc3ad",
+}
+PINNED_METRICS_CSV = """\
+epoch,lr,train_rank,train_align,train_con,train_total,val_rank,val_align,val_con,val_total,val_seen_auroc,val_unseen_auroc,val_harmonic
+1,0.001,0.5653019720780127,0.5670457988418417,1.1947360073916922,0.7414801527013661,0.5212284679601816,0.6526763382832331,1.1947360073916922,0.7059697025276742,0.7093950471730607,0.6545439185255014,0.6808665572823844
+2,0.001,0.4813068580414121,0.5315314949813644,0.6483841597610022,0.5992984235156488,0.4652072671227692,0.618111892991453,0.6483841597610022,0.5918568723980147,0.7410887076732715,0.6936456645108673,0.7165827752672688
+3,0.001,0.4334832644259534,0.4799434464074981,0.7295675360654256,0.5544343626732458,0.45396083226425293,0.5849832945081362,0.7295675360654256,0.5854159153216091,0.7553262318001284,0.702148260659653,0.7277671103444096
+"""
+
+
+def test_reference_run_artifacts_match_pinned_digests(tmp_path):
+    spec = reference_spec(1)
+    cfg = replace(reference_train_config(1), epochs=3)
+    train(cfg, generate(spec), reference_model_params(spec, 1), out_dir=tmp_path)
+    for name, digest in PINNED_CKPT_SHA256.items():
+        blob = (tmp_path / "checkpoints" / name).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest, name
+    # loss cells may move in the last digits when a summation order changes
+    got = [line.split(",") for line in (tmp_path / "metrics.csv").read_text().splitlines()]
+    want = [line.split(",") for line in PINNED_METRICS_CSV.splitlines()]
+    assert len(got) == len(want) and got[0] == want[0]
+    for g_row, w_row in zip(got[1:], want[1:]):
+        assert len(g_row) == len(w_row)
+        for col, g, w in zip(want[0], g_row, w_row):
+            if col.endswith(("_rank", "_align", "_con", "_total")):
+                assert abs(float(g) - float(w)) <= 1e-12 * abs(float(w)), col
+            else:
+                assert g == w, col
