@@ -1,11 +1,12 @@
-"""Checkpoint serialization: JSON header + flat little-endian f64 block.
+"""Checkpoint serialization: JSON header + flat little-endian f64 body.
 
 Layout: 8-byte magic, uint32 little-endian header length, UTF-8 JSON
-header with sorted keys, then one contiguous block of float64
-little-endian values holding every parameter array in declared layer
-order (encoder, visual mapping, semantic mapping; weights before biases
-per layer). When optimizer state is included, its first- and
-second-moment buffers follow in the same order. Identical inputs produce
+header with sorted keys, then the body: the model's flat parameter
+vector (:attr:`ModelParams.flat`: encoder, visual mapping, semantic
+mapping; weights before biases per layer) as little-endian float64.
+When optimizer state is included, two more blocks of the same length
+follow: Adam's first- and second-moment vectors, laid out like the
+parameters, with zeros for a frozen encoder. Identical inputs produce
 byte-identical files.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CheckpointError
-from .networks import MlpParams, MlpSpec, ModelParams
+from .networks import MlpSpec, ModelParams
 from .optimizers import AdamState
 
 MAGIC = b"GZSLCKPT"
@@ -64,11 +65,12 @@ def save_checkpoint(
 ) -> None:
     """Write params (and optionally Adam state) to ``path``.
 
-    ``adam_hparams`` records the scalar optimizer settings (beta1, beta2,
-    epsilon, lr) alongside the moment buffers so training can resume.
+    ``adam`` may split its moments into any arrays whose values, in
+    order, cover ``params.flat``. ``adam_hparams`` records the scalar
+    optimizer settings (beta1, beta2, epsilon, lr) alongside them.
     """
     params.validate()
-    arrays = params.arrays()
+    n = params.flat.size
     header = {
         "version": FORMAT_VERSION,
         "seed": int(seed),
@@ -79,49 +81,71 @@ def save_checkpoint(
             "visual_map": _spec_list(params.visual_map.spec),
             "semantic_map": _spec_list(params.semantic_map.spec),
         },
-        "n_values": int(sum(a.size for a in arrays)),
+        "n_values": n,
         "optimizer": None,
     }
-    blocks = [_block(arrays)]
+    blocks = [params.flat]
     if adam is not None:
-        if len(adam.m) != len(arrays):
+        m_size, v_size = (sum(a.size for a in moments) for moments in (adam.m, adam.v))
+        if m_size != n or v_size != n:
             raise CheckpointError(
-                f"optimizer tracks {len(adam.m)} arrays, model has {len(arrays)}"
+                f"optimizer moments hold {m_size} and {v_size} values, model has {n}"
             )
         header["optimizer"] = {
             "step_count": int(adam.step_count),
             **(adam_hparams or {}),
         }
-        blocks.append(_block(adam.m))
-        blocks.append(_block(adam.v))
+        blocks += [*adam.m, *adam.v]
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(raw)))
         fh.write(raw)
-        for b in blocks:
-            fh.write(b)
+        fh.write(_block(blocks))
 
 
-def _take_net(values: np.ndarray, offset: int, spec: MlpSpec) -> tuple[MlpParams, int]:
-    weights, biases = [], []
-    for d_in, d_out in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
-        w = values[offset : offset + d_in * d_out].reshape(d_in, d_out)
-        offset += d_in * d_out
-        b = values[offset : offset + d_out]
-        offset += d_out
-        weights.append(np.array(w))
-        biases.append(np.array(b))
-    return MlpParams(spec=spec, weights=weights, biases=biases), offset
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _take_model(values: np.ndarray, offset: int, specs: dict) -> tuple[ModelParams, int]:
-    encoder = None
-    if specs["encoder"] is not None:
-        encoder, offset = _take_net(values, offset, MlpSpec(tuple(specs["encoder"])))
-    visual, offset = _take_net(values, offset, MlpSpec(tuple(specs["visual_map"])))
-    semantic, offset = _take_net(values, offset, MlpSpec(tuple(specs["semantic_map"])))
-    return ModelParams(visual_map=visual, semantic_map=semantic, encoder=encoder), offset
+def _header_specs(path, header) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
+    """Check the decoded header's fields; return the (visual, semantic, encoder) specs."""
+
+    def malformed(what: str) -> CheckpointError:
+        return CheckpointError(f"{path}: malformed checkpoint header: {what}")
+
+    if not isinstance(header, dict):
+        raise malformed(f"expected a JSON object, got {type(header).__name__}")
+    if header.get("version") != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')}")
+    for key in ("seed", "epoch", "n_values"):
+        if not _is_int(header.get(key)):
+            raise malformed(f"{key!r} must be an integer, got {header.get(key)!r}")
+    if not isinstance(header.get("config_hash"), (str, type(None))):
+        raise malformed("'config_hash' must be a string or null")
+    opt = header.get("optimizer")
+    if opt is not None and not (isinstance(opt, dict) and _is_int(opt.get("step_count"))):
+        raise malformed("'optimizer' must be null or an object with an integer 'step_count'")
+
+    specs = header.get("specs")
+    if not isinstance(specs, dict):
+        raise malformed(f"'specs' must be an object, got {specs!r}")
+    out = []
+    for name in ("visual_map", "semantic_map", "encoder"):
+        dims = specs.get(name)
+        if dims is None and name == "encoder":
+            out.append(None)
+            continue
+        if not (isinstance(dims, list) and all(_is_int(d) for d in dims)):
+            raise malformed(f"'specs.{name}' must be a list of integer widths, got {dims!r}")
+        try:
+            out.append(MlpSpec(tuple(dims)))
+        except ValueError as exc:
+            raise malformed(f"'specs.{name}': {exc}") from exc
+    need = sum(spec.n_params for spec in out if spec is not None)
+    if header["n_values"] != need:
+        raise malformed(f"'n_values' is {header['n_values']}, the specs need {need}")
+    return tuple(out)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -139,16 +163,15 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header: {exc}") from exc
     pos += hlen
-    if header.get("version") != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')}")
+    specs = _header_specs(path, header)
 
     body = data[pos:]
     if len(body) % 8:
         raise CheckpointError(
             f"{path}: parameter block of {len(body)} bytes is not a whole number of float64 values"
         )
-    values = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    n = int(header["n_values"])
+    values = np.frombuffer(body, dtype="<f8")
+    n = header["n_values"]
     opt = header.get("optimizer")
     expected = n * (3 if opt is not None else 1)
     if values.size != expected:
@@ -156,7 +179,10 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: parameter block holds {values.size} values, expected {expected}"
         )
 
-    params, offset = _take_model(values, 0, header["specs"])
+    def block(i: int) -> ModelParams:
+        return ModelParams.from_flat(values[i * n : (i + 1) * n].astype(np.float64), *specs)
+
+    params = block(0)
     try:
         params.validate()
     except ValueError as exc:
@@ -165,15 +191,13 @@ def load_checkpoint(path) -> Checkpoint:
     adam = None
     hparams = None
     if opt is not None:
-        m_model, offset = _take_model(values, offset, header["specs"])
-        v_model, offset = _take_model(values, offset, header["specs"])
-        adam = AdamState(m=m_model.arrays(), v=v_model.arrays(), step_count=int(opt["step_count"]))
+        adam = AdamState(m=block(1).arrays(), v=block(2).arrays(), step_count=opt["step_count"])
         hparams = {k: v for k, v in opt.items() if k != "step_count"}
 
     return Checkpoint(
         params=params,
-        seed=int(header["seed"]),
-        epoch=int(header["epoch"]),
+        seed=header["seed"],
+        epoch=header["epoch"],
         config_hash=header.get("config_hash"),
         adam=adam,
         adam_hparams=hparams,

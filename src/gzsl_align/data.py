@@ -101,14 +101,6 @@ class SemanticMatrix:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One feature vector with its multi-hot label vector."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-
-@dataclass(frozen=True)
 class Violation:
     """One invariant breach found by :func:`validate_dataset`."""
 
@@ -156,15 +148,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.features[i], self.labels[i])
-
-    def class_ids(self) -> np.ndarray:
-        """Vocabulary id of each label column."""
-        if self.label_space is LabelSpace.SEEN_ONLY:
-            return np.array(self.vocab.seen_ids, dtype=np.int64)
-        return np.arange(self.vocab.n_classes, dtype=np.int64)
 
     def seen_label_view(self) -> np.ndarray:
         """Labels restricted to seen classes, columns in seen order."""

@@ -12,16 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .networks import (
-    ModelGrads,
-    ModelParams,
-    add_into,
-    mlp_backward,
-    mlp_forward,
-    pairwise_cosine,
-    row_norms,
-    zero_grads_like,
-)
+from .networks import ModelParams, mlp_backward, mlp_forward, pairwise_cosine, row_norms
 
 TERM_NAMES = ("rank", "align", "con")
 
@@ -208,7 +199,7 @@ def total_loss(
     cfg: LossConfig,
     compute_grads: bool = True,
     semantic_cosines: np.ndarray | None = None,
-) -> tuple[LossBreakdown, ModelGrads | None]:
+) -> tuple[LossBreakdown, ModelParams | None]:
     """Composite objective value and exact parameter gradients on one batch.
 
     Args:
@@ -225,7 +216,8 @@ def total_loss(
             when omitted it is computed here.
 
     Returns:
-        The per-term breakdown and gradients for every parameter array.
+        The per-term breakdown and the gradients, a :class:`ModelParams`
+        of the same layout whose ``flat`` holds d(total)/d(params.flat).
         Ranking and alignment gradients flow into the encoder and visual
         mapping nets; all three terms reach the semantic mapping net.
     """
@@ -238,13 +230,7 @@ def total_loss(
     if Y.shape != (n, W.shape[0]):
         raise ValueError(f"labels shape {Y.shape} != (batch {n}, seen {W.shape[0]})")
 
-    grads = None
-    if compute_grads:
-        grads = ModelGrads(
-            visual_map=zero_grads_like(params.visual_map),
-            semantic_map=zero_grads_like(params.semantic_map),
-            encoder=zero_grads_like(params.encoder) if params.encoder else None,
-        )
+    grads = params.zeros_like() if compute_grads else None
 
     need_visual = cfg.use_rank or cfg.use_align
     need_classes = cfg.use_rank or cfg.use_con
@@ -294,7 +280,8 @@ def total_loss(
                 dZ[valid] += -coeff * (Ahat - cos[:, None] * Zv) / zv_norm[:, None]
                 dA = -coeff * (Zv - cos[:, None] * Ahat) / a_norm[:, None]
                 g_avg, _ = mlp_backward(params.semantic_map, tape_avg, dA)
-                add_into(grads.semantic_map, g_avg)
+                for acc, g in zip(grads.semantic_map.arrays(), g_avg):
+                    acc += g
 
     con_val = 0.0
     if cfg.use_con:
@@ -314,13 +301,16 @@ def total_loss(
 
     if compute_grads and need_classes:
         g_cls, _ = mlp_backward(params.semantic_map, tape_cls, dT)
-        add_into(grads.semantic_map, g_cls)
+        for acc, g in zip(grads.semantic_map.arrays(), g_cls):
+            acc += g
     if compute_grads and need_visual:
         g_vis, d_enc_out = mlp_backward(params.visual_map, tape_vis, dZ)
-        add_into(grads.visual_map, g_vis)
+        for acc, g in zip(grads.visual_map.arrays(), g_vis):
+            acc += g
         if params.encoder is not None:
             g_enc, _ = mlp_backward(params.encoder, tape_enc, d_enc_out)
-            add_into(grads.encoder, g_enc)
+            for acc, g in zip(grads.encoder.arrays(), g_enc):
+                acc += g
 
     total = rank_val + cfg.gamma1 * align_val + cfg.gamma2 * con_val
     return LossBreakdown(rank_val, align_val, con_val, total), grads

@@ -10,7 +10,7 @@ backward passes replay the tape for exact parameter and input gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,11 @@ class MlpSpec:
     def n_layers(self) -> int:
         return len(self.layer_dims) - 1
 
+    @property
+    def n_params(self) -> int:
+        """Count of weight and bias values over all layers."""
+        return sum(i * o + o for i, o in zip(self.layer_dims[:-1], self.layer_dims[1:]))
+
 
 @dataclass
 class MlpParams:
@@ -56,7 +61,7 @@ class MlpParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def validate(self) -> None:
+    def check_shapes(self) -> None:
         dims = self.spec.layer_dims
         if len(self.weights) != self.spec.n_layers or len(self.biases) != self.spec.n_layers:
             raise ValueError("layer count does not match spec")
@@ -66,8 +71,6 @@ class MlpParams:
                 raise ValueError(f"layer {k} weight shape {w.shape}, expected {want}")
             if b.shape != (dims[k + 1],):
                 raise ValueError(f"layer {k} bias shape {b.shape}, expected ({dims[k + 1]},)")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {k} contains non-finite parameters")
 
     def arrays(self) -> list[np.ndarray]:
         """Parameter arrays in declared order: W1, b1, W2, b2, ..."""
@@ -75,13 +78,6 @@ class MlpParams:
         for w, b in zip(self.weights, self.biases):
             out.extend((w, b))
         return out
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            self.spec,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
 
 
 @dataclass
@@ -189,34 +185,92 @@ def pairwise_cosine(a: np.ndarray, b: np.ndarray, what: str = "row") -> np.ndarr
     return np.clip((a / an[:, None]) @ (b / bn[:, None]).T, -1.0, 1.0)
 
 
-@dataclass
+def _layer_views(flat: np.ndarray, offset: int, spec: MlpSpec) -> tuple[MlpParams, int]:
+    """One net whose W and b are views into ``flat`` from ``offset`` on."""
+    weights, biases = [], []
+    for d_in, d_out in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
+        weights.append(flat[offset : offset + d_in * d_out].reshape(d_in, d_out))
+        offset += d_in * d_out
+        biases.append(flat[offset : offset + d_out])
+        offset += d_out
+    return MlpParams(spec, weights, biases), offset
+
+
 class ModelParams:
-    """Parameters of the full model.
+    """Parameters of the full model, stored in one contiguous float64 vector.
+
+    ``flat`` holds the encoder (if any), then the visual mapping net, then
+    the semantic mapping net, each layer W before b. Every ``weights[k]``
+    and ``biases[k]`` of the three nets is a view into ``flat``, so a
+    write through either shows in both. The constructor copies the given
+    nets into a new vector and never keeps or rebinds their arrays.
 
     ``encoder`` is optional; when absent, precomputed features feed the
     visual mapping net directly (frozen-feature operation). Both mapping
     nets share the latent output width.
     """
 
-    visual_map: MlpParams
-    semantic_map: MlpParams
-    encoder: MlpParams | None = None
+    def __init__(
+        self, visual_map: MlpParams, semantic_map: MlpParams, encoder: MlpParams | None = None
+    ):
+        nets = [net for net in (encoder, visual_map, semantic_map) if net is not None]
+        for net in nets:
+            net.check_shapes()
+        flat = np.concatenate([np.ravel(a) for net in nets for a in net.arrays()], dtype=np.float64)
+        self._bind(flat, visual_map.spec, semantic_map.spec, encoder.spec if encoder else None)
+
+    @classmethod
+    def from_flat(
+        cls,
+        flat: np.ndarray,
+        visual_spec: MlpSpec,
+        semantic_spec: MlpSpec,
+        encoder_spec: MlpSpec | None = None,
+    ) -> "ModelParams":
+        """The model whose layers are views into ``flat``; nothing is copied."""
+        params = cls.__new__(cls)
+        params._bind(flat, visual_spec, semantic_spec, encoder_spec)
+        return params
+
+    def _bind(self, flat, visual_spec, semantic_spec, encoder_spec) -> None:
+        specs = [spec for spec in (encoder_spec, visual_spec, semantic_spec) if spec is not None]
+        need = sum(spec.n_params for spec in specs)
+        if flat.dtype != np.float64 or flat.shape != (need,):
+            raise ValueError(
+                f"flat store is {flat.dtype} {flat.shape}, specs need float64 ({need},)"
+            )
+        self.flat = flat
+        self.encoder = None
+        offset = 0
+        if encoder_spec is not None:
+            self.encoder, offset = _layer_views(flat, offset, encoder_spec)
+        self.visual_map, offset = _layer_views(flat, offset, visual_spec)
+        self.semantic_map, offset = _layer_views(flat, offset, semantic_spec)
+
+    def __reduce__(self):
+        # pickle the one vector; the views are rebuilt on load
+        return (ModelParams.from_flat, (self.flat, *self._specs()))
+
+    def _specs(self) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
+        return (
+            self.visual_map.spec,
+            self.semantic_map.spec,
+            self.encoder.spec if self.encoder else None,
+        )
 
     def validate(self) -> None:
-        self.visual_map.validate()
-        self.semantic_map.validate()
+        if not np.isfinite(self.flat).all():
+            raise ValueError("model contains non-finite parameters")
         if self.visual_map.spec.out_dim != self.semantic_map.spec.out_dim:
             raise ValueError(
                 "visual and semantic mapping nets must share the latent width: "
                 f"{self.visual_map.spec.out_dim} != {self.semantic_map.spec.out_dim}"
             )
-        if self.encoder is not None:
-            self.encoder.validate()
-            if self.encoder.spec.out_dim != self.visual_map.spec.in_dim:
-                raise ValueError(
-                    "encoder output width must match visual mapping input: "
-                    f"{self.encoder.spec.out_dim} != {self.visual_map.spec.in_dim}"
-                )
+        if self.encoder is not None and self.encoder.spec.out_dim != self.visual_map.spec.in_dim:
+            raise ValueError(
+                "encoder output width must match visual mapping input: "
+                f"{self.encoder.spec.out_dim} != {self.visual_map.spec.in_dim}"
+            )
 
     @property
     def latent_dim(self) -> int:
@@ -254,40 +308,11 @@ class ModelParams:
         return names
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            visual_map=self.visual_map.copy(),
-            semantic_map=self.semantic_map.copy(),
-            encoder=self.encoder.copy() if self.encoder else None,
-        )
+        return ModelParams.from_flat(self.flat.copy(), *self._specs())
 
-
-@dataclass
-class ModelGrads:
-    """Gradients mirroring :class:`ModelParams`, in the same array order."""
-
-    visual_map: list[np.ndarray]
-    semantic_map: list[np.ndarray]
-    encoder: list[np.ndarray] | None = None
-
-    def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        if self.encoder is not None:
-            out.extend(self.encoder)
-        out.extend(self.visual_map)
-        out.extend(self.semantic_map)
-        return out
-
-
-def zero_grads_like(net: MlpParams) -> list[np.ndarray]:
-    out = []
-    for w, b in zip(net.weights, net.biases):
-        out.extend((np.zeros_like(w), np.zeros_like(b)))
-    return out
-
-
-def add_into(acc: list[np.ndarray], extra: list[np.ndarray]) -> None:
-    for a, e in zip(acc, extra):
-        a += e
+    def zeros_like(self) -> "ModelParams":
+        """A zeroed model of the same layout, e.g. to accumulate gradients in."""
+        return ModelParams.from_flat(np.zeros_like(self.flat), *self._specs())
 
 
 def init_model_params(

@@ -17,13 +17,6 @@ class AdamState:
     v: list[np.ndarray]
     step_count: int = 0
 
-    def copy(self) -> "AdamState":
-        return AdamState(
-            m=[a.copy() for a in self.m],
-            v=[a.copy() for a in self.v],
-            step_count=self.step_count,
-        )
-
 
 def init_adam(arrays: list[np.ndarray]) -> AdamState:
     """Zero-initialized moments matching the given parameter arrays."""

@@ -18,6 +18,7 @@ from .data import DataBundle, LabelSpace, inductive_violations
 from .exceptions import (
     GzslError,
     InductiveViolationError,
+    NonFiniteGradientError,
     NonFiniteLossError,
     UndefinedAurocError,
 )
@@ -241,14 +242,11 @@ def train(
         )
 
     params = params0.copy()
-    names = params.array_names()
     frozen = cfg.encoder_mode is EncoderMode.FROZEN and params.encoder is not None
-    trainable = [i for i, nm in enumerate(names) if not (frozen and nm.startswith("encoder."))]
-
-    def pick(arrs):
-        return [arrs[i] for i in trainable]
-
-    adam = init_adam(pick(params.arrays()))
+    # the encoder leads the flat vector, so the trainable values are one slice
+    n_frozen = params.encoder.spec.n_params if frozen else 0
+    theta = params.flat[n_frozen:]
+    adam = init_adam([theta])
     sched = PlateauScheduler(
         initial_lr=cfg.lr, patience=cfg.patience, factor=cfg.lr_factor, min_delta=cfg.min_delta
     )
@@ -262,8 +260,6 @@ def train(
     Xv = data.val.features
     Yv = data.val.seen_label_view()
     n = len(data.train)
-    param_arrays = params.arrays()
-    trainable_names = pick(names)
 
     records: list[EpochRecord] = []
     best_value = -np.inf
@@ -281,9 +277,12 @@ def train(
             )
             if not np.isfinite(breakdown.total):
                 raise NonFiniteLossError(epoch=epoch, batch_index=b, value=breakdown.total)
-            adam_step(
-                pick(param_arrays), pick(grads.arrays()), adam, lr=lr_now, names=trainable_names
-            )
+            try:
+                adam_step([theta], [grads.flat[n_frozen:]], adam, lr=lr_now)
+            except NonFiniteGradientError:
+                raise NonFiniteGradientError(
+                    f"non-finite gradient in {_first_non_finite(grads, n_frozen)}"
+                ) from None
 
         train_eval, _ = total_loss(
             X, Y, W_seen, params, cfg.loss, compute_grads=False, semantic_cosines=c_seen
@@ -330,23 +329,17 @@ def train(
         save_checkpoint(
             best_ckpt_path, best_params, seed=cfg.seed, epoch=best_epoch, config_hash=digest
         )
-        if frozen:
-            # stored state covers only trainable arrays; record the mode
-            hparams = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "lr": sched.lr,
-                       "frozen_encoder": True}
-            full_adam = _widen_adam(adam, params, trainable)
-        else:
-            hparams = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "lr": sched.lr,
-                       "frozen_encoder": False}
-            full_adam = adam
+        # a frozen encoder's moments are stored as zeros, so the layout stays full
+        pad = [np.zeros(n_frozen)]
         save_checkpoint(
             str(out / "checkpoints" / "last.ckpt"),
             params,
             seed=cfg.seed,
             epoch=cfg.epochs,
             config_hash=digest,
-            adam=full_adam,
-            adam_hparams=hparams,
+            adam=AdamState(m=pad + adam.m, v=pad + adam.v, step_count=adam.step_count),
+            adam_hparams={"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "lr": sched.lr,
+                          "frozen_encoder": frozen},
         )
 
     return RunRecord(
@@ -363,15 +356,11 @@ def train(
     )
 
 
-def _widen_adam(adam: AdamState, params: ModelParams, trainable: list[int]) -> AdamState:
-    """Pad frozen arrays with zero moments so the block layout stays full."""
-    arrays = params.arrays()
-    m = [np.zeros_like(a) for a in arrays]
-    v = [np.zeros_like(a) for a in arrays]
-    for slot, i in enumerate(trainable):
-        m[i] = adam.m[slot]
-        v[i] = adam.v[slot]
-    return AdamState(m=m, v=v, step_count=adam.step_count)
+def _first_non_finite(grads: ModelParams, start: int) -> str:
+    """Name of the first array holding a non-finite value at or after ``start`` in ``flat``."""
+    bad = start + int(np.flatnonzero(~np.isfinite(grads.flat[start:]))[0])
+    ends = np.cumsum([a.size for a in grads.arrays()])
+    return grads.array_names()[int(np.searchsorted(ends, bad, side="right"))]
 
 
 @dataclass(frozen=True)
@@ -462,14 +451,15 @@ def grid_search(
             rec, err = _grid_worker_safe(task)
             outcomes.append((task[4], task[5], rec, err))
 
-    leaderboard = []
-    failures = []
-    ranked = []
-    for g, lr, rec, err in outcomes:
-        if rec is None:
-            failures.append({"gamma": g, "lr": lr, "error": err})
-            continue
-        row = {
+    failures = [{"gamma": g, "lr": lr, "error": err} for g, lr, rec, err in outcomes if rec is None]
+    ranked = sorted(
+        ((g, lr, rec) for g, lr, rec, _ in outcomes if rec is not None),
+        key=lambda run: _selection_key(*run),
+    )
+    if not ranked:
+        raise GzslError(f"every grid run failed: {failures}")
+    leaderboard = [
+        {
             "gamma": g,
             "lr": lr,
             "harmonic": rec.best_report.harmonic if rec.best_report else None,
@@ -478,20 +468,9 @@ def grid_search(
             "best_epoch": rec.best_epoch,
             "out_dir": rec.out_dir,
         }
-        leaderboard.append(row)
-        ranked.append((_selection_key(g, lr, rec), rec))
-    if not ranked:
-        raise GzslError(f"every grid run failed: {failures}")
-    ranked.sort(key=lambda kr: kr[0])
-    leaderboard.sort(
-        key=lambda r: (
-            -(r["harmonic"] if r["harmonic"] is not None else -np.inf),
-            -(r["unseen_mean"] if r["unseen_mean"] is not None else -np.inf),
-            r["lr"],
-            r["gamma"],
-        )
-    )
-    return GridResult(best=ranked[0][1], leaderboard=leaderboard, failures=failures)
+        for g, lr, rec in ranked
+    ]
+    return GridResult(best=ranked[0][2], leaderboard=leaderboard, failures=failures)
 
 
 def _grid_worker_safe(args):

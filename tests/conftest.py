@@ -1,5 +1,8 @@
 """Shared fixtures: small deterministic problem instances."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -71,3 +74,11 @@ def hand_bundle() -> DataBundle:
         features=feats["test"], labels=y_eval, label_space=LabelSpace.ALL_CLASSES, vocab=vocab
     )
     return DataBundle(vocab=vocab, semantics=semantics, train=train, val=val, test=test)
+
+
+def rewrite_checkpoint_header(path, edit) -> None:
+    """Replace a saved checkpoint's JSON header with ``edit(header)``, body kept."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    raw = json.dumps(edit(json.loads(blob[12 : 12 + header_len]))).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :])

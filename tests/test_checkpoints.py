@@ -16,6 +16,8 @@ from gzsl_align import (
     save_checkpoint,
 )
 
+from conftest import rewrite_checkpoint_header
+
 
 def _model(seed=0):
     return init_model_params(
@@ -108,6 +110,37 @@ def test_non_finite_weight_is_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="non-finite"):
         load_checkpoint(path)
+
+
+MALFORMED_HEADERS = {
+    "no-n_values": lambda h: {k: v for k, v in h.items() if k != "n_values"},
+    "null-specs": lambda h: {**h, "specs": None},
+    "list-header": lambda h: [h],
+    "specs-off-body": lambda h: {**h, "specs": {**h["specs"], "visual_map": [6, 5]}},
+    "string-seed": lambda h: {**h, "seed": "x"},
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_malformed_header_is_rejected(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _model(seed=4), seed=4, epoch=1)
+    rewrite_checkpoint_header(path, edit)
+    with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+        load_checkpoint(path)
+
+
+def test_loaded_buffers_are_private_and_writable(tmp_path):
+    params = _model(seed=6)
+    path = tmp_path / "full.ckpt"
+    save_checkpoint(path, params, seed=6, epoch=1, adam=init_adam([params.flat]))
+    ck = load_checkpoint(path)
+    assert np.array_equal(ck.params.flat, params.flat)
+    assert not np.shares_memory(ck.params.flat, params.flat)
+    for moment in ck.adam.m + ck.adam.v:
+        assert not np.shares_memory(moment, ck.params.flat)
+    ck.params.visual_map.weights[0][0, 0] = 2.5
+    assert ck.params.flat[params.encoder.spec.n_params] == 2.5
 
 
 def test_header_is_inspectable_json(tmp_path):

@@ -8,6 +8,8 @@ import pytest
 from gzsl_align import load_checkpoint, save_checkpoint
 from gzsl_align.cli import main
 
+from conftest import rewrite_checkpoint_header
+
 GEN_FLAGS = [
     "--classes", "6", "--seen", "4", "--d", "8", "--v", "12",
     "--n-train", "160", "--n-val", "80", "--n-test", "80",
@@ -227,6 +229,21 @@ def test_eval_truncated_checkpoint_is_input_error(bench, run_dir, tmp_path, caps
     code = main(
         [
             "eval", "--checkpoint", str(cut), "--manifest", str(bench),
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_malformed_header_is_input_error(bench, run_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes((run_dir / "checkpoints" / "best.ckpt").read_bytes())
+    rewrite_checkpoint_header(bad, lambda header: [header])
+    code = main(
+        [
+            "eval", "--checkpoint", str(bad), "--manifest", str(bench),
             "--out-dir", str(tmp_path),
         ]
     )

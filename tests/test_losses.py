@@ -261,9 +261,9 @@ def test_gradient_routing_by_term():
     sem = rng.standard_normal((3, 3))
     cfg = LossConfig(gamma1=0.3, gamma2=0.7).with_terms(("con",))
     _, grads = total_loss(feats, labels, sem, params, cfg)
-    assert all(np.all(g == 0) for g in grads.encoder)
-    assert all(np.all(g == 0) for g in grads.visual_map)
-    assert any(np.any(g != 0) for g in grads.semantic_map)
+    assert all(np.all(g == 0) for g in grads.encoder.arrays())
+    assert all(np.all(g == 0) for g in grads.visual_map.arrays())
+    assert any(np.any(g != 0) for g in grads.semantic_map.arrays())
 
 
 def test_total_gradients_match_finite_differences():

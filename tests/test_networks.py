@@ -1,5 +1,7 @@
 """MLP forward/backward against independent oracles, plus cosine helpers."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from gzsl_align import (
     DegenerateVectorError,
     MlpParams,
     MlpSpec,
+    ModelParams,
     cosine_similarity,
     init_model_params,
     init_params,
@@ -142,6 +145,39 @@ def test_model_params_array_names_align_with_arrays():
     assert len(names) == len(arrays) == 6
     assert names[0].startswith("encoder.") and names[-1].startswith("semantic_map.")
     assert model.latent_dim == 4 and model.feature_dim == 6 and model.semantic_dim == 5
+
+
+def test_model_params_flat_store_aliasing():
+    vis = init_params(MlpSpec(layer_dims=(6, 4)), seed=0)
+    sem = init_params(MlpSpec(layer_dims=(5, 4)), seed=1)
+    enc = init_params(MlpSpec(layer_dims=(6, 6)), seed=2)
+    model = ModelParams(visual_map=vis, semantic_map=sem, encoder=enc)
+    layout = np.concatenate([a.ravel() for net in (enc, vis, sem) for a in net.arrays()])
+    assert np.array_equal(model.flat, layout)
+
+    # a write through a layer view shows in flat and in arrays()
+    model.visual_map.weights[0][2, 3] = 7.5
+    assert model.flat[enc.spec.n_params + 2 * 4 + 3] == 7.5
+    assert model.arrays()[2][2, 3] == 7.5
+    assert vis.weights[0][2, 3] != 7.5
+
+    # copies, pickles and a second model over the same nets own their buffers
+    second = ModelParams(visual_map=vis, semantic_map=sem, encoder=enc)
+    for other in (model.copy(), pickle.loads(pickle.dumps(model)), second):
+        assert not np.shares_memory(other.flat, model.flat)
+        other.semantic_map.biases[0][:] = -1.0
+        assert all(np.shares_memory(a, other.flat) for a in other.arrays())
+        assert other.flat[-1] == -1.0
+    assert all(np.shares_memory(a, model.flat) for a in model.arrays())
+    assert model.flat[-1] == 0.0 and model.arrays()[2][2, 3] == 7.5
+
+    # wrong shapes raise even when the value count matches
+    for wrong in (
+        MlpParams(vis.spec, [vis.weights[0].T], vis.biases),
+        MlpParams(vis.spec, vis.weights, [vis.biases[0][:, None]]),
+    ):
+        with pytest.raises(ValueError, match="shape"):
+            ModelParams(visual_map=wrong, semantic_map=sem, encoder=enc)
 
 
 def test_cosine_helpers_match_hand_loop():

@@ -15,6 +15,7 @@ from gzsl_align import (
     InductiveViolationError,
     LabelSpace,
     LossConfig,
+    NonFiniteGradientError,
     NonFiniteLossError,
     TrainConfig,
     default_model_specs,
@@ -27,6 +28,7 @@ from gzsl_align import (
     reference_train_config,
     train,
 )
+import gzsl_align.training as training_module
 from gzsl_align.data import DataBundle
 from gzsl_align.synthetic import generate
 
@@ -204,6 +206,39 @@ def test_last_checkpoint_carries_full_adam_state(bundle, tmp_path):
             assert m.any()
 
 
+@pytest.mark.parametrize(
+    "mode, offender",
+    [(EncoderMode.END_TO_END, "encoder.layer0.weight"),
+     (EncoderMode.FROZEN, "visual_map.layer2.weight")],
+    ids=lambda x: getattr(x, "value", x),
+)
+def test_non_finite_gradient_stops_before_any_update(bundle, monkeypatch, mode, offender):
+    seen = {}
+
+    def poisoned_loss(*args, **kwargs):
+        breakdown, grads = real_loss(*args, **kwargs)
+        if grads is not None:
+            seen.setdefault("params", args[3])
+            seen.setdefault("before", args[3].flat.copy())
+            grads.encoder.weights[0][1, 2] = np.nan
+            grads.visual_map.weights[2][0, 0] = np.inf
+        return breakdown, grads
+
+    def spied_adam(arrays):
+        seen["adam"] = real_init(arrays)
+        return seen["adam"]
+
+    real_loss, real_init = training_module.total_loss, training_module.init_adam
+    monkeypatch.setattr(training_module, "total_loss", poisoned_loss)
+    monkeypatch.setattr(training_module, "init_adam", spied_adam)
+    with pytest.raises(NonFiniteGradientError, match=rf"in {offender}$"):
+        train(quick_cfg(epochs=1, encoder_mode=mode), bundle, quick_params(bundle))
+    assert np.array_equal(seen["params"].flat, seen["before"])
+    adam = seen["adam"]
+    assert adam.step_count == 0
+    assert not any(a.any() for a in adam.m + adam.v)
+
+
 def test_scheduler_reduces_lr_when_val_loss_plateaus(bundle):
     # an lr too small to move the val loss by min_delta forces a plateau
     cfg = quick_cfg(
@@ -373,31 +408,51 @@ def test_train_config_validation():
         GridSpec(gamma_candidates=(0.1,), lr_candidates=(0.0,))
 
 
-# Artifacts of a 3-epoch reference run at seed 1, recorded with the direct
-# (N, S, S) margin-tensor ranking term. Refactors that keep the maths must
-# reproduce the checkpoints byte for byte.
-PINNED_CKPT_SHA256 = {
-    "best.ckpt": "adc043bd60012a32df304bcaad59a38aacd2b8baf4a0914a99c7296641827194",
-    "last.ckpt": "ff5ee44138f7f6fd16a60c49d7e767d48b891c581242c3b5f2d3bf33585fc3ad",
-}
-PINNED_METRICS_CSV = """\
+# Artifacts of 3-epoch reference runs at seed 1, per encoder mode. The
+# end-to-end ones were recorded with the direct (N, S, S) margin-tensor
+# ranking term, the frozen ones with per-array parameter storage and
+# optimizer state. Refactors that keep the maths must reproduce the
+# checkpoints byte for byte.
+PINNED_RUNS = {
+    EncoderMode.END_TO_END: (
+        {
+            "best.ckpt": "adc043bd60012a32df304bcaad59a38aacd2b8baf4a0914a99c7296641827194",
+            "last.ckpt": "ff5ee44138f7f6fd16a60c49d7e767d48b891c581242c3b5f2d3bf33585fc3ad",
+        },
+        """\
 epoch,lr,train_rank,train_align,train_con,train_total,val_rank,val_align,val_con,val_total,val_seen_auroc,val_unseen_auroc,val_harmonic
 1,0.001,0.5653019720780127,0.5670457988418417,1.1947360073916922,0.7414801527013661,0.5212284679601816,0.6526763382832331,1.1947360073916922,0.7059697025276742,0.7093950471730607,0.6545439185255014,0.6808665572823844
 2,0.001,0.4813068580414121,0.5315314949813644,0.6483841597610022,0.5992984235156488,0.4652072671227692,0.618111892991453,0.6483841597610022,0.5918568723980147,0.7410887076732715,0.6936456645108673,0.7165827752672688
 3,0.001,0.4334832644259534,0.4799434464074981,0.7295675360654256,0.5544343626732458,0.45396083226425293,0.5849832945081362,0.7295675360654256,0.5854159153216091,0.7553262318001284,0.702148260659653,0.7277671103444096
-"""
+""",
+    ),
+    EncoderMode.FROZEN: (
+        {
+            "best.ckpt": "780c658a645ade6c5618c639c6b26c322d3754833de9192769113fc51c840b63",
+            "last.ckpt": "adeb0ecf133cb84774774b9b74401636b7dac41f00014de1aed4c414f47515f6",
+        },
+        """\
+epoch,lr,train_rank,train_align,train_con,train_total,val_rank,val_align,val_con,val_total,val_seen_auroc,val_unseen_auroc,val_harmonic
+1,0.001,0.6405846889838497,0.6167415743411442,1.1761933405512452,0.8198781804730886,0.565451190512593,0.6897517238010862,1.1761933405512452,0.7520456969478262,0.6831128463249219,0.6192112070884375,0.6495942834532216
+2,0.001,0.5713972612114123,0.5768557645675262,0.7102760828631832,0.7001104459544834,0.5192838362596077,0.6480719174396283,0.7102760828631832,0.6551186362898889,0.7057092381324428,0.6529692866747749,0.6783156565877475
+3,0.001,0.5380388783452525,0.5387999180683603,0.6115286904220332,0.6530717391942918,0.5194679262384464,0.6299792551771096,0.6115286904220332,0.6436187207983607,0.7186700947014838,0.660323089331982,0.6882622229585658
+""",
+    ),
+}
 
 
-def test_reference_run_artifacts_match_pinned_digests(tmp_path):
+@pytest.mark.parametrize("mode", list(PINNED_RUNS), ids=lambda mode: mode.value)
+def test_reference_run_artifacts_match_pinned_digests(tmp_path, mode):
+    digests, metrics_csv = PINNED_RUNS[mode]
     spec = reference_spec(1)
-    cfg = replace(reference_train_config(1), epochs=3)
+    cfg = replace(reference_train_config(1), epochs=3, encoder_mode=mode)
     train(cfg, generate(spec), reference_model_params(spec, 1), out_dir=tmp_path)
-    for name, digest in PINNED_CKPT_SHA256.items():
+    for name, digest in digests.items():
         blob = (tmp_path / "checkpoints" / name).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest, name
     # loss cells may move in the last digits when a summation order changes
     got = [line.split(",") for line in (tmp_path / "metrics.csv").read_text().splitlines()]
-    want = [line.split(",") for line in PINNED_METRICS_CSV.splitlines()]
+    want = [line.split(",") for line in metrics_csv.splitlines()]
     assert len(got) == len(want) and got[0] == want[0]
     for g_row, w_row in zip(got[1:], want[1:]):
         assert len(g_row) == len(w_row)
