@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -222,44 +223,39 @@ class DataBundle:
 SPLIT_NAMES = ("train", "val", "test")
 
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
 def _write_csv(path: Path, matrix: np.ndarray, integer: bool) -> None:
+    fmt = str if integer else repr
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in matrix:
-            if integer:
-                fh.write(",".join(str(int(v)) for v in row))
-            else:
-                fh.write(_format_row(row))
-            fh.write("\n")
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in matrix.tolist())
 
 
-def _read_csv(path: Path, what: str) -> np.ndarray:
+def _member(obj, key: str, what: str):
+    """``obj[key]`` of a parsed manifest object; ManifestError if it is absent."""
+    if not isinstance(obj, dict):
+        raise ManifestError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ManifestError(f"{what} missing key '{key}'")
+    return obj[key]
+
+
+def _read_csv(base: Path, name, what: str) -> np.ndarray:
+    if not isinstance(name, str):
+        raise ManifestError(f"{what} file name must be a string, got {name!r}")
+    path = base / name
     if not path.is_file():
         raise ManifestError(f"{what} file not found: {path}")
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise ManifestError(f"{what} line {lineno + 1}: {exc}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ManifestError(
-                    f"{what} line {lineno + 1} has {len(row)} columns, expected {width}"
-                )
-            rows.append(row)
-    if not rows:
+    try:
+        with warnings.catch_warnings():
+            # loadtxt only warns on input without data; reported below
+            warnings.simplefilter("ignore", UserWarning)
+            mat = np.loadtxt(
+                path, delimiter=",", dtype=np.float64, comments=None, ndmin=2, encoding="utf-8"
+            )
+    except ValueError as exc:  # bad cell, ragged row, or not UTF-8
+        raise ManifestError(f"{what} file {path}: {exc}") from None
+    if mat.size == 0:
         raise ManifestError(f"{what} file is empty: {path}")
-    return np.array(rows, dtype=np.float64)
+    return mat
 
 
 def _require_finite(mat: np.ndarray, what: str) -> None:
@@ -280,28 +276,30 @@ def load_manifest(path) -> DataBundle:
         raise ManifestError(f"manifest not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
     for key in ("classes", "d", "v", "embeddings", "splits"):
-        if key not in doc:
-            raise ManifestError(f"manifest missing key '{key}'")
+        _member(doc, key, "manifest")
 
     base = path.parent
-    d, v = int(doc["d"]), int(doc["v"])
+    try:
+        d, v = int(doc["d"]), int(doc["v"])
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"manifest d and v must be integers: {exc}") from None
     entries = doc["classes"]
     try:
         names = tuple(e["name"] for e in entries)
         seen_ids = tuple(i for i, e in enumerate(entries) if e["seen"])
         unseen_ids = tuple(i for i, e in enumerate(entries) if not e["seen"])
         emb_rows = [int(e["embedding_row"]) for e in entries]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"malformed class entry: {exc}") from None
     try:
         vocab = ClassVocabulary(names, seen_ids, unseen_ids)
     except ValueError as exc:
         raise ManifestError(str(exc)) from None
 
-    raw_emb = _read_csv(base / doc["embeddings"], "embeddings")
+    raw_emb = _read_csv(base, doc["embeddings"], "embeddings")
     _require_finite(raw_emb, "embeddings")
     if raw_emb.shape[1] != d:
         raise ManifestError(f"embeddings have {raw_emb.shape[1]} columns, manifest declares d={d}")
@@ -318,16 +316,14 @@ def load_manifest(path) -> DataBundle:
 
     splits = {}
     for split in SPLIT_NAMES:
-        if split not in doc["splits"]:
-            raise ManifestError(f"manifest missing split '{split}'")
-        ref = doc["splits"][split]
-        feats = _read_csv(base / ref["features"], f"{split} features")
+        ref = _member(doc["splits"], split, "manifest splits")
+        feats = _read_csv(base, _member(ref, "features", f"{split} split"), f"{split} features")
         _require_finite(feats, f"{split} features")
         if feats.shape[1] != v:
             raise ManifestError(
                 f"{split} features have {feats.shape[1]} columns, manifest declares v={v}"
             )
-        labels = _read_csv(base / ref["labels"], f"{split} labels")
+        labels = _read_csv(base, _member(ref, "labels", f"{split} split"), f"{split} labels")
         if not np.isin(labels, (0.0, 1.0)).all():
             i, j = np.argwhere(~np.isin(labels, (0.0, 1.0)))[0]
             raise ManifestError(f"{split} labels row {i} column {j}: non-binary value {labels[i, j]}")

@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import ClassVocabulary, Dataset, LabelSpace, SemanticMatrix
 from .exceptions import UndefinedAurocError, ValidationError
@@ -34,13 +33,26 @@ def infer_scores(params: ModelParams, features: np.ndarray, semantics) -> np.nda
     return np.atleast_2d(relevance_scores(Z, T))
 
 
-def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of each row's k best scores; ties go to the lower class index."""
-    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    if not 1 <= k <= S.shape[1]:
-        raise ValueError(f"k={k} out of range for {S.shape[1]} classes")
-    # stable sort on -scores keeps equal entries in ascending column order
-    return np.argsort(-S, axis=1, kind="stable")[:, :k]
+def _topk_mask(S: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of each row's k best scores; ties go to the lower class index.
+
+    One partition per row finds the k-th largest score ``thr``: every score
+    above it is picked, and scores equal to it fill the remaining quota in
+    ascending column order, as a stable descending sort would. O(N*C).
+    """
+    c = S.shape[1]
+    if not 1 <= k <= c:
+        raise ValueError(f"k={k} out of range for {c} classes")
+    if not np.isfinite(S).all():
+        raise ValidationError("top-k scores must be finite")
+    thr = np.partition(S, c - k, axis=1)[:, c - k, None]
+    picked = S > thr
+    tied = S == thr
+    quota = k - picked.sum(axis=1)
+    over = tied.sum(axis=1) > quota  # only these rows have ties left out
+    tied[over] &= np.cumsum(tied[over], axis=1) <= quota[over, None]
+    picked |= tied
+    return picked
 
 
 @dataclass(frozen=True)
@@ -74,8 +86,7 @@ def topk_metrics(scores: np.ndarray, labels: np.ndarray, k: int) -> TopKMetrics:
     if S.shape != Y.shape:
         raise ValueError(f"scores shape {S.shape} != labels shape {Y.shape}")
     n, c = S.shape
-    picked = np.zeros((n, c), dtype=bool)
-    np.put_along_axis(picked, topk_indices(S, k), True, axis=1)
+    picked = _topk_mask(S, k)
 
     tp = int((picked & Y).sum())
     total_pos = int(Y.sum())
@@ -99,6 +110,25 @@ def topk_metrics(scores: np.ndarray, labels: np.ndarray, k: int) -> TopKMetrics:
     return TopKMetrics(k, recall, precision, _f1(precision, recall), macro_r, macro_p, macro_f)
 
 
+def _midrank_auroc(sorted_scores: np.ndarray, pos_scores: np.ndarray) -> float | None:
+    """Mann-Whitney AUROC of one class; None when it has a single label value.
+
+    ``sorted_scores`` holds the class's scores over all samples in ascending
+    order and ``pos_scores`` those of its positives. A positive's mid-rank
+    (ties averaged) is read off two binary searches. Mid-ranks are
+    half-integers, so their sum is exact and the result equals the
+    rank-sum formula over a full ranking bit for bit.
+    """
+    n_pos = pos_scores.size
+    n_neg = sorted_scores.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    below = np.searchsorted(sorted_scores, pos_scores, "left")
+    through = np.searchsorted(sorted_scores, pos_scores, "right")
+    rank_sum = (below.sum() + through.sum() + n_pos) / 2.0
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based (Mann-Whitney) AUROC with mid-rank tie handling."""
     s = np.asarray(scores, dtype=np.float64).ravel()
@@ -107,29 +137,32 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError(f"{s.shape[0]} scores vs {y.shape[0]} labels")
     if not np.all(np.isfinite(s)):
         raise ValidationError("AUROC scores must be finite")
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    value = _midrank_auroc(np.sort(s), s[y])
+    if value is None:
+        n_pos = int(y.sum())
         raise UndefinedAurocError(
-            f"AUROC undefined: {n_pos} positives, {n_neg} negatives"
+            f"AUROC undefined: {n_pos} positives, {y.size - n_pos} negatives"
         )
-    ranks = rankdata(s)
-    return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return value
 
 
 def per_class_auroc(scores: np.ndarray, labels: np.ndarray) -> list[float | None]:
-    """AUROC per class column; None where the column is single-class."""
+    """AUROC per class column; None where the column is single-class.
+
+    The transposed score matrix is sorted once, one contiguous row per
+    class, and each class's positives are ranked in its row.
+    """
     S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(labels))
     if S.shape != Y.shape:
         raise ValueError(f"scores shape {S.shape} != labels shape {Y.shape}")
-    out: list[float | None] = []
-    for j in range(S.shape[1]):
-        try:
-            out.append(auroc(S[:, j], Y[:, j]))
-        except UndefinedAurocError:
-            out.append(None)
-    return out
+    if not np.isfinite(S).all():
+        raise ValidationError("AUROC scores must be finite")
+    cls, rows = np.nonzero(Y.T > 0.5)  # class-major: each class's positives are contiguous
+    pos_scores = np.split(S[rows, cls], np.cumsum(np.bincount(cls, minlength=S.shape[1]))[:-1])
+    by_class = S.T.copy()
+    by_class.sort(axis=1)
+    return [_midrank_auroc(col, pos) for col, pos in zip(by_class, pos_scores)]
 
 
 def gzsl_summary(

@@ -72,6 +72,27 @@ def test_validate_missing_manifest(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda splits: splits["val"].pop("features"),
+        lambda splits: splits.update(test=None),
+    ],
+    ids=["split without features", "null split"],
+)
+def test_validate_malformed_split_entry_is_input_error(bench, tmp_path, capsys, edit):
+    for src in bench.parent.iterdir():
+        (tmp_path / src.name).write_bytes(src.read_bytes())
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc["splits"])
+    manifest.write_text(json.dumps(doc))
+    assert main(["validate", "--manifest", str(manifest)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_train_writes_artifacts(run_dir, capsys):
     for name in ["config.json", "metrics.csv", "checkpoints/best.ckpt", "checkpoints/last.ckpt"]:
         assert (run_dir / name).is_file(), name

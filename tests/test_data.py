@@ -1,7 +1,16 @@
 """Vocabulary, dataset validation, and manifest round-trip behavior."""
 
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gzsl_align import (
     ClassVocabulary,
@@ -20,7 +29,15 @@ from gzsl_align import (
     save_manifest,
     validate_dataset,
 )
+from gzsl_align.cli import main
+
 from conftest import hand_bundle
+
+TOY_SPEC = SynthSpec(n_classes=3, n_seen=2, d=4, v=6, n_train=4, n_val=4, n_test=4,
+                     max_labels_per_sample=2,
+                     geometry=SemanticGeometry(parents_min=2, parents_max=2))
+DATA_CSVS = tuple(f"{split}_{part}.csv" for split in ("train", "val", "test")
+                  for part in ("features", "labels"))
 
 
 def test_vocabulary_partition_counts():
@@ -168,3 +185,88 @@ def test_loading_train_split_with_unseen_positive_raises(tmp_path):
         load_manifest(manifest)
     assert exc_info.value.sample_index == 2
     assert "class02" in str(exc_info.value)
+
+
+def _edit_doc(edit):
+    def apply(manifest: Path) -> None:
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+    return apply
+
+
+def _edit_csv(name, edit):
+    def apply(manifest: Path) -> None:
+        path = manifest.parent / name
+        path.write_bytes(edit(path.read_bytes()))
+    return apply
+
+
+MALFORMED_MANIFESTS = {
+    "split without features": _edit_doc(lambda d: d["splits"]["val"].pop("features")),
+    "split without labels": _edit_doc(lambda d: d["splits"]["test"].pop("labels")),
+    "null split": _edit_doc(lambda d: d["splits"].update(val=None)),
+    "splits not an object": _edit_doc(lambda d: d.update(splits=["train", "val", "test"])),
+    "non-integer d": _edit_doc(lambda d: d.update(d="x")),
+    "non-integer embedding_row": _edit_doc(lambda d: d["classes"][0].update(embedding_row="x")),
+    "file name not a string": _edit_doc(lambda d: d.update(embeddings=5)),
+    "manifest not an object": lambda m: m.write_text("[1, 2]"),
+    "manifest not UTF-8": lambda m: m.write_bytes(b'{"d": "\xff"}'),
+    "CSV not UTF-8": _edit_csv("val_features.csv", lambda b: b"\xff" + b[1:]),
+    "empty CSV": _edit_csv("test_labels.csv", lambda b: b""),
+    "CSV of blank lines": _edit_csv("test_labels.csv", lambda b: b"\n\n"),
+    "digit underscore": _edit_csv("embeddings.csv", lambda b: b"1_0" + b[b.index(b","):]),
+    "whitespace-only line": _edit_csv("train_features.csv", lambda b: b"  \n" + b),
+    "comment line": _edit_csv("train_labels.csv", lambda b: b"# labels\n" + b),
+    "ragged row": _edit_csv("val_labels.csv", lambda b: b[: b.rindex(b",")] + b"\n"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edit", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS.keys())
+def test_malformed_manifest_raises_manifest_error(tmp_path, edit):
+    manifest = save_manifest(generate(TOY_SPEC), tmp_path)
+    edit(manifest)
+    with pytest.raises(ManifestError):
+        load_manifest(manifest)
+
+
+@pytest.fixture(scope="module")
+def toy_manifest_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy")
+    save_manifest(generate(TOY_SPEC), out)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(DATA_CSVS),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    flip=st.one_of(st.none(), st.integers(1, 255)),
+)
+def test_corrupted_csv_raises_only_typed_errors(toy_manifest_dir, name, where, flip):
+    """A truncated (flip None) or byte-flipped data CSV fails as a typed error, never raw."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "m"
+        shutil.copytree(toy_manifest_dir, work)
+        path = work / name
+        blob = bytearray(path.read_bytes())
+        at = int(where * len(blob))
+        if flip is None:
+            del blob[at:]
+        else:
+            blob[at] ^= flip
+        path.write_bytes(bytes(blob))
+        manifest = work / "manifest.json"
+        try:
+            load_manifest(manifest)
+            loaded = True
+        except (ManifestError, InductiveViolationError):
+            loaded = False
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "--manifest", str(manifest)])
+    if loaded:
+        assert code == 0 and out.getvalue().endswith("OK\n")
+    else:
+        assert code == 1 and err.getvalue().startswith("error:")

@@ -1,16 +1,22 @@
 """AUROC vs a pairwise oracle, top-k hand counts, report round-trips."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import rankdata
 
+import gzsl_align.metrics as metrics_mod
 from gzsl_align import (
     ClassVocabulary,
     LabelSpace,
     MetricsReport,
     MlpSpec,
     UndefinedAurocError,
+    ValidationError,
     auroc,
     evaluate,
     gzsl_summary,
@@ -20,7 +26,6 @@ from gzsl_align import (
     per_class_auroc,
     read_report_json,
     relevance_scores,
-    topk_indices,
     topk_metrics,
     write_report_csv,
     write_report_json,
@@ -42,6 +47,85 @@ def _pairwise_auroc(scores, labels):
             elif p == q:
                 ties += 1
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def _rankdata_auroc_oracle(scores, labels):
+    """Per-column AUROC by the rank-sum formula over a full ranking; None if single-class."""
+    out = []
+    for s, y in zip(np.asarray(scores, dtype=np.float64).T, np.asarray(labels).T > 0.5):
+        n_pos = int(y.sum())
+        n_neg = y.size - n_pos
+        if n_pos == 0 or n_neg == 0:
+            out.append(None)
+            continue
+        ranks = rankdata(s)
+        out.append(float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)))
+    return out
+
+
+def topk_indices(scores, k):
+    """Indices of each row's k best scores by a stable sort; ties go to the lower class index."""
+    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    if not 1 <= k <= S.shape[1]:
+        raise ValueError(f"k={k} out of range for {S.shape[1]} classes")
+    return np.argsort(-S, axis=1, kind="stable")[:, :k]
+
+
+def _topk_mask_oracle(scores, k):
+    picked = np.zeros(np.shape(scores), dtype=bool)
+    np.put_along_axis(picked, topk_indices(scores, k), True, axis=1)
+    return picked
+
+
+@st.composite
+def _tie_heavy_case(draw):
+    """Integer-valued scores from a handful of levels, so most rows tie, and 0/1 labels."""
+    n = draw(st.integers(1, 12))
+    c = draw(st.integers(1, 8))
+    scores = draw(arrays(np.int64, (n, c), elements=st.integers(-2, 2))).astype(np.float64)
+    labels = draw(arrays(np.int8, (n, c), elements=st.integers(0, 1)))
+    return scores, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tie_heavy_case())
+def test_per_class_auroc_equals_rankdata_oracle_exactly(case):
+    scores, labels = case
+    want = _rankdata_auroc_oracle(scores, labels)
+    assert per_class_auroc(scores, labels) == want
+    for j, value in enumerate(want):
+        if value is not None:
+            assert auroc(scores[:, j], labels[:, j]) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tie_heavy_case())
+def test_topk_equals_stable_argsort_oracle_exactly(case):
+    scores, labels = case
+    for k in range(1, scores.shape[1] + 1):
+        np.testing.assert_array_equal(
+            metrics_mod._topk_mask(scores, k), _topk_mask_oracle(scores, k)
+        )
+        with mock.patch.object(metrics_mod, "_topk_mask", _topk_mask_oracle):
+            want = topk_metrics(scores, labels, k)
+        assert topk_metrics(scores, labels, k) == want
+
+
+def test_metrics_reject_non_finite_scores_and_bad_k():
+    scores = np.array([[0.1, 0.9], [0.8, 0.2], [0.3, 0.4]])
+    labels = np.array([[0, 1], [1, 0], [1, 1]])
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = scores.copy()
+        poisoned[1, 1] = bad
+        with pytest.raises(ValidationError):
+            per_class_auroc(poisoned, labels)
+        with pytest.raises(ValidationError):
+            auroc(poisoned[:, 1], labels[:, 1])
+        with pytest.raises(ValidationError):
+            topk_metrics(poisoned, labels, 1)
+    for k in (0, 3, -1):
+        with pytest.raises(ValueError):
+            topk_metrics(scores, labels, k)
 
 
 def test_auroc_fixture_is_three_quarters():
@@ -112,8 +196,8 @@ def test_topk_perfect_model_on_exactly_k_positives():
 
 
 def test_topk_ties_break_toward_lower_class_index():
-    got = topk_indices(np.array([[0.5, 0.7, 0.5, 0.5]]), k=3)
-    np.testing.assert_array_equal(got, [[1, 0, 2]])
+    got = metrics_mod._topk_mask(np.array([[0.5, 0.7, 0.5, 0.5]]), k=3)
+    np.testing.assert_array_equal(got, [[True, True, True, False]])
 
 
 @settings(max_examples=40, deadline=None)
