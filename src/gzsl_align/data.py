@@ -185,24 +185,6 @@ def inductive_violations(ds: Dataset) -> list[Violation]:
     ]
 
 
-def average_positive_semantics(y: np.ndarray, rows) -> np.ndarray:
-    """Arithmetic mean of the semantic rows marked positive in ``y``.
-
-    ``rows`` may be a SemanticMatrix or a matrix whose row count equals
-    ``len(y)``. Raises NoPositiveLabelsError when ``y`` has no positives.
-    """
-    from .exceptions import NoPositiveLabelsError
-
-    mat = rows.rows if isinstance(rows, SemanticMatrix) else np.asarray(rows, dtype=np.float64)
-    y = np.asarray(y)
-    if y.shape != (mat.shape[0],):
-        raise ValueError(f"label length {y.shape} does not match {mat.shape[0]} rows")
-    pos = np.flatnonzero(y)
-    if pos.size == 0:
-        raise NoPositiveLabelsError("cannot average semantics of zero positive labels")
-    return mat[pos].mean(axis=0)
-
-
 @dataclass(frozen=True)
 class DataBundle:
     """Everything one manifest provides: vocabulary, semantics, three splits."""
@@ -289,11 +271,17 @@ def load_manifest(path) -> DataBundle:
     entries = doc["classes"]
     try:
         names = tuple(e["name"] for e in entries)
-        seen_ids = tuple(i for i, e in enumerate(entries) if e["seen"])
-        unseen_ids = tuple(i for i, e in enumerate(entries) if not e["seen"])
+        seen = tuple(e["seen"] for e in entries)
         emb_rows = [int(e["embedding_row"]) for e in entries]
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"malformed class entry: {exc}") from None
+    for i, (name, flag) in enumerate(zip(names, seen)):
+        if not isinstance(name, str):
+            raise ManifestError(f"class entry {i}: name must be a string, got {name!r}")
+        if not isinstance(flag, bool):
+            raise ManifestError(f"class entry {i}: seen must be true or false, got {flag!r}")
+    seen_ids = tuple(i for i, flag in enumerate(seen) if flag)
+    unseen_ids = tuple(i for i, flag in enumerate(seen) if not flag)
     try:
         vocab = ClassVocabulary(names, seen_ids, unseen_ids)
     except ValueError as exc:

@@ -34,10 +34,6 @@ class DegenerateVectorError(GzslError):
     """A vector with zero Euclidean norm reached a cosine computation."""
 
 
-class NoPositiveLabelsError(GzslError):
-    """A multi-hot label vector with no positives has no averaged semantics."""
-
-
 class NonFiniteGradientError(GzslError):
     """A gradient tensor contains NaN or Inf."""
 

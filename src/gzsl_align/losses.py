@@ -1,9 +1,11 @@
 """Composite training objective: ranking + alignment + consistency.
 
-All three terms are differentiable almost everywhere; gradients with
-respect to every network parameter are computed analytically by chaining
-cosine-similarity derivatives through the recorded forward tapes.
-Subgradients at the hinge and absolute-value kinks are taken as 0.
+Each term is one function of the latent rows that returns its value
+and its gradient: :func:`rank_term`, :func:`align_term` and
+:func:`con_term`. :func:`total_loss` runs the tower forwards, sums the
+terms and chains their gradients back through the recorded forward tapes.
+All three terms are differentiable almost everywhere; subgradients at
+the hinge and absolute-value kinks are taken as 0.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .networks import ModelParams, mlp_backward, mlp_forward, pairwise_cosine, row_norms
+from .networks import MlpParams, ModelParams, mlp_backward, mlp_forward, pairwise_cosine, row_norms
 
 TERM_NAMES = ("rank", "align", "con")
 
@@ -56,9 +58,6 @@ class LossConfig:
             use_con="con" in terms,
         )
 
-    def term_mask(self) -> tuple[bool, bool, bool]:
-        return (self.use_rank, self.use_align, self.use_con)
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -81,14 +80,15 @@ def relevance_scores(latent_visual: np.ndarray, latent_semantics: np.ndarray) ->
     return scores[0] if lv.ndim == 1 else scores
 
 
-def _rank_loss_and_grad(
+def rank_term(
     scores: np.ndarray, labels: np.ndarray, delta: float, pair_normalize: bool
 ) -> tuple[float, np.ndarray]:
     """Batch margin-ranking loss and its gradient w.r.t. the score matrix.
 
     Per image: (1/S) * sum over positive p, negative n of
-    max(delta + s_n - s_p, 0); images lacking positives or negatives
-    contribute 0. The batch value is the mean over all images.
+    max(delta + s_n - s_p, 0), or 1/(|positives|*|negatives|) in place of
+    1/S with ``pair_normalize``; images lacking positives or negatives
+    contribute 0. The batch value is the mean over a nonempty batch.
 
     A pair (p, n) is active when fl(delta + s_n) > s_p. Sorting each row
     by key (s_p for positives, fl(delta + s_n) for negatives; negatives
@@ -101,6 +101,8 @@ def _rank_loss_and_grad(
     if P.shape != Y.shape:
         raise ValueError(f"scores shape {P.shape} != labels shape {Y.shape}")
     n, s = P.shape
+    if n == 0:
+        raise ValueError("rank_term needs at least one image")
     pos = Y > 0.5
     keys = np.where(pos, P, delta + P)
     order = np.lexsort((pos, keys), axis=-1)
@@ -127,61 +129,65 @@ def _rank_loss_and_grad(
     return loss, d_scores
 
 
-def ranking_loss_image(scores: np.ndarray, labels: np.ndarray, delta: float = 0.5,
-                       pair_normalize: bool = False) -> float:
-    """Margin-ranking penalty of a single image's score vector."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError("ranking_loss_image expects a single score vector")
-    loss, _ = _rank_loss_and_grad(scores[None, :], np.asarray(labels)[None, :], delta, pair_normalize)
-    return loss
+def align_term(
+    z_hat: np.ndarray,
+    z_norm: np.ndarray,
+    a_hat: np.ndarray,
+    a_norm: np.ndarray,
+    gamma1: float,
+    compute_grads: bool = True,
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """Mean of (1 - cosine) over paired visual/semantic latent rows.
 
-
-def ranking_loss_batch(scores, labels, delta: float = 0.5, pair_normalize: bool = False) -> float:
-    """Mean of the per-image ranking penalties over a nonempty batch."""
-    P = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    if P.shape[0] == 0:
-        raise ValueError("ranking_loss_batch needs at least one image")
-    loss, _ = _rank_loss_and_grad(P, np.atleast_2d(np.asarray(labels)), delta, pair_normalize)
-    return loss
-
-
-def alignment_loss(latent_visuals, projected_semantics) -> float:
-    """Mean of (1 - cosine) over paired visual/semantic latent vectors.
-
-    Callers pass only pairs for samples that have at least one positive
-    label; an empty pairing yields 0.
+    Row i pairs the latent visual of a sample that has at least one
+    positive label with the projection of its averaged positive
+    semantics; each side comes as unit rows plus their norms. Returns the
+    value and the gradients of ``gamma1 * value`` w.r.t. the unnormalized
+    visual and semantic rows (both None without ``compute_grads``). An
+    empty pairing yields 0.
     """
-    Z = np.atleast_2d(np.asarray(latent_visuals, dtype=np.float64))
-    A = np.atleast_2d(np.asarray(projected_semantics, dtype=np.float64))
-    if Z.shape != A.shape:
-        raise ValueError(f"visual shape {Z.shape} != semantic shape {A.shape}")
-    if Z.shape[0] == 0:
-        return 0.0
-    zn = row_norms(Z, "latent visual")
-    an = row_norms(A, "projected semantic")
-    cos = np.clip((Z * A).sum(axis=1) / (zn * an), -1.0, 1.0)
-    return float(np.mean(1.0 - cos))
+    if z_hat.shape != a_hat.shape:
+        raise ValueError(f"visual shape {z_hat.shape} != semantic shape {a_hat.shape}")
+    n = z_hat.shape[0]
+    cos = np.clip((z_hat * a_hat).sum(axis=1), -1.0, 1.0)
+    value = float(np.mean(1.0 - cos)) if n else 0.0
+    if not compute_grads:
+        return value, None, None
+    coeff = gamma1 / max(n, 1)  # an empty pairing has empty gradients
+    d_z = -coeff * (a_hat - cos[:, None] * z_hat) / z_norm[:, None]
+    d_a = -coeff * (z_hat - cos[:, None] * a_hat) / a_norm[:, None]
+    return value, d_z, d_a
 
 
-def consistency_loss(original_rows: np.ndarray, projected_rows: np.ndarray) -> float:
+def con_term(
+    t_hat: np.ndarray,
+    t_norm: np.ndarray,
+    target: np.ndarray,
+    gamma2: float,
+    compute_grads: bool = True,
+) -> tuple[float, np.ndarray | None]:
     """L1 drift of pairwise class cosines under the semantic projection.
 
-    Sums |cos(w_i, w_j) - cos(p_i, p_j)| over ordered pairs i != j, so
-    each unordered pair counts twice. Exactly 0 whenever the projection
-    preserves all pairwise cosines.
+    ``t_hat`` holds the projected seen-class rows as unit rows, ``t_norm``
+    their norms, and ``target`` the fixed cosines of the original rows,
+    ``pairwise_cosine(W, W)``. Sums |cos(p_i, p_j) - target[i, j]| over
+    ordered pairs i != j, so each unordered pair counts twice. Returns the
+    value and the gradient of ``gamma2 * value`` w.r.t. the unnormalized
+    projected rows (None without ``compute_grads``).
     """
-    W = np.atleast_2d(np.asarray(original_rows, dtype=np.float64))
-    P = np.atleast_2d(np.asarray(projected_rows, dtype=np.float64))
-    if W.shape[0] != P.shape[0]:
-        raise ValueError(f"{W.shape[0]} original rows vs {P.shape[0]} projected rows")
-    if W.shape[0] < 2:
-        raise ValueError("consistency needs at least 2 classes")
-    c_orig = pairwise_cosine(W, W, "semantic row")
-    c_proj = pairwise_cosine(P, P, "projected row")
-    diff = np.abs(c_orig - c_proj)
+    k = t_hat.shape[0]
+    if target.shape != (k, k):
+        raise ValueError(f"target shape {target.shape} != ({k}, {k})")
+    c_proj = np.clip(t_hat @ t_hat.T, -1.0, 1.0)
+    diff = c_proj - target
     np.fill_diagonal(diff, 0.0)
-    return float(diff.sum())
+    value = float(np.abs(diff).sum())
+    if not compute_grads:
+        return value, None
+    H = np.sign(diff)
+    H = H + H.T  # each row appears on both sides of every ordered pair
+    d_t = gamma2 * (H @ t_hat - (H * c_proj).sum(axis=1, keepdims=True) * t_hat) / t_norm[:, None]
+    return value, d_t
 
 
 def _cosine_rows_backward(Xhat, xnorm, Yhat, ynorm, C, dC):
@@ -256,7 +262,7 @@ def total_loss(
     rank_val = 0.0
     if cfg.use_rank:
         scores = np.clip(Zhat @ That.T, -1.0, 1.0)
-        rank_val, d_scores = _rank_loss_and_grad(scores, Y, cfg.delta, cfg.pair_normalize)
+        rank_val, d_scores = rank_term(scores, Y, cfg.delta, cfg.pair_normalize)
         if compute_grads:
             dZ_r, dT_r = _cosine_rows_backward(Zhat, z_norm, That, t_norm, scores, d_scores)
             dZ += dZ_r
@@ -266,51 +272,37 @@ def total_loss(
     if cfg.use_align:
         counts = Y.sum(axis=1)
         valid = counts > 0
-        n_valid = int(valid.sum())
-        if n_valid > 0:
-            w_bar = (Y[valid].astype(np.float64) @ W) / counts[valid, None]
-            A, tape_avg = mlp_forward(params.semantic_map, w_bar)
-            a_norm = row_norms(A, "projected averaged semantic")
-            Ahat = A / a_norm[:, None]
-            Zv, zv_norm = Zhat[valid], z_norm[valid]
-            cos = np.clip((Zv * Ahat).sum(axis=1), -1.0, 1.0)
-            align_val = float(np.mean(1.0 - cos))
-            if compute_grads:
-                coeff = cfg.gamma1 / n_valid
-                dZ[valid] += -coeff * (Ahat - cos[:, None] * Zv) / zv_norm[:, None]
-                dA = -coeff * (Zv - cos[:, None] * Ahat) / a_norm[:, None]
-                g_avg, _ = mlp_backward(params.semantic_map, tape_avg, dA)
-                for acc, g in zip(grads.semantic_map.arrays(), g_avg):
-                    acc += g
+        w_bar = (Y[valid].astype(np.float64) @ W) / counts[valid, None]
+        A, tape_avg = mlp_forward(params.semantic_map, w_bar)
+        a_norm = row_norms(A, "projected averaged semantic")
+        align_val, dZ_a, dA = align_term(
+            Zhat[valid], z_norm[valid], A / a_norm[:, None], a_norm, cfg.gamma1, compute_grads
+        )
+        if compute_grads:
+            dZ[valid] += dZ_a
+            _accumulate(grads.semantic_map, mlp_backward(params.semantic_map, tape_avg, dA)[0])
 
     con_val = 0.0
     if cfg.use_con:
-        c_orig = semantic_cosines
-        if c_orig is None:
-            c_orig = pairwise_cosine(W, W, "semantic row")
-        c_proj = np.clip(That @ That.T, -1.0, 1.0)
-        diff = c_proj - c_orig
-        np.fill_diagonal(diff, 0.0)
-        con_val = float(np.abs(diff).sum())
+        target = semantic_cosines
+        if target is None:
+            target = pairwise_cosine(W, W, "semantic row")
+        con_val, dT_c = con_term(That, t_norm, target, cfg.gamma2, compute_grads)
         if compute_grads:
-            H = np.sign(diff)
-            H = H + H.T  # each row appears on both sides of every ordered pair
-            dT += cfg.gamma2 * (
-                H @ That - (H * c_proj).sum(axis=1, keepdims=True) * That
-            ) / t_norm[:, None]
+            dT += dT_c
 
     if compute_grads and need_classes:
-        g_cls, _ = mlp_backward(params.semantic_map, tape_cls, dT)
-        for acc, g in zip(grads.semantic_map.arrays(), g_cls):
-            acc += g
+        _accumulate(grads.semantic_map, mlp_backward(params.semantic_map, tape_cls, dT)[0])
     if compute_grads and need_visual:
         g_vis, d_enc_out = mlp_backward(params.visual_map, tape_vis, dZ)
-        for acc, g in zip(grads.visual_map.arrays(), g_vis):
-            acc += g
+        _accumulate(grads.visual_map, g_vis)
         if params.encoder is not None:
-            g_enc, _ = mlp_backward(params.encoder, tape_enc, d_enc_out)
-            for acc, g in zip(grads.encoder.arrays(), g_enc):
-                acc += g
+            _accumulate(grads.encoder, mlp_backward(params.encoder, tape_enc, d_enc_out)[0])
 
     total = rank_val + cfg.gamma1 * align_val + cfg.gamma2 * con_val
     return LossBreakdown(rank_val, align_val, con_val, total), grads
+
+
+def _accumulate(net_grads: MlpParams, grads: list[np.ndarray]) -> None:
+    for acc, g in zip(net_grads.arrays(), grads):
+        acc += g

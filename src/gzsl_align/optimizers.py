@@ -34,7 +34,6 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     epsilon: float = 1e-8,
-    names: list[str] | None = None,
 ) -> None:
     """One in-place Adam update with bias-corrected moment estimates.
 
@@ -48,8 +47,7 @@ def adam_step(
         )
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
-            name = names[i] if names is not None else f"array {i}"
-            raise NonFiniteGradientError(f"non-finite gradient in {name}")
+            raise NonFiniteGradientError(f"non-finite gradient in array {i}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - beta1**t

@@ -18,14 +18,15 @@ from gzsl_align import (
     ClassVocabulary,
     EncoderMode,
     PlateauScheduler,
-    alignment_loss,
+    align_term,
     auroc,
     bayes_reference_auroc,
-    consistency_loss,
+    con_term,
     evaluate,
     generate,
     gzsl_summary,
-    ranking_loss_image,
+    pairwise_cosine,
+    rank_term,
     reference_model_params,
     reference_spec,
     reference_train_config,
@@ -92,23 +93,30 @@ def test_criterion_01_gradient_oracle():
     )
 
 
+def _unit(rows):
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / norms[:, None], norms
+
+
+def _align(visuals, semantics) -> float:
+    return align_term(*_unit(visuals), *_unit(semantics), 1.0, compute_grads=False)[0]
+
+
+def _con(original, projected) -> float:
+    target = pairwise_cosine(original, original)
+    return con_term(*_unit(projected), target, 1.0, compute_grads=False)[0]
+
+
 def test_criterion_02_loss_fixtures():
     errors = [
-        abs(ranking_loss_image(np.array([0.2, 0.4]), np.array([1, 0]), delta=0.5) - 0.35),
-        abs(
-            ranking_loss_image(np.array([0.9, 0.1, 0.0]), np.array([1, 1, 0]), delta=0.5)
-            - 0.4 / 3
-        ),
-        abs(alignment_loss(np.array([[1.0, 0.0]]), np.array([[3.0, 0.0]]))),
-        abs(alignment_loss(np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]])) - 2.0),
-        abs(
-            alignment_loss(
-                np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 5.0]])
-            )
-            - 0.5
-        ),
-        abs(consistency_loss(np.eye(3), np.eye(3))),
-        abs(consistency_loss(np.eye(3), 2.5 * np.eye(3))),
+        abs(rank_term(np.array([0.2, 0.4]), np.array([1, 0]), 0.5, False)[0] - 0.35),
+        abs(rank_term(np.array([0.9, 0.1, 0.0]), np.array([1, 1, 0]), 0.5, False)[0] - 0.4 / 3),
+        abs(_align(np.array([[1.0, 0.0]]), np.array([[3.0, 0.0]]))),
+        abs(_align(np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]])) - 2.0),
+        abs(_align(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 5.0]])) - 0.5),
+        abs(_con(np.eye(3), np.eye(3))),
+        abs(_con(np.eye(3), 2.5 * np.eye(3))),
     ]
     check(2, max(errors) < 1e-12, f"7 hand fixtures, worst deviation {max(errors):.2e}")
 

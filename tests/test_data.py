@@ -18,11 +18,8 @@ from gzsl_align import (
     InductiveViolationError,
     LabelSpace,
     ManifestError,
-    NoPositiveLabelsError,
     SemanticGeometry,
-    SemanticMatrix,
     SynthSpec,
-    average_positive_semantics,
     generate,
     inductive_violations,
     load_manifest,
@@ -106,22 +103,6 @@ def test_zero_label_rows_are_counted_not_rejected():
     )
     assert validate_dataset(ds) == []
     assert ds.zero_label_count() == 1
-
-
-def test_average_positive_semantics_hand_case():
-    rows = np.array([[2.0, 0.0], [0.0, 4.0], [1.0, 1.0]])
-    got = average_positive_semantics(np.array([1, 1, 0]), rows)
-    np.testing.assert_array_equal(got, [1.0, 2.0])
-    with pytest.raises(NoPositiveLabelsError):
-        average_positive_semantics(np.zeros(3), rows)
-    with pytest.raises(ValueError):
-        average_positive_semantics(np.ones(2), rows)
-
-
-def test_average_positive_semantics_accepts_matrix_wrapper():
-    sem = SemanticMatrix(rows=np.eye(3))
-    got = average_positive_semantics(np.array([0, 1, 1]), sem)
-    np.testing.assert_allclose(got, [0.0, 0.5, 0.5])
 
 
 def test_manifest_round_trips_byte_identically(tmp_path):
@@ -209,6 +190,8 @@ MALFORMED_MANIFESTS = {
     "splits not an object": _edit_doc(lambda d: d.update(splits=["train", "val", "test"])),
     "non-integer d": _edit_doc(lambda d: d.update(d="x")),
     "non-integer embedding_row": _edit_doc(lambda d: d["classes"][0].update(embedding_row="x")),
+    "seen not a boolean": _edit_doc(lambda d: d["classes"][0].update(seen="no")),
+    "name not a string": _edit_doc(lambda d: d["classes"][1].update(name=[1])),
     "file name not a string": _edit_doc(lambda d: d.update(embeddings=5)),
     "manifest not an object": lambda m: m.write_text("[1, 2]"),
     "manifest not UTF-8": lambda m: m.write_bytes(b'{"d": "\xff"}'),

@@ -6,35 +6,70 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gzsl_align import (
+    DegenerateVectorError,
     LossConfig,
     MlpSpec,
     ModelParams,
-    alignment_loss,
-    consistency_loss,
+    align_term,
+    con_term,
     init_model_params,
     init_params,
-    ranking_loss_batch,
-    ranking_loss_image,
+    mlp_forward,
+    pairwise_cosine,
+    rank_term,
     relevance_scores,
+    row_norms,
     total_loss,
 )
-from gzsl_align.losses import _rank_loss_and_grad
+
+
+def _unit(x):
+    """Unit rows of ``x`` and their norms, as the align and con terms take them."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    norms = row_norms(x)
+    return x / norms[:, None], norms
+
+
+def _rank(scores, labels, delta=0.5, pair_normalize=False):
+    return rank_term(scores, labels, delta, pair_normalize)[0]
+
+
+def _align(visuals, semantics, gamma1=1.0):
+    return align_term(*_unit(visuals), *_unit(semantics), gamma1)[0]
+
+
+def _con(original, projected, gamma2=1.0):
+    return con_term(*_unit(projected), pairwise_cosine(original, original), gamma2)[0]
+
+
+def _central_diff(value, x, step=1e-6):
+    """Central-difference gradient of ``value()`` w.r.t. ``x``, perturbed in place."""
+    grad = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        keep = x[idx]
+        x[idx] = keep + step
+        up = value()
+        x[idx] = keep - step
+        down = value()
+        x[idx] = keep
+        grad[idx] = (up - down) / (2 * step)
+    return grad
 
 
 # ---------------------------------------------------------------- ranking
 
 def test_ranking_hand_case_two_classes():
-    got = ranking_loss_image(np.array([0.2, 0.4]), np.array([1, 0]), delta=0.5)
+    got = _rank(np.array([0.2, 0.4]), np.array([1, 0]), delta=0.5)
     assert abs(got - 0.35) < 1e-12
 
 
 def test_ranking_hand_case_three_classes():
-    got = ranking_loss_image(np.array([0.9, 0.1, 0.0]), np.array([1, 1, 0]), delta=0.5)
+    got = _rank(np.array([0.9, 0.1, 0.0]), np.array([1, 1, 0]), delta=0.5)
     assert abs(got - 0.4 / 3) < 1e-12
 
 
 def test_ranking_pair_normalized_variant():
-    got = ranking_loss_image(
+    got = _rank(
         np.array([0.9, 0.1, 0.0]), np.array([1, 1, 0]), delta=0.5, pair_normalize=True
     )
     assert abs(got - 0.4 / 2) < 1e-12
@@ -43,22 +78,22 @@ def test_ranking_pair_normalized_variant():
 def test_ranking_zero_when_margin_satisfied():
     scores = np.array([0.9, 0.8, 0.1, 0.2])
     labels = np.array([1, 1, 0, 0])
-    assert ranking_loss_image(scores, labels, delta=0.5) == 0.0
+    assert _rank(scores, labels, delta=0.5) == 0.0
 
 
 def test_ranking_empty_sets_return_zero():
-    assert ranking_loss_image(np.array([0.1, 0.2]), np.array([1, 1])) == 0.0
-    assert ranking_loss_image(np.array([0.1, 0.2]), np.array([0, 0])) == 0.0
+    assert _rank(np.array([0.1, 0.2]), np.array([1, 1])) == 0.0
+    assert _rank(np.array([0.1, 0.2]), np.array([0, 0])) == 0.0
 
 
 def test_batch_mean_semantics():
     scores = np.array([[0.2, 0.4], [0.9, 0.0]])
     labels = np.array([[1, 0], [1, 0]])
-    a = ranking_loss_image(scores[0], labels[0])
-    b = ranking_loss_image(scores[1], labels[1])
-    got = ranking_loss_batch(scores, labels)
+    a = _rank(scores[0], labels[0])
+    b = _rank(scores[1], labels[1])
+    got = _rank(scores, labels)
     assert abs(got - (a + b) / 2) < 1e-15
-    same = ranking_loss_batch(np.stack([scores[0]] * 3), np.stack([labels[0]] * 3))
+    same = _rank(np.stack([scores[0]] * 3), np.stack([labels[0]] * 3))
     assert abs(same - a) < 1e-15
 
 
@@ -66,8 +101,8 @@ def test_batch_of_eight_matches_per_image_oracle():
     rng = np.random.default_rng(21)
     scores = rng.uniform(-1, 1, size=(8, 5))
     labels = (rng.uniform(size=(8, 5)) < 0.4).astype(np.int8)
-    want = np.mean([ranking_loss_image(s, y) for s, y in zip(scores, labels)])
-    assert abs(ranking_loss_batch(scores, labels) - want) < 1e-13
+    want = np.mean([_rank(s, y) for s, y in zip(scores, labels)])
+    assert abs(_rank(scores, labels) - want) < 1e-13
 
 
 @settings(max_examples=100, deadline=None)
@@ -79,7 +114,7 @@ def test_ranking_zero_set_and_monotonicity(seed):
     labels = np.zeros(s, dtype=np.int8)
     labels[rng.choice(s, size=int(rng.integers(1, s)), replace=False)] = 1
     delta = float(rng.uniform(0.05, 1.0))
-    loss = ranking_loss_image(scores, labels, delta=delta)
+    loss = _rank(scores, labels, delta=delta)
     assert loss >= 0.0
     pos, neg = scores[labels == 1], scores[labels == 0]
     assert (loss == 0.0) == (pos.min() - neg.max() >= delta)
@@ -87,11 +122,11 @@ def test_ranking_zero_set_and_monotonicity(seed):
     j = int(np.flatnonzero(labels == 0)[0])
     bumped = scores.copy()
     bumped[j] += 0.3
-    assert ranking_loss_image(bumped, labels, delta=delta) >= loss
+    assert _rank(bumped, labels, delta=delta) >= loss
     i = int(np.flatnonzero(labels == 1)[0])
     bumped = scores.copy()
     bumped[i] += 0.3
-    assert ranking_loss_image(bumped, labels, delta=delta) <= loss
+    assert _rank(bumped, labels, delta=delta) <= loss
 
 
 def _rank_oracle(scores, labels, delta, pair_normalize):
@@ -137,14 +172,21 @@ def test_ranking_sort_form_matches_margin_tensor_oracle(n, s, decimals, delta, p
     scores[r, 1] = delta + scores[r, 0]
 
     want_loss, want_grad = _rank_oracle(scores, labels, delta, pair_normalize)
-    loss, grad = _rank_loss_and_grad(scores, labels, delta, pair_normalize)
+    loss, grad = rank_term(scores, labels, delta, pair_normalize)
     assert np.array_equal(grad, want_grad)
     assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
 
-    tie_loss, tie_grad = _rank_loss_and_grad(
+    tie_loss, tie_grad = rank_term(
         scores[r : r + 1, :2], labels[r : r + 1, :2], delta, pair_normalize
     )
     assert tie_loss == 0.0 and not tie_grad.any()
+
+
+def test_ranking_rejects_empty_batch_and_shape_mismatch():
+    with pytest.raises(ValueError, match="at least one image"):
+        rank_term(np.zeros((0, 3)), np.zeros((0, 3)), 0.5, False)
+    with pytest.raises(ValueError, match="shape"):
+        rank_term(np.zeros((2, 3)), np.zeros((2, 4)), 0.5, False)
 
 
 # -------------------------------------------------------------- alignment
@@ -152,18 +194,18 @@ def test_ranking_sort_form_matches_margin_tensor_oracle(n, s, decimals, delta, p
 def test_alignment_perfect_pairs_are_zero():
     v = np.array([[1.0, 0.0], [0.0, 2.0]])
     w = np.array([[3.0, 0.0], [0.0, 1.0]])  # same directions, scaled
-    assert abs(alignment_loss(v, w)) < 1e-12
+    assert abs(_align(v, w)) < 1e-12
 
 
 def test_alignment_anti_aligned_pairs_hit_the_bound():
     v = np.array([[1.0, 0.0], [0.0, 2.0]])
-    assert abs(alignment_loss(v, -v) - 2.0) < 1e-12
+    assert abs(_align(v, -v) - 2.0) < 1e-12
 
 
 def test_alignment_mixed_batch():
     v = np.array([[1.0, 0.0], [1.0, 0.0]])
     w = np.array([[2.0, 0.0], [0.0, 5.0]])  # cosines 1 and 0
-    assert abs(alignment_loss(v, w) - 0.5) < 1e-12
+    assert abs(_align(v, w) - 0.5) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,8 +215,55 @@ def test_alignment_range(seed):
     n, l = int(rng.integers(1, 6)), int(rng.integers(2, 5))
     v = rng.standard_normal((n, l))
     w = rng.standard_normal((n, l))
-    got = alignment_loss(v, w)
+    got = _align(v, w)
     assert -1e-12 <= got <= 2.0 + 1e-12
+
+
+def test_alignment_empty_pairing_is_zero():
+    empty = np.zeros((0, 3))
+    value, d_z, d_a = align_term(empty, np.zeros(0), empty, np.zeros(0), 0.1)
+    assert value == 0.0 and d_z.shape == d_a.shape == (0, 3)
+    assert align_term(empty, np.zeros(0), empty, np.zeros(0), 0.1, compute_grads=False) == (
+        0.0, None, None
+    )
+
+
+def _align_oracle(latent_visuals, projected_semantics) -> float:
+    """The former standalone alignment loss: cosines from the raw rows."""
+    Z = np.atleast_2d(np.asarray(latent_visuals, dtype=np.float64))
+    A = np.atleast_2d(np.asarray(projected_semantics, dtype=np.float64))
+    if Z.shape[0] == 0:
+        return 0.0
+    zn = row_norms(Z, "latent visual")
+    an = row_norms(A, "projected semantic")
+    cos = np.clip((Z * A).sum(axis=1) / (zn * an), -1.0, 1.0)
+    return float(np.mean(1.0 - cos))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_alignment_term_matches_standalone_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, l = int(rng.integers(0, 8)), int(rng.integers(2, 6))
+    v = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
+    w = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
+    want = _align_oracle(v, w)
+    got = align_term(*_unit(v), *_unit(w), 0.1, compute_grads=False)[0]
+    assert abs(got - want) < 1e-12
+
+
+def test_alignment_gradients_match_finite_differences():
+    rng = np.random.default_rng(31)
+    visuals = rng.standard_normal((4, 3))
+    semantics = rng.standard_normal((4, 3))
+    gamma1 = 0.3
+
+    def value() -> float:
+        return gamma1 * align_term(*_unit(visuals), *_unit(semantics), gamma1, False)[0]
+
+    _, d_z, d_a = align_term(*_unit(visuals), *_unit(semantics), gamma1)
+    np.testing.assert_allclose(d_z, _central_diff(value, visuals), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(d_a, _central_diff(value, semantics), rtol=0, atol=1e-8)
 
 
 # ------------------------------------------------------------- consistency
@@ -182,8 +271,8 @@ def test_alignment_range(seed):
 def test_consistency_identity_and_scaling_are_zero():
     rng = np.random.default_rng(5)
     w = rng.standard_normal((4, 3))
-    assert consistency_loss(w, w) == 0.0
-    assert abs(consistency_loss(w, 2.5 * w)) < 1e-12
+    assert _con(w, w) == 0.0
+    assert abs(_con(w, 2.5 * w)) < 1e-12
 
 
 def test_consistency_matches_double_loop_oracle():
@@ -199,7 +288,7 @@ def test_consistency_matches_double_loop_oracle():
         for j in range(3):
             if i != j:
                 want += abs(cos(w[i], w[j]) - cos(p[i], p[j]))
-    assert abs(consistency_loss(w, p) - want) < 1e-12
+    assert abs(_con(w, p) - want) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,10 +298,53 @@ def test_consistency_orthogonal_invariance_and_symmetry(seed):
     k, d = int(rng.integers(2, 6)), int(rng.integers(2, 6))
     w = rng.standard_normal((k, d))
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    assert abs(consistency_loss(w, w @ q)) < 1e-9
+    assert abs(_con(w, w @ q)) < 1e-9
     p = rng.standard_normal((k, d))
     perm = rng.permutation(k)
-    assert abs(consistency_loss(w, p) - consistency_loss(w[perm], p[perm])) < 1e-10
+    assert abs(_con(w, p) - _con(w[perm], p[perm])) < 1e-10
+
+
+def _con_oracle(original_rows, projected_rows) -> float:
+    """The former standalone consistency loss: both cosine matrices from raw rows."""
+    W = np.atleast_2d(np.asarray(original_rows, dtype=np.float64))
+    P = np.atleast_2d(np.asarray(projected_rows, dtype=np.float64))
+    c_orig = pairwise_cosine(W, W, "semantic row")
+    c_proj = pairwise_cosine(P, P, "projected row")
+    diff = np.abs(c_orig - c_proj)
+    np.fill_diagonal(diff, 0.0)
+    return float(diff.sum())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_consistency_term_matches_standalone_oracle(seed):
+    rng = np.random.default_rng(seed)
+    k, d, l = int(rng.integers(2, 12)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
+    w = rng.standard_normal((k, d))
+    p = rng.standard_normal((k, l)) * rng.uniform(0.1, 10.0)
+    assert abs(_con(w, p, gamma2=0.1) - _con_oracle(w, p)) < 1e-12
+
+
+def test_alignment_and_consistency_reject_mismatched_shapes():
+    with pytest.raises(ValueError, match="shape"):
+        align_term(np.ones((2, 3)), np.ones(2), np.ones((1, 3)), np.ones(1), 0.1)
+    with pytest.raises(ValueError, match="target shape"):
+        con_term(np.ones((3, 2)), np.ones(3), np.eye(2), 0.1)
+
+
+def test_consistency_gradients_match_finite_differences():
+    rng = np.random.default_rng(37)
+    target = pairwise_cosine(*(2 * [rng.standard_normal((5, 4))]))
+    projected = rng.standard_normal((5, 3))
+    gamma2 = 0.7
+    drift = np.abs(pairwise_cosine(projected, projected) - target)[~np.eye(5, dtype=bool)]
+    assert drift.min() > 1e-3  # away from the absolute-value kink
+
+    def value() -> float:
+        return gamma2 * con_term(*_unit(projected), target, gamma2, False)[0]
+
+    _, d_t = con_term(*_unit(projected), target, gamma2)
+    np.testing.assert_allclose(d_t, _central_diff(value, projected), rtol=0, atol=1e-7)
 
 
 # -------------------------------------------------------------- total loss
@@ -296,6 +428,39 @@ def test_total_gradients_match_finite_differences():
     assert worst < 1e-4, f"worst scaled error {worst:.3e}"
 
 
+def test_total_loss_composes_the_terms():
+    rng = np.random.default_rng(29)
+    params = init_model_params(
+        MlpSpec(layer_dims=(4, 3)), MlpSpec(layer_dims=(3, 3)), MlpSpec(layer_dims=(4, 4)), seed=4
+    )
+    feats = rng.standard_normal((4, 4))
+    labels = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0], [1, 1, 1]], dtype=np.int8)
+    sem = rng.standard_normal((3, 3))
+    cfg = LossConfig(delta=0.4, gamma1=0.3, gamma2=0.7)
+    breakdown, _ = total_loss(feats, labels, sem, params, cfg)
+
+    Z, _ = mlp_forward(params.visual_map, mlp_forward(params.encoder, feats)[0])
+    T, _ = mlp_forward(params.semantic_map, sem)
+    rank, _ = rank_term(relevance_scores(Z, T), labels, cfg.delta, cfg.pair_normalize)
+    counts = labels.sum(axis=1)
+    valid = counts > 0
+    A, _ = mlp_forward(params.semantic_map, (labels[valid] @ sem) / counts[valid, None])
+    z_hat, z_norm = _unit(Z)
+    align, _, _ = align_term(z_hat[valid], z_norm[valid], *_unit(A), cfg.gamma1)
+    con, _ = con_term(*_unit(T), pairwise_cosine(sem, sem), cfg.gamma2)
+    assert (breakdown.rank, breakdown.align, breakdown.con) == (rank, align, con)
+    assert breakdown.total == rank + cfg.gamma1 * align + cfg.gamma2 * con
+
+
+def test_align_only_zero_latent_without_positives_raises():
+    params = _identity_model()
+    feats = np.array([[0.0, 0.0], [1.0, 0.0]])  # sample 0 maps to the zero latent
+    labels = np.array([[0, 0], [1, 0]], dtype=np.int8)
+    cfg = LossConfig().with_terms(("align",))
+    with pytest.raises(DegenerateVectorError, match=r"^latent visual 0 has zero norm$"):
+        total_loss(feats, labels, np.eye(2), params, cfg)
+
+
 def test_relevance_scores_hand_cases():
     sem = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     got = relevance_scores(np.array([[1.0, 0.0]]), sem)
@@ -307,6 +472,6 @@ def test_relevance_scores_hand_cases():
 
 def test_loss_config_term_mask_round_trip():
     cfg = LossConfig().with_terms(("rank", "con"))
-    assert cfg.term_mask() == (True, False, True)
+    assert (cfg.use_rank, cfg.use_align, cfg.use_con) == (True, False, True)
     with pytest.raises(ValueError):
         LossConfig().with_terms(("rank", "nope"))

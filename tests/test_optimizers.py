@@ -56,8 +56,8 @@ def test_nonfinite_gradient_rejected_before_any_update():
     state = init_adam([a, b])
     bad = [np.array([0.1, 0.2]), np.array([np.nan])]
     with pytest.raises(NonFiniteGradientError) as exc_info:
-        adam_step([a, b], bad, state, lr=0.1, names=["alpha", "beta"])
-    assert "beta" in str(exc_info.value)
+        adam_step([a, b], bad, state, lr=0.1)
+    assert "array 1" in str(exc_info.value)
     np.testing.assert_array_equal(a, [1.0, 2.0])  # first array untouched too
     np.testing.assert_array_equal(b, [3.0])
     assert state.step_count == 0 and np.all(state.m[0] == 0)

@@ -170,7 +170,7 @@ def test_default_spec_reference_fixtures():
 def test_reference_recipe_shape():
     cfg = reference_train_config(3, terms=("rank",))
     assert cfg.seed == 3 and cfg.epochs == 100
-    assert cfg.loss.term_mask() == (True, False, False)
+    assert (cfg.loss.use_rank, cfg.loss.use_align, cfg.loss.use_con) == (True, False, False)
     full = reference_train_config(3)
     assert full.loss.gamma1 == full.loss.gamma2 > 0
     assert reference_spec(4).seed == 4
