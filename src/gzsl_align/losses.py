@@ -17,6 +17,7 @@ import numpy as np
 from .networks import MlpParams, ModelParams, mlp_backward, mlp_forward, pairwise_cosine, row_norms
 
 TERM_NAMES = ("rank", "align", "con")
+CON_BLOCK = 128  # rows per block of the consistency term's class x class walk
 
 
 @dataclass(frozen=True)
@@ -170,23 +171,56 @@ def con_term(
 
     ``t_hat`` holds the projected seen-class rows as unit rows, ``t_norm``
     their norms, and ``target`` the fixed cosines of the original rows,
-    ``pairwise_cosine(W, W)``. Sums |cos(p_i, p_j) - target[i, j]| over
-    ordered pairs i != j, so each unordered pair counts twice. Returns the
-    value and the gradient of ``gamma2 * value`` w.r.t. the unnormalized
-    projected rows (None without ``compute_grads``).
+    ``pairwise_cosine(W, W)``. Sums |c_ij - t_ij| over ordered pairs
+    i != j, where c_ij = cos(p_i, p_j), so each unordered pair counts
+    twice. Returns the value and the gradient of ``gamma2 * value``
+    w.r.t. the unnormalized projected rows (None without
+    ``compute_grads``); the subgradient of the pair {i, j} is
+    sign(c_ij - t_ij) + sign(c_ij - t_ji), for any target.
+
+    The class x class matrix is walked in blocks of ``CON_BLOCK`` rows,
+    over the block pairs (I, J >= I) of its upper triangle. Each cosine
+    block is computed once and read in both orientations, so the cosine
+    matrix is exactly symmetric. Time is O(S^2 d) and memory O(B S) for
+    B = CON_BLOCK: a few temporaries of at most B x B besides the (S, d)
+    gradient. With S <= B the whole matrix is one diagonal block.
     """
     k = t_hat.shape[0]
     if target.shape != (k, k):
         raise ValueError(f"target shape {target.shape} != ({k}, {k})")
-    c_proj = np.clip(t_hat @ t_hat.T, -1.0, 1.0)
-    diff = c_proj - target
-    np.fill_diagonal(diff, 0.0)
-    value = float(np.abs(diff).sum())
+    value = 0.0
+    if compute_grads:
+        h_t = np.zeros_like(t_hat)  # H @ t_hat
+        h_c = np.zeros(k)  # row sums of H * C
+    for i0 in range(0, k, CON_BLOCK):
+        rows_i = slice(i0, i0 + CON_BLOCK)
+        t_i = t_hat[rows_i]
+        for j0 in range(i0, k, CON_BLOCK):
+            rows_j = slice(j0, j0 + CON_BLOCK)
+            t_j = t_hat[rows_j]
+            c = np.clip(t_i @ t_j.T, -1.0, 1.0)  # syrk on the diagonal block
+            diff = c - target[rows_i, rows_j]
+            if j0 == i0:
+                np.fill_diagonal(diff, 0.0)
+                if compute_grads:
+                    H = np.sign(diff)
+                    H = H + H.T  # each row appears on both sides of every ordered pair
+                    h_t[rows_i] += H @ t_i
+                    h_c[rows_i] += (H * c).sum(axis=1)
+                value += float(np.abs(diff, out=diff).sum())
+                continue
+            diff_t = c.T - target[rows_j, rows_i]
+            if compute_grads:
+                H = np.sign(diff) + np.sign(diff_t).T
+                h_t[rows_i] += H @ t_j
+                h_t[rows_j] += H.T @ t_i
+                H *= c
+                h_c[rows_i] += H.sum(axis=1)
+                h_c[rows_j] += H.sum(axis=0)
+            value += float(np.abs(diff, out=diff).sum()) + float(np.abs(diff_t, out=diff_t).sum())
     if not compute_grads:
         return value, None
-    H = np.sign(diff)
-    H = H + H.T  # each row appears on both sides of every ordered pair
-    d_t = gamma2 * (H @ t_hat - (H * c_proj).sum(axis=1, keepdims=True) * t_hat) / t_norm[:, None]
+    d_t = gamma2 * (h_t - h_c[:, None] * t_hat) / t_norm[:, None]
     return value, d_t
 
 

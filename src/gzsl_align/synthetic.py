@@ -214,24 +214,6 @@ def generate(spec: SynthSpec) -> DataBundle:
     return DataBundle(vocab=vocab, semantics=semantics, train=train, val=val, test=test)
 
 
-def expected_label_rates(spec: SynthSpec, split: str) -> np.ndarray:
-    """Target per-class positive rate of one split under the label model.
-
-    Each sample draws uniform(1..max_labels) positives uniformly without
-    replacement from the split's allowed classes, so every allowed class
-    carries rate E[n_pos] / n_allowed.
-    """
-    mean_pos = (1 + spec.max_labels_per_sample) / 2.0
-    rates = np.zeros(spec.n_classes)
-    if split == "train":
-        rates[: spec.n_seen] = mean_pos / spec.n_seen
-    elif split in ("val", "test"):
-        rates[:] = mean_pos / spec.n_classes
-    else:
-        raise ValueError(f"unknown split {split!r}")
-    return rates
-
-
 def _candidate_label_means(rows: np.ndarray, allowed: np.ndarray, max_labels: int) -> np.ndarray:
     """Averaged semantics of every label subset the generator can emit."""
     means = [

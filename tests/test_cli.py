@@ -1,11 +1,16 @@
 """End-to-end CLI tests, all in-process through main(argv)."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gzsl_align import load_checkpoint, save_checkpoint
+from gzsl_align import CheckpointError, load_checkpoint, save_checkpoint
 from gzsl_align.cli import main
 
 from conftest import rewrite_checkpoint_header
@@ -271,6 +276,45 @@ def test_eval_malformed_header_is_input_error(bench, run_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    flip=st.one_of(st.none(), st.integers(1, 255)),
+)
+def test_mangled_checkpoint_fails_only_as_typed_error(bench, run_dir, where, flip):
+    """A truncated (flip None) or byte-flipped last.ckpt never fails as a raw error."""
+    last = run_dir / "checkpoints" / "last.ckpt"
+    assert load_checkpoint(last).adam is not None
+    blob = bytearray(last.read_bytes())
+    at = int(where * len(blob))
+    if flip is None:
+        del blob[at:]
+    else:
+        blob[at] ^= flip
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mangled.ckpt"
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+            loaded = True
+        except CheckpointError:
+            loaded = False
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(
+                [
+                    "eval", "--checkpoint", str(path), "--manifest", str(bench),
+                    "--out-dir", str(Path(tmp) / "eval"),
+                ]
+            )
+    assert "Traceback" not in err.getvalue()
+    if not loaded:
+        assert code == 1 and err.getvalue().startswith("error:")
+    elif code:
+        # a flip inside a float can leave a loadable model whose latents overflow
+        assert code == 2 and err.getvalue().startswith("error:")
 
 
 def test_grid_summary_and_winner(bench, tmp_path, capsys):

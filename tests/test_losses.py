@@ -1,5 +1,7 @@
 """Objective terms against hand computations and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from gzsl_align import (
     row_norms,
     total_loss,
 )
+from gzsl_align.losses import CON_BLOCK
 
 
 def _unit(x):
@@ -345,6 +348,71 @@ def test_consistency_gradients_match_finite_differences():
 
     _, d_t = con_term(*_unit(projected), target, gamma2)
     np.testing.assert_allclose(d_t, _central_diff(value, projected), rtol=0, atol=1e-7)
+
+
+def _con_dense_oracle(t_hat, t_norm, target, gamma2, compute_grads):
+    """The former dense consistency term: the whole class x class matrix at once."""
+    c_proj = np.clip(t_hat @ t_hat.T, -1.0, 1.0)
+    diff = c_proj - target
+    np.fill_diagonal(diff, 0.0)
+    value = float(np.abs(diff).sum())
+    if not compute_grads:
+        return value, None
+    H = np.sign(diff)
+    H = H + H.T
+    d_t = gamma2 * (H @ t_hat - (H * c_proj).sum(axis=1, keepdims=True) * t_hat) / t_norm[:, None]
+    return value, d_t
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, CON_BLOCK - 1, CON_BLOCK, CON_BLOCK + 1, 2 * CON_BLOCK + 3]),
+    ties=st.booleans(),
+    compute_grads=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_consistency_blocks_match_dense_oracle(k, ties, compute_grads, seed):
+    rng = np.random.default_rng(seed)
+    if ties:
+        # four entries of +-1/2 per row: every cosine is a multiple of 1/4 in any
+        # summation order, so a target built from t_hat ties exactly
+        t_hat = np.zeros((k, 8))
+        for row in t_hat:
+            row[rng.choice(8, 4, replace=False)] = rng.choice([-0.5, 0.5], 4)
+        t_norm = rng.uniform(0.5, 2.0, k)
+        target = t_hat @ t_hat.T
+        moved = rng.uniform(size=(k, k)) < 0.3  # on one side of a pair only, mostly
+        target[moved] = rng.uniform(-1.0, 1.0, int(moved.sum()))
+    else:
+        t_hat, t_norm = _unit(rng.standard_normal((k, int(rng.integers(1, 9)))))
+        target = rng.uniform(-1.0, 1.0, (k, k))  # neither symmetric nor unit-diagonal
+    value, d_t = con_term(t_hat, t_norm, target, 0.3, compute_grads)
+    want, want_d = _con_dense_oracle(t_hat, t_norm, target, 0.3, compute_grads)
+    exact = k <= CON_BLOCK  # one diagonal block: the dense arithmetic, bit for bit
+    assert value == want if exact else abs(value - want) <= 1e-12 * abs(want)
+    if not compute_grads:
+        assert d_t is None
+        return
+    assert np.array_equal(d_t, want_d) if exact else (
+        np.abs(d_t - want_d).max() <= 1e-12 * np.abs(want_d).max()
+    )
+    # the pair {i, j} takes sign(c_ij - t_ij) + sign(c_ij - t_ji): a transposed target
+    # gives the same gradient bit for bit, as the cosine blocks are exactly symmetric
+    assert np.array_equal(con_term(t_hat, t_norm, target.T.copy(), 0.3)[1], d_t)
+
+
+def test_consistency_term_peak_memory_at_paper_scale():
+    rng = np.random.default_rng(4)
+    t_hat, t_norm = _unit(rng.standard_normal((925, 16)))
+    target = pairwise_cosine(*(2 * [rng.standard_normal((925, 32))]))
+    tracemalloc.start()
+    try:
+        con_term(t_hat, t_norm, target, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 925 x 925 float64 temporary alone takes 6.8 MB
+    assert peak < 4e6, f"con_term peaked at {peak / 1e6:.2f} MB"
 
 
 # -------------------------------------------------------------- total loss

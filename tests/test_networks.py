@@ -12,7 +12,6 @@ from gzsl_align import (
     MlpParams,
     MlpSpec,
     ModelParams,
-    cosine_similarity,
     init_model_params,
     init_params,
     mlp_backward,
@@ -189,14 +188,40 @@ def test_cosine_helpers_match_hand_loop():
         for j in range(4):
             want = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
             assert abs(got[i, j] - want) < 1e-14
-            assert abs(cosine_similarity(a[i], b[j]) - want) < 1e-14
 
 
 def test_zero_norm_rows_raise():
     with pytest.raises(DegenerateVectorError):
         row_norms(np.array([[1.0, 0.0], [0.0, 0.0]]), "latent")
-    with pytest.raises(DegenerateVectorError):
-        cosine_similarity(np.zeros(3), np.ones(3))
+    with pytest.raises(DegenerateVectorError, match="row 0 has zero norm"):
+        pairwise_cosine(np.zeros(3), np.ones(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(0, 40),
+    cols=st.integers(0, 20),
+    log_scale=st.integers(-150, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_norms_equal_linalg_norm_bit_for_bit(rows, cols, log_scale, seed):
+    m = np.random.default_rng(seed).standard_normal((rows, cols)) * 10.0**log_scale
+    want = np.linalg.norm(m, axis=-1)
+    if rows and (cols == 0 or np.any(want == 0.0)):  # 0-width rows have zero norm
+        with pytest.raises(DegenerateVectorError, match="has zero norm"):
+            row_norms(m, "row")
+    else:
+        assert np.array_equal(row_norms(m, "row"), want)
+
+
+def test_pairwise_cosine_rejects_non_finite_norms():
+    ok = np.ones((2, 3))
+    for bad in ([1e200, 1.0, 1.0], [np.inf, 0.0, 0.0], [np.nan, 1.0, 1.0]):  # overflow, inf, NaN
+        rows = np.vstack([ok, bad])
+        with pytest.raises(DegenerateVectorError, match="latent 2 has a non-finite norm"):
+            pairwise_cosine(rows, ok, "latent")
+        with pytest.raises(DegenerateVectorError, match="latent 2 has a non-finite norm"):
+            pairwise_cosine(ok, rows, "latent")
 
 
 @settings(max_examples=50, deadline=None)
