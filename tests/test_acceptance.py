@@ -9,6 +9,7 @@ of the benchmark recipe) trains once per session and feeds criteria
 
 import multiprocessing
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -55,12 +56,20 @@ def median(values) -> float:
 
 
 def _battery_run(seed: int, terms: tuple[str, ...], mode: EncoderMode) -> dict:
-    """Train one reference recipe and evaluate its best model on the test split."""
-    spec = reference_spec(seed)
-    bundle = generate(spec)
-    cfg = reference_train_config(seed, terms, mode)
-    rec = train(cfg, bundle, reference_model_params(spec, seed))
-    test_report = evaluate(rec.best_params, bundle.test, bundle.semantics, cfg.ks)
+    """Train one reference recipe and evaluate its best model on the test split.
+
+    The run executes in a spawned worker, which does not inherit pytest's
+    ``filterwarnings = ["error"]``; the same filter is set here, so a
+    warning (a numpy ``RuntimeWarning``, say) fails the battery as it
+    would in-process.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = reference_spec(seed)
+        bundle = generate(spec)
+        cfg = reference_train_config(seed, terms, mode)
+        rec = train(cfg, bundle, reference_model_params(spec, seed))
+        test_report = evaluate(rec.best_params, bundle.test, bundle.semantics, cfg.ks)
     return {
         "val_unseen": rec.best_report.unseen_mean,
         "val_harmonic": rec.best_report.harmonic,
