@@ -4,22 +4,13 @@ Visual features and class semantics are projected into a shared latent
 space by small feedforward nets trained with a margin-ranking objective
 plus alignment and semantic-consistency regularizers; inference scores
 every class, seen or unseen, by cosine similarity in that space.
+
+The top level exports what the demos, the benchmark harness and the
+README use; every other name is importable from its own module.
 """
 
-from .checkpoints import Checkpoint, config_digest, load_checkpoint, save_checkpoint
-from .data import (
-    SPLIT_NAMES,
-    ClassVocabulary,
-    DataBundle,
-    Dataset,
-    LabelSpace,
-    SemanticMatrix,
-    Violation,
-    inductive_violations,
-    load_manifest,
-    save_manifest,
-    validate_dataset,
-)
+from .checkpoints import load_checkpoint, save_checkpoint
+from .data import SPLIT_NAMES, DataBundle, load_manifest, save_manifest
 from .exceptions import (
     CheckpointError,
     DegenerateVectorError,
@@ -31,140 +22,58 @@ from .exceptions import (
     UndefinedAurocError,
     ValidationError,
 )
-from .gradcheck import GradcheckResult, run_gradient_check
-from .losses import (
-    LossBreakdown,
-    LossConfig,
-    align_term,
-    con_term,
-    rank_term,
-    relevance_scores,
-    total_loss,
-)
-from .metrics import (
-    MetricsReport,
-    TopKMetrics,
-    auroc,
-    evaluate,
-    gzsl_summary,
-    infer_scores,
-    per_class_auroc,
-    read_report_json,
-    topk_metrics,
-    write_report_csv,
-    write_report_json,
-)
-from .networks import (
-    MlpParams,
-    MlpSpec,
-    ModelParams,
-    init_model_params,
-    init_params,
-    mlp_backward,
-    mlp_forward,
-    pairwise_cosine,
-    row_norms,
-)
-from .optimizers import AdamState, PlateauScheduler, adam_step, init_adam
+from .gradcheck import run_gradient_check
+from .losses import LossConfig, align_term, con_term, rank_term, total_loss
+from .metrics import MetricsReport, evaluate, infer_scores
+from .networks import ModelParams, pairwise_cosine
+from .optimizers import adam_step, init_adam
 from .synthetic import (
-    REFERENCE_SEEDS,
-    SemanticGeometry,
     SynthSpec,
-    bayes_reference_auroc,
     generate,
     reference_model_params,
     reference_spec,
     reference_train_config,
-    true_scores,
 )
-from .training import (
-    EncoderMode,
-    EpochRecord,
-    GridResult,
-    GridSpec,
-    RunRecord,
-    TrainConfig,
-    default_model_specs,
-    grid_search,
-    train,
-)
+from .training import EncoderMode, RunRecord, TrainConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
-    "Checkpoint",
-    "ClassVocabulary",
-    "DataBundle",
-    "Dataset",
     "CheckpointError",
+    "DataBundle",
     "DegenerateVectorError",
     "EncoderMode",
-    "EpochRecord",
-    "GradcheckResult",
-    "GridResult",
-    "GridSpec",
     "GzslError",
     "InductiveViolationError",
-    "LabelSpace",
-    "LossBreakdown",
     "LossConfig",
     "ManifestError",
     "MetricsReport",
-    "MlpParams",
-    "MlpSpec",
     "ModelParams",
     "NonFiniteGradientError",
     "NonFiniteLossError",
-    "PlateauScheduler",
-    "REFERENCE_SEEDS",
     "RunRecord",
     "SPLIT_NAMES",
-    "SemanticGeometry",
-    "SemanticMatrix",
     "SynthSpec",
-    "TopKMetrics",
     "TrainConfig",
     "UndefinedAurocError",
     "ValidationError",
-    "Violation",
     "adam_step",
     "align_term",
-    "auroc",
-    "bayes_reference_auroc",
     "con_term",
-    "config_digest",
-    "default_model_specs",
     "evaluate",
     "generate",
-    "grid_search",
-    "gzsl_summary",
-    "inductive_violations",
     "infer_scores",
     "init_adam",
-    "init_model_params",
-    "init_params",
     "load_checkpoint",
     "load_manifest",
-    "mlp_backward",
-    "mlp_forward",
     "pairwise_cosine",
-    "row_norms",
-    "per_class_auroc",
     "rank_term",
-    "read_report_json",
     "reference_model_params",
     "reference_spec",
     "reference_train_config",
-    "true_scores",
-    "relevance_scores",
     "run_gradient_check",
     "save_checkpoint",
     "save_manifest",
-    "topk_metrics",
     "total_loss",
     "train",
-    "validate_dataset",
-    "write_report_csv",
-    "write_report_json",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,15 +63,6 @@ class ClassVocabulary:
     def n_seen(self) -> int:
         return len(self.seen_ids)
 
-    @property
-    def n_unseen(self) -> int:
-        return len(self.unseen_ids)
-
-    def seen_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_classes, dtype=bool)
-        mask[list(self.seen_ids)] = True
-        return mask
-
 
 @dataclass(frozen=True)
 class SemanticMatrix:
@@ -99,17 +90,6 @@ class SemanticMatrix:
 
     def seen_rows(self, vocab: ClassVocabulary) -> np.ndarray:
         return self.rows[list(vocab.seen_ids)]
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant breach found by :func:`validate_dataset`."""
-
-    sample_index: int
-    reason: str
-
-    def __str__(self):
-        return f"sample {self.sample_index}: {self.reason}"
 
 
 @dataclass(frozen=True)
@@ -160,29 +140,18 @@ class Dataset:
         return int((self.labels.sum(axis=1) == 0).sum())
 
 
-def validate_dataset(ds: Dataset) -> list[Violation]:
-    """Check type invariants sample by sample; returns violations, never raises."""
-    out: list[Violation] = []
-    bad_label = ~np.isin(ds.labels, (0, 1))
-    for i, j in np.argwhere(bad_label):
-        out.append(Violation(int(i), f"non-binary label {ds.labels[i, j]} at class column {j}"))
-    bad_feat = ~np.isfinite(ds.features)
-    for i, j in np.argwhere(bad_feat):
-        out.append(Violation(int(i), f"feature component {j} is {ds.features[i, j]}"))
-    out.sort(key=lambda v: v.sample_index)
-    return out
+def check_inductive(ds: Dataset) -> None:
+    """Raise InductiveViolationError at the first positive for an unseen class.
 
-
-def inductive_violations(ds: Dataset) -> list[Violation]:
-    """Positives on unseen classes, which a training split must not have."""
+    A training split must not have one; seen-only label rows never do.
+    """
     if ds.label_space is LabelSpace.SEEN_ONLY:
-        return []
+        return
     unseen = list(ds.vocab.unseen_ids)
     hits = np.argwhere(ds.labels[:, unseen] != 0)
-    return [
-        Violation(int(i), f"positive label for unseen class '{ds.vocab.names[unseen[j]]}'")
-        for i, j in hits
-    ]
+    if hits.size:
+        i, j = hits[0]
+        raise InductiveViolationError(int(i), ds.vocab.names[unseen[j]])
 
 
 @dataclass(frozen=True)
@@ -329,11 +298,7 @@ def load_manifest(path) -> DataBundle:
         except ValueError as exc:
             raise ManifestError(f"{split}: {exc}") from None
 
-    bad = inductive_violations(splits["train"])
-    if bad:
-        first = bad[0]
-        name = first.reason.split("'")[1]
-        raise InductiveViolationError(first.sample_index, name)
+    check_inductive(splits["train"])
     return DataBundle(vocab, semantics, splits["train"], splits["val"], splits["test"])
 
 

@@ -74,21 +74,19 @@ def _random_setup(rng: np.random.Generator):
     return params, F, Y, W, cfg
 
 
-def _min_kink_margin(params: ModelParams, F, Y, W, cfg: LossConfig) -> float:
+def _kink_floor(params: ModelParams, F, Y, W, cfg: LossConfig) -> float:
     """Distance of the configuration from the nearest non-smooth point.
 
     Checks every hidden ReLU pre-activation, every hinge margin over
     positive/negative pairs, every off-diagonal consistency difference,
     and the latent norms (small norms amplify finite-difference error).
     A degenerate (zero-norm) latent counts as margin 0.
+
+    The screen needs the smallest |margin| over all pairs, which
+    rank_term never forms: it counts active pairs by sorting. Every trial
+    has S <= 4 seen classes, so the dense (N, S, S) margins and (S, S)
+    drifts cost nothing here, and the screen stays separate from the terms.
     """
-    try:
-        return _kink_floor(params, F, Y, W, cfg)
-    except DegenerateVectorError:
-        return 0.0
-
-
-def _kink_floor(params: ModelParams, F, Y, W, cfg: LossConfig) -> float:
     floor = np.inf
 
     def feed(net, x):
@@ -99,32 +97,34 @@ def _kink_floor(params: ModelParams, F, Y, W, cfg: LossConfig) -> float:
                 floor = min(floor, float(np.min(np.abs(z))))
         return out
 
-    enc_out = feed(params.encoder, F) if params.encoder is not None else np.atleast_2d(F)
-    Z = feed(params.visual_map, enc_out)
-    T = feed(params.semantic_map, W)
-    floor = min(floor, float(row_norms(Z, "latent").min()) * 0.1)
-    floor = min(floor, float(row_norms(T, "latent").min()) * 0.1)
+    try:
+        enc_out = feed(params.encoder, F) if params.encoder is not None else np.atleast_2d(F)
+        Z = feed(params.visual_map, enc_out)
+        T = feed(params.semantic_map, W)
+        floor = min(floor, float(row_norms(Z, "latent").min()) * 0.1)
+        floor = min(floor, float(row_norms(T, "latent").min()) * 0.1)
 
-    P = pairwise_cosine(Z, T)
-    pos = np.atleast_2d(Y) > 0.5
-    margins = cfg.delta + P[:, None, :] - P[:, :, None]
-    pair_mask = pos[:, :, None] & ~pos[:, None, :]
-    if pair_mask.any():
-        floor = min(floor, float(np.min(np.abs(margins[pair_mask]))))
+        P = pairwise_cosine(Z, T)
+        pos = np.atleast_2d(Y) > 0.5
+        margins = cfg.delta + P[:, None, :] - P[:, :, None]
+        pair_mask = pos[:, :, None] & ~pos[:, None, :]
+        if pair_mask.any():
+            floor = min(floor, float(np.min(np.abs(margins[pair_mask]))))
 
-    counts = np.atleast_2d(Y).sum(axis=1)
-    valid = counts > 0
-    if valid.any():
-        w_bar = (np.atleast_2d(Y)[valid] @ np.atleast_2d(W)) / counts[valid, None]
-        A = feed(params.semantic_map, w_bar)
-        floor = min(floor, float(row_norms(A, "latent").min()) * 0.1)
+        counts = np.atleast_2d(Y).sum(axis=1)
+        valid = counts > 0
+        if valid.any():
+            w_bar = (np.atleast_2d(Y)[valid] @ np.atleast_2d(W)) / counts[valid, None]
+            A = feed(params.semantic_map, w_bar)
+            floor = min(floor, float(row_norms(A, "latent").min()) * 0.1)
 
-    c_orig = pairwise_cosine(np.atleast_2d(W), np.atleast_2d(W))
-    c_proj = pairwise_cosine(T, T)
+        c_orig = pairwise_cosine(np.atleast_2d(W), np.atleast_2d(W))
+        c_proj = pairwise_cosine(T, T)
+    except DegenerateVectorError:
+        return 0.0
     diff = np.abs(c_proj - c_orig)
     np.fill_diagonal(diff, np.inf)
-    floor = min(floor, float(diff.min()))
-    return floor
+    return min(floor, float(diff.min()))
 
 
 def run_gradient_check(
@@ -150,7 +150,7 @@ def run_gradient_check(
     for trial in range(trials):
         for _ in range(max_resamples):
             setup = _random_setup(rng)
-            if _min_kink_margin(*setup) > kink_margin:
+            if _kink_floor(*setup) > kink_margin:
                 break
             resampled += 1
         else:

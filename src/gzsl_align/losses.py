@@ -70,17 +70,6 @@ class LossBreakdown:
     total: float
 
 
-def relevance_scores(latent_visual: np.ndarray, latent_semantics: np.ndarray) -> np.ndarray:
-    """Cosine relevance of a latent visual vector against latent class rows.
-
-    Accepts a single vector (returns shape (S,)) or a batch of row
-    vectors (returns (N, S)). Scores land in [-1, 1].
-    """
-    lv = np.asarray(latent_visual, dtype=np.float64)
-    scores = pairwise_cosine(lv, latent_semantics, "latent vector")
-    return scores[0] if lv.ndim == 1 else scores
-
-
 def rank_term(
     scores: np.ndarray, labels: np.ndarray, delta: float, pair_normalize: bool
 ) -> tuple[float, np.ndarray]:

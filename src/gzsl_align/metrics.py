@@ -14,23 +14,22 @@ import numpy as np
 
 from .data import ClassVocabulary, Dataset, LabelSpace, SemanticMatrix
 from .exceptions import UndefinedAurocError, ValidationError
-from .losses import relevance_scores
-from .networks import ModelParams, mlp_forward
+from .networks import ModelParams, mlp_forward, pairwise_cosine
 
 
-def infer_scores(params: ModelParams, features: np.ndarray, semantics) -> np.ndarray:
+def infer_scores(
+    params: ModelParams, features: np.ndarray, semantics: SemanticMatrix
+) -> np.ndarray:
     """Cosine score matrix of every sample against every class.
 
-    ``semantics`` may be a SemanticMatrix or a plain (C, d) array; the
-    returned matrix is (N, C) with entries in [-1, 1]. Restricting the
+    The returned matrix is (N, C) with entries in [-1, 1]. Restricting the
     columns to the seen classes reproduces training-time relevance exactly.
     """
-    rows = semantics.rows if isinstance(semantics, SemanticMatrix) else np.asarray(semantics)
     F = np.atleast_2d(np.asarray(features, dtype=np.float64))
     enc = mlp_forward(params.encoder, F)[0] if params.encoder is not None else F
     Z, _ = mlp_forward(params.visual_map, enc)
-    T, _ = mlp_forward(params.semantic_map, np.atleast_2d(rows))
-    return np.atleast_2d(relevance_scores(Z, T))
+    T, _ = mlp_forward(params.semantic_map, semantics.rows)
+    return pairwise_cosine(Z, T, "latent vector")
 
 
 def _topk_mask(S: np.ndarray, k: int) -> np.ndarray:
@@ -127,23 +126,6 @@ def _midrank_auroc(sorted_scores: np.ndarray, pos_scores: np.ndarray) -> float |
     through = np.searchsorted(sorted_scores, pos_scores, "right")
     rank_sum = (below.sum() + through.sum() + n_pos) / 2.0
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based (Mann-Whitney) AUROC with mid-rank tie handling."""
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(labels).ravel() > 0.5
-    if s.shape != y.shape:
-        raise ValueError(f"{s.shape[0]} scores vs {y.shape[0]} labels")
-    if not np.all(np.isfinite(s)):
-        raise ValidationError("AUROC scores must be finite")
-    value = _midrank_auroc(np.sort(s), s[y])
-    if value is None:
-        n_pos = int(y.sum())
-        raise UndefinedAurocError(
-            f"AUROC undefined: {n_pos} positives, {y.size - n_pos} negatives"
-        )
-    return value
 
 
 def per_class_auroc(scores: np.ndarray, labels: np.ndarray) -> list[float | None]:

@@ -86,7 +86,6 @@ class MlpTape:
 
     inputs: list[np.ndarray]
     preacts: list[np.ndarray]
-    single: bool
 
 
 def init_params(spec: MlpSpec, seed) -> MlpParams:
@@ -105,20 +104,13 @@ def init_params(spec: MlpSpec, seed) -> MlpParams:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
-    """Evaluate the net on a vector or a batch of row vectors.
+    """Evaluate the net on a batch of row vectors.
 
-    Returns the output (same rank as the input) and the tape needed by
-    :func:`mlp_backward`.
+    Returns the (N, out) output and the tape needed by :func:`mlp_backward`.
     """
     a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
     if a.ndim != 2 or a.shape[1] != params.spec.in_dim:
-        raise ValueError(
-            f"input width {a.shape[-1] if a.ndim else '?'} does not match "
-            f"net input width {params.spec.in_dim}"
-        )
+        raise ValueError(f"input shape {a.shape} is not (N, {params.spec.in_dim}) rows")
     n = params.spec.n_layers
     inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
@@ -127,8 +119,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
         z = a @ w + b
         preacts.append(z)
         a = np.maximum(z, 0.0) if k < n - 1 else z
-    out = a[0] if single else a
-    return out, MlpTape(inputs, preacts, single)
+    return a, MlpTape(inputs, preacts)
 
 
 def mlp_backward(
@@ -141,8 +132,6 @@ def mlp_backward(
     ReLU subgradient at 0 is taken as 0.
     """
     g = np.asarray(grad_out, dtype=np.float64)
-    if tape.single:
-        g = g[None, :]
     n = params.spec.n_layers
     if g.shape != tape.preacts[-1].shape:
         raise ValueError(f"grad_out shape {g.shape} != output shape {tape.preacts[-1].shape}")
@@ -152,8 +141,7 @@ def mlp_backward(
         grads[2 * k] = tape.inputs[k].T @ dz
         grads[2 * k + 1] = dz.sum(axis=0)
         g = dz @ params.weights[k].T
-    grad_in = g[0] if tape.single else g
-    return grads, grad_in
+    return grads, g
 
 
 def row_norms(m: np.ndarray, what: str = "vector") -> np.ndarray:

@@ -115,14 +115,6 @@ class SynthSpec:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        d = dict(d)
-        geo = d.pop("geometry", None)
-        if geo is not None:
-            d["geometry"] = SemanticGeometry(**geo)
-        return cls(**d)
-
 
 def _unit(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)

@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoints import config_digest, save_checkpoint
-from .data import DataBundle, LabelSpace, inductive_violations
+from .data import DataBundle, LabelSpace, check_inductive
 from .exceptions import (
     GzslError,
-    InductiveViolationError,
     NonFiniteGradientError,
     NonFiniteLossError,
     UndefinedAurocError,
@@ -227,11 +226,7 @@ def train(
     """
     t0 = time.perf_counter()
     params0.validate()
-    violations = inductive_violations(data.train)
-    if violations:
-        first = violations[0]
-        name = first.reason.split("'")[1]
-        raise InductiveViolationError(first.sample_index, name)
+    check_inductive(data.train)
     if params0.feature_dim != data.train.feature_dim:
         raise ValueError(
             f"model expects {params0.feature_dim}-dim features, data has {data.train.feature_dim}"

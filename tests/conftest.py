@@ -6,16 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from gzsl_align import (
-    ClassVocabulary,
-    DataBundle,
-    Dataset,
-    LabelSpace,
-    SemanticMatrix,
-    SemanticGeometry,
-    SynthSpec,
-    generate,
-)
+from gzsl_align import DataBundle, SynthSpec, generate
+from gzsl_align.data import ClassVocabulary, Dataset, LabelSpace, SemanticMatrix
+from gzsl_align.synthetic import SemanticGeometry
 
 
 def small_spec(seed=0, **overrides) -> SynthSpec:

@@ -8,13 +8,12 @@ import pytest
 
 from gzsl_align import (
     CheckpointError,
-    MlpSpec,
-    config_digest,
     init_adam,
-    init_model_params,
     load_checkpoint,
     save_checkpoint,
 )
+from gzsl_align.checkpoints import config_digest
+from gzsl_align.networks import MlpSpec, init_model_params
 
 from conftest import rewrite_checkpoint_header
 

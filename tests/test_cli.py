@@ -69,7 +69,7 @@ def test_validate_clean_benchmark(bench, capsys):
     assert main(["validate", "--manifest", str(bench)]) == 0
     out = capsys.readouterr().out
     assert "OK" in out
-    assert "train: 160 samples, 0 violations" in out
+    assert "train: 160 samples, 0 zero-positive samples" in out
 
 
 def test_validate_missing_manifest(tmp_path, capsys):

@@ -13,19 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gzsl_align import (
-    ClassVocabulary,
-    Dataset,
+    DataBundle,
     InductiveViolationError,
-    LabelSpace,
     ManifestError,
-    SemanticGeometry,
     SynthSpec,
+    TrainConfig,
     generate,
-    inductive_violations,
     load_manifest,
     save_manifest,
-    validate_dataset,
+    train,
 )
+from gzsl_align.data import ClassVocabulary, Dataset, LabelSpace, check_inductive
+from gzsl_align.networks import MlpSpec, init_model_params
+from gzsl_align.synthetic import SemanticGeometry
 from gzsl_align.cli import main
 
 from conftest import hand_bundle
@@ -43,8 +43,7 @@ def test_vocabulary_partition_counts():
         seen_ids=tuple(range(10)),
         unseen_ids=tuple(range(10, 14)),
     )
-    assert vocab.n_classes == 14 and vocab.n_seen == 10 and vocab.n_unseen == 4
-    assert vocab.seen_mask().sum() == 10
+    assert vocab.n_classes == 14 and vocab.n_seen == 10 and len(vocab.unseen_ids) == 4
 
 
 def test_vocabulary_rejects_overlap_and_gaps():
@@ -64,7 +63,7 @@ def test_train_labels_accept_both_widths():
         label_space=LabelSpace.ALL_CLASSES,
         vocab=b.vocab,
     )
-    assert inductive_violations(ds) == []
+    check_inductive(ds)  # full width, but no unseen positive
     assert np.array_equal(ds.seen_label_view(), b.train.labels)
 
 
@@ -77,21 +76,33 @@ def test_inductive_violation_names_sample_and_class():
         label_space=LabelSpace.ALL_CLASSES,
         vocab=b.vocab,
     )
-    out = inductive_violations(ds)
-    assert len(out) == 1
-    assert out[0].sample_index == 2
-    assert "'c'" in str(out[0])
+    with pytest.raises(InductiveViolationError) as exc_info:
+        check_inductive(ds)
+    assert exc_info.value.sample_index == 2
+    assert exc_info.value.class_name == "c"
 
 
-def test_validate_dataset_flags_bad_values():
+def test_unseen_class_name_with_quote_is_reported_whole(tmp_path, capsys):
     b = hand_bundle()
-    feats = b.train.features.copy()
-    feats[1, 2] = np.nan
-    labels = b.train.labels.copy()
-    labels[3, 0] = 2
-    ds = Dataset(features=feats, labels=labels, label_space=LabelSpace.SEEN_ONLY, vocab=b.vocab)
-    reasons = [v.sample_index for v in validate_dataset(ds)]
-    assert reasons == [1, 3]
+    vocab = ClassVocabulary(names=("a", "b", "o'brien"), seen_ids=(0, 1), unseen_ids=(2,))
+    labels = np.hstack([b.train.labels, np.zeros((5, 1), dtype=np.int8)])
+    labels[3, 2] = 1
+    poisoned = Dataset(b.train.features, labels, LabelSpace.ALL_CLASSES, vocab)
+    val = Dataset(b.val.features, b.val.labels, LabelSpace.ALL_CLASSES, vocab)
+    test = Dataset(b.test.features, b.test.labels, LabelSpace.ALL_CLASSES, vocab)
+    data = DataBundle(vocab, b.semantics, poisoned, val, test)
+    params0 = init_model_params(MlpSpec((4, 3)), MlpSpec((3, 3)), None, seed=1)
+    with pytest.raises(InductiveViolationError) as exc_info:
+        train(TrainConfig(epochs=1), data, params0)
+    assert (exc_info.value.sample_index, exc_info.value.class_name) == (3, "o'brien")
+    manifest = save_manifest(data, tmp_path)
+    with pytest.raises(InductiveViolationError) as exc_info:
+        load_manifest(manifest)
+    assert (exc_info.value.sample_index, exc_info.value.class_name) == (3, "o'brien")
+    assert main(["validate", "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: train sample 3 has a positive label for unseen class 'o'brien';"
+    )
 
 
 def test_zero_label_rows_are_counted_not_rejected():
@@ -101,7 +112,6 @@ def test_zero_label_rows_are_counted_not_rejected():
     ds = Dataset(
         features=b.train.features, labels=labels, label_space=LabelSpace.SEEN_ONLY, vocab=b.vocab
     )
-    assert validate_dataset(ds) == []
     assert ds.zero_label_count() == 1
 
 
@@ -202,6 +212,8 @@ MALFORMED_MANIFESTS = {
     "whitespace-only line": _edit_csv("train_features.csv", lambda b: b"  \n" + b),
     "comment line": _edit_csv("train_labels.csv", lambda b: b"# labels\n" + b),
     "ragged row": _edit_csv("val_labels.csv", lambda b: b[: b.rindex(b",")] + b"\n"),
+    "non-binary label": _edit_csv("train_labels.csv", lambda b: b"2" + b[1:]),
+    "non-finite feature": _edit_csv("val_features.csv", lambda b: b"nan" + b[b.index(b","):]),
 }
 
 

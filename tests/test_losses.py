@@ -10,19 +10,14 @@ from hypothesis import strategies as st
 from gzsl_align import (
     DegenerateVectorError,
     LossConfig,
-    MlpSpec,
     ModelParams,
     align_term,
     con_term,
-    init_model_params,
-    init_params,
-    mlp_forward,
     pairwise_cosine,
     rank_term,
-    relevance_scores,
-    row_norms,
     total_loss,
 )
+from gzsl_align.networks import MlpSpec, init_model_params, init_params, mlp_forward, row_norms
 from gzsl_align.losses import CON_BLOCK
 
 
@@ -509,7 +504,7 @@ def test_total_loss_composes_the_terms():
 
     Z, _ = mlp_forward(params.visual_map, mlp_forward(params.encoder, feats)[0])
     T, _ = mlp_forward(params.semantic_map, sem)
-    rank, _ = rank_term(relevance_scores(Z, T), labels, cfg.delta, cfg.pair_normalize)
+    rank, _ = rank_term(pairwise_cosine(Z, T), labels, cfg.delta, cfg.pair_normalize)
     counts = labels.sum(axis=1)
     valid = counts > 0
     A, _ = mlp_forward(params.semantic_map, (labels[valid] @ sem) / counts[valid, None])
@@ -527,15 +522,6 @@ def test_align_only_zero_latent_without_positives_raises():
     cfg = LossConfig().with_terms(("align",))
     with pytest.raises(DegenerateVectorError, match=r"^latent visual 0 has zero norm$"):
         total_loss(feats, labels, np.eye(2), params, cfg)
-
-
-def test_relevance_scores_hand_cases():
-    sem = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    got = relevance_scores(np.array([[1.0, 0.0]]), sem)
-    np.testing.assert_allclose(got, [[1.0, 0.0, -1.0]], atol=1e-15)
-    np.testing.assert_allclose(
-        relevance_scores(np.array([[-1.0, 0.0]]), sem), [[-1.0, 0.0, 1.0]], atol=1e-15
-    )
 
 
 def test_loss_config_term_mask_round_trip():

@@ -11,28 +11,31 @@ from scipy.stats import rankdata
 
 import gzsl_align.metrics as metrics_mod
 from gzsl_align import (
-    ClassVocabulary,
-    LabelSpace,
     MetricsReport,
-    MlpSpec,
     UndefinedAurocError,
     ValidationError,
-    auroc,
     evaluate,
-    gzsl_summary,
     infer_scores,
-    init_model_params,
-    mlp_forward,
+    pairwise_cosine,
+)
+from gzsl_align.data import ClassVocabulary, LabelSpace
+from gzsl_align.metrics import (
+    gzsl_summary,
     per_class_auroc,
     read_report_json,
-    relevance_scores,
     topk_metrics,
     write_report_csv,
     write_report_json,
 )
+from gzsl_align.networks import MlpSpec, init_model_params, mlp_forward
 from conftest import hand_bundle, small_spec
 
 from gzsl_align import generate, reference_model_params
+
+
+def _column_auroc(scores, labels):
+    """per_class_auroc of one score column; None when it has a single label value."""
+    return per_class_auroc(scores[:, None], labels[:, None])[0]
 
 
 def _pairwise_auroc(scores, labels):
@@ -94,8 +97,7 @@ def test_per_class_auroc_equals_rankdata_oracle_exactly(case):
     want = _rankdata_auroc_oracle(scores, labels)
     assert per_class_auroc(scores, labels) == want
     for j, value in enumerate(want):
-        if value is not None:
-            assert auroc(scores[:, j], labels[:, j]) == value
+        assert _column_auroc(scores[:, j], labels[:, j]) == value
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,8 +122,6 @@ def test_metrics_reject_non_finite_scores_and_bad_k():
         with pytest.raises(ValidationError):
             per_class_auroc(poisoned, labels)
         with pytest.raises(ValidationError):
-            auroc(poisoned[:, 1], labels[:, 1])
-        with pytest.raises(ValidationError):
             topk_metrics(poisoned, labels, 1)
     for k in (0, 3, -1):
         with pytest.raises(ValueError):
@@ -129,7 +129,7 @@ def test_metrics_reject_non_finite_scores_and_bad_k():
 
 
 def test_auroc_fixture_is_three_quarters():
-    got = auroc(np.array([0.1, 0.4, 0.35, 0.8]), np.array([0, 0, 1, 1]))
+    got = _column_auroc(np.array([0.1, 0.4, 0.35, 0.8]), np.array([0, 0, 1, 1]))
     assert got == 0.75
 
 
@@ -141,14 +141,12 @@ def test_auroc_matches_pairwise_oracle_with_ties():
         labels[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 1
         # quantized scores force plenty of exact ties
         scores = np.round(rng.uniform(0, 1, size=n), 1)
-        assert abs(auroc(scores, labels) - _pairwise_auroc(scores, labels)) < 1e-12
+        assert abs(_column_auroc(scores, labels) - _pairwise_auroc(scores, labels)) < 1e-12
 
 
 def test_auroc_needs_both_label_values():
-    with pytest.raises(UndefinedAurocError):
-        auroc(np.array([0.1, 0.2]), np.array([1, 1]))
-    with pytest.raises(UndefinedAurocError):
-        auroc(np.array([0.1, 0.2]), np.array([0, 0]))
+    assert _column_auroc(np.array([0.1, 0.2]), np.array([1, 1])) is None
+    assert _column_auroc(np.array([0.1, 0.2]), np.array([0, 0])) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,9 +157,9 @@ def test_auroc_invariant_under_increasing_transforms(seed):
     labels = np.zeros(n, dtype=np.int8)
     labels[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 1
     scores = np.round(rng.standard_normal(n), 1)
-    base = auroc(scores, labels)
-    assert auroc(3.0 * scores + 7.0, labels) == base
-    assert auroc(np.exp(scores), labels) == base
+    base = _column_auroc(scores, labels)
+    assert _column_auroc(3.0 * scores + 7.0, labels) == base
+    assert _column_auroc(np.exp(scores), labels) == base
 
 
 def test_topk_hand_counted_table():
@@ -260,7 +258,7 @@ def test_infer_scores_matches_training_path_on_seen_columns():
     enc_out, _ = mlp_forward(params.encoder, bundle.val.features)
     vis, _ = mlp_forward(params.visual_map, enc_out)
     sem, _ = mlp_forward(params.semantic_map, bundle.semantics.seen_rows(bundle.vocab))
-    np.testing.assert_array_equal(scores[:, : spec.n_seen], relevance_scores(vis, sem))
+    np.testing.assert_array_equal(scores[:, : spec.n_seen], pairwise_cosine(vis, sem))
 
 
 def test_report_json_round_trip_is_exact(tmp_path):

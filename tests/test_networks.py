@@ -7,29 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gzsl_align import (
-    DegenerateVectorError,
+from gzsl_align import DegenerateVectorError, ModelParams, pairwise_cosine
+from gzsl_align.networks import (
     MlpParams,
     MlpSpec,
-    ModelParams,
     init_model_params,
     init_params,
     mlp_backward,
     mlp_forward,
-    pairwise_cosine,
     row_norms,
 )
 
 
 def _oracle_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Straightforward re-evaluation, written independently of mlp_forward."""
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    h = np.asarray(x, dtype=np.float64)
     last = params.spec.n_layers - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = h @ w + b
         if k != last:
             h = np.maximum(h, 0.0)
-    return h if np.asarray(x).ndim == 2 else h[0]
+    return h
 
 
 def test_zero_params_give_zero_output():
@@ -37,8 +35,8 @@ def test_zero_params_give_zero_output():
     p = init_params(spec, seed=0)
     for w in p.weights:
         w[:] = 0.0
-    out, _ = mlp_forward(p, np.ones(4))
-    assert np.array_equal(out, np.zeros(2))
+    out, _ = mlp_forward(p, np.ones((1, 4)))
+    assert np.array_equal(out, np.zeros((1, 2)))
 
 
 def test_single_layer_identity_passes_input_through():
@@ -46,7 +44,7 @@ def test_single_layer_identity_passes_input_through():
     p = init_params(spec, seed=0)
     p.weights[0][:] = np.eye(3)
     p.biases[0][:] = 0.0
-    x = np.array([0.3, -1.2, 4.0])
+    x = np.array([[0.3, -1.2, 4.0]])
     out, _ = mlp_forward(p, x)
     assert np.array_equal(out, x)
 
@@ -58,16 +56,14 @@ def test_forward_matches_independent_evaluation():
     x = rng.standard_normal((4, 5))
     out, _ = mlp_forward(p, x)
     np.testing.assert_allclose(out, _oracle_forward(p, x), rtol=0, atol=1e-14)
-    single, _ = mlp_forward(p, x[0])
-    assert single.shape == (3,)
-    # batched and single-row matmuls may differ in the last ulp
-    np.testing.assert_allclose(single, out[0], rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="not \\(N, 5\\) rows"):
+        mlp_forward(p, x[0])
 
 
 def test_backward_zero_grad_out_gives_zero_grads():
     spec = MlpSpec(layer_dims=(4, 5, 2))
     p = init_params(spec, seed=1)
-    out, tape = mlp_forward(p, np.random.default_rng(0).standard_normal(4))
+    out, tape = mlp_forward(p, np.random.default_rng(0).standard_normal((1, 4)))
     grads, grad_in = mlp_backward(p, tape, np.zeros_like(out))
     assert all(np.all(g == 0) for g in grads)
     assert np.all(grad_in == 0)
@@ -77,12 +73,12 @@ def test_backward_linear_gradient_is_input():
     # d(w.x)/dw = x for a single linear layer with scalar output
     spec = MlpSpec(layer_dims=(4, 1))
     p = init_params(spec, seed=2)
-    x = np.array([0.5, -1.0, 2.0, 3.0])
+    x = np.array([[0.5, -1.0, 2.0, 3.0]])
     _, tape = mlp_forward(p, x)
-    grads, grad_in = mlp_backward(p, tape, np.ones(1))
-    np.testing.assert_allclose(grads[0][:, 0], x, atol=1e-15)
+    grads, grad_in = mlp_backward(p, tape, np.ones((1, 1)))
+    np.testing.assert_allclose(grads[0][:, 0], x[0], atol=1e-15)
     np.testing.assert_allclose(grads[1], [1.0], atol=1e-15)
-    np.testing.assert_allclose(grad_in, p.weights[0][:, 0], atol=1e-15)
+    np.testing.assert_allclose(grad_in[0], p.weights[0][:, 0], atol=1e-15)
 
 
 def test_backward_matches_finite_differences():
@@ -117,9 +113,9 @@ def test_backward_matches_finite_differences():
 def test_backward_rejects_wrong_grad_shape():
     spec = MlpSpec(layer_dims=(3, 2))
     p = init_params(spec, seed=0)
-    _, tape = mlp_forward(p, np.zeros(3))
+    _, tape = mlp_forward(p, np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        mlp_backward(p, tape, np.zeros(3))
+        mlp_backward(p, tape, np.zeros((1, 3)))
 
 
 def test_init_params_bounds_and_determinism():

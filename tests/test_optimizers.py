@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from gzsl_align import (
-    NonFiniteGradientError,
-    PlateauScheduler,
-    adam_step,
-    init_adam,
-)
+from gzsl_align import NonFiniteGradientError, adam_step, init_adam
+from gzsl_align.optimizers import PlateauScheduler
 
 
 def _textbook_adam_trace(w0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -5,20 +5,22 @@ import pytest
 
 from gzsl_align import (
     LossConfig,
-    SemanticGeometry,
     SynthSpec,
     TrainConfig,
-    bayes_reference_auroc,
     generate,
-    inductive_violations,
     infer_scores,
     reference_model_params,
     reference_spec,
     reference_train_config,
-    topk_metrics,
     train,
-    true_scores,
+)
+from gzsl_align.data import check_inductive
+from gzsl_align.metrics import topk_metrics
+from gzsl_align.synthetic import (
     REFERENCE_SEEDS,
+    SemanticGeometry,
+    bayes_reference_auroc,
+    true_scores,
 )
 from conftest import small_spec
 
@@ -71,7 +73,7 @@ def test_different_seeds_differ():
 def test_training_split_is_inductively_clean_for_every_reference_seed():
     for seed in REFERENCE_SEEDS:
         bundle = generate(reference_spec(seed))
-        assert inductive_violations(bundle.train) == []
+        check_inductive(bundle.train)
         assert bundle.train.labels.shape[1] == 10
         assert bundle.val.labels.shape[1] == 14
 
@@ -125,11 +127,6 @@ def test_semantics_fall_back_when_seen_exceed_dim():
     rows = generate(spec).semantics.rows
     np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
     assert np.linalg.norm(rows[:10].mean(axis=0)) < 0.35  # centered before renorm
-
-
-def test_spec_round_trips_through_dict():
-    spec = small_spec(seed=5, noise_sigma=0.45)
-    assert SynthSpec.from_dict(spec.to_dict()) == spec
 
 
 @pytest.mark.parametrize(

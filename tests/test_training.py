@@ -9,25 +9,22 @@ import numpy as np
 import pytest
 
 from gzsl_align import (
-    Dataset,
     EncoderMode,
-    GridSpec,
     InductiveViolationError,
-    LabelSpace,
     LossConfig,
     NonFiniteGradientError,
     NonFiniteLossError,
     TrainConfig,
-    default_model_specs,
     evaluate,
-    grid_search,
-    init_model_params,
     load_checkpoint,
     reference_model_params,
     reference_spec,
     reference_train_config,
     train,
 )
+from gzsl_align.data import Dataset, LabelSpace
+from gzsl_align.networks import init_model_params
+from gzsl_align.training import GridSpec, default_model_specs, grid_search
 import gzsl_align.training as training_module
 from gzsl_align.data import DataBundle
 from gzsl_align.synthetic import generate
