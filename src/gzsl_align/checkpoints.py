@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CheckpointError
-from .networks import MlpSpec, ModelParams
+from .networks import MlpSpec, ModelParams, model_spec_dict, read_model_spec
 from .optimizers import AdamState
+from .records import is_int
 
 MAGIC = b"GZSLCKPT"
 FORMAT_VERSION = 1
@@ -43,10 +44,6 @@ class Checkpoint:
     config_hash: str | None
     adam: AdamState | None
     adam_hparams: dict | None
-
-
-def _spec_list(spec: MlpSpec | None):
-    return None if spec is None else list(spec.layer_dims)
 
 
 def _block(arrays) -> bytes:
@@ -76,11 +73,7 @@ def save_checkpoint(
         "seed": int(seed),
         "epoch": int(epoch),
         "config_hash": config_hash,
-        "specs": {
-            "encoder": _spec_list(params.encoder.spec if params.encoder else None),
-            "visual_map": _spec_list(params.visual_map.spec),
-            "semantic_map": _spec_list(params.semantic_map.spec),
-        },
+        "specs": model_spec_dict(params),
         "n_values": n,
         "optimizer": None,
     }
@@ -104,10 +97,6 @@ def save_checkpoint(
         fh.write(_block(blocks))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _header_specs(path, header) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
     """Check the decoded header's fields; return the (visual, semantic, encoder) specs."""
 
@@ -119,33 +108,22 @@ def _header_specs(path, header) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')}")
     for key in ("seed", "epoch", "n_values"):
-        if not _is_int(header.get(key)):
+        if not is_int(header.get(key)):
             raise malformed(f"{key!r} must be an integer, got {header.get(key)!r}")
     if not isinstance(header.get("config_hash"), (str, type(None))):
         raise malformed("'config_hash' must be a string or null")
     opt = header.get("optimizer")
-    if opt is not None and not (isinstance(opt, dict) and _is_int(opt.get("step_count"))):
+    if opt is not None and not (isinstance(opt, dict) and is_int(opt.get("step_count"))):
         raise malformed("'optimizer' must be null or an object with an integer 'step_count'")
 
-    specs = header.get("specs")
-    if not isinstance(specs, dict):
-        raise malformed(f"'specs' must be an object, got {specs!r}")
-    out = []
-    for name in ("visual_map", "semantic_map", "encoder"):
-        dims = specs.get(name)
-        if dims is None and name == "encoder":
-            out.append(None)
-            continue
-        if not (isinstance(dims, list) and all(_is_int(d) for d in dims)):
-            raise malformed(f"'specs.{name}' must be a list of integer widths, got {dims!r}")
-        try:
-            out.append(MlpSpec(tuple(dims)))
-        except ValueError as exc:
-            raise malformed(f"'specs.{name}': {exc}") from exc
-    need = sum(spec.n_params for spec in out if spec is not None)
+    try:
+        specs = read_model_spec(header.get("specs"))
+    except ValueError as exc:
+        raise malformed(f"'specs': {exc}") from None
+    need = sum(spec.n_params for spec in specs if spec is not None)
     if header["n_values"] != need:
         raise malformed(f"'n_values' is {header['n_values']}, the specs need {need}")
-    return tuple(out)
+    return specs
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -10,6 +10,7 @@ controls verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -28,7 +29,8 @@ from .metrics import (
     write_report_csv,
     write_report_json,
 )
-from .networks import MlpSpec, init_model_params
+from .networks import ModelParams, init_model_params, read_model_spec
+from .records import to_json
 from .synthetic import SemanticGeometry, SynthSpec, generate
 from .training import (
     EncoderMode,
@@ -90,61 +92,57 @@ def _load_config_file(path) -> dict:
     return data
 
 
+def _overlay(base: dict, layer, where: str = "train config") -> dict:
+    """``base`` with ``layer``'s keys on top; nested objects merge key by key."""
+    if not isinstance(layer, dict):
+        raise ValueError(f"{where} must be a JSON object, got {layer!r}")
+    merged = dict(base)
+    for key, value in layer.items():
+        merged[key] = _overlay(base[key], value, key) if isinstance(base.get(key), dict) else value
+    return merged
+
+
 def _resolve_train_config(args) -> tuple[TrainConfig, dict | None]:
-    """Merge defaults, optional config file, and explicit flags."""
-    base = TrainConfig().to_dict()
+    """Layer the defaults, the config file's train section and the set flags.
+
+    Returns the config and the file's model section (None without one).
+    """
+    layers = [TrainConfig().to_dict()]
     model_section = None
     if args.config is not None:
         file_cfg = _load_config_file(args.config)
         model_section = file_cfg.get("model")
-        section = file_cfg.get("train", file_cfg)
-        for key, value in section.items():
-            if key in base:
-                base[key] = value
-    loss = dict(base["loss"])
-    if args.lr is not None:
-        base["lr"] = args.lr
-    if args.epochs is not None:
-        base["epochs"] = args.epochs
-    if args.batch_size is not None:
-        base["batch_size"] = args.batch_size
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.encoder_mode is not None:
-        base["encoder_mode"] = args.encoder_mode
-    if args.gamma1 is not None:
-        loss["gamma1"] = args.gamma1
-    if args.gamma2 is not None:
-        loss["gamma2"] = args.gamma2
-    if args.delta is not None:
-        loss["delta"] = args.delta
+        # a run's config.json nests the train section; a flat file is one
+        section = {k: v for k, v in file_cfg.items() if k != "model"}
+        layers.append(section["train"] if set(section) == {"train"} else section)
+    loss = {"gamma1": args.gamma1, "gamma2": args.gamma2, "delta": args.delta}
     if args.term_mask is not None:
         terms = _parse_terms(args.term_mask)
-        loss["use_rank"] = "rank" in terms
-        loss["use_align"] = "align" in terms
-        loss["use_con"] = "con" in terms
-    base["loss"] = loss
-    if args.k is not None:
-        base["ks"] = list(_parse_ints(args.k))
+        loss.update({f"use_{t}": t in terms for t in TERM_NAMES})
+    flags = {
+        "epochs": args.epochs,
+        "batch_size": args.batch_size,
+        "lr": args.lr,
+        "seed": args.seed,
+        "encoder_mode": args.encoder_mode,
+        "ks": None if args.k is None else _parse_ints(args.k),
+        "loss": {k: v for k, v in loss.items() if v is not None},
+    }
+    layers.append(to_json({k: v for k, v in flags.items() if v is not None}))
     try:
-        return TrainConfig.from_dict(base), model_section
-    except (TypeError, ValueError) as exc:
+        return TrainConfig.from_dict(functools.reduce(_overlay, layers)), model_section
+    except ValueError as exc:
         raise ValidationError(f"invalid training config: {exc}") from exc
 
 
-def _build_model(bundle, cfg: TrainConfig, model_section, latent_dim):
-    v = bundle.train.feature_dim
-    d = bundle.semantics.dim
+def _build_model(bundle, cfg: TrainConfig, model_section, latent_dim) -> ModelParams:
+    """Initial parameters: the config file's model section, else the default shapes."""
     if model_section is not None and latent_dim is None:
-        encoder = model_section.get("encoder")
-        visual, semantic, encoder_spec = (
-            MlpSpec(tuple(model_section["visual_map"])),
-            MlpSpec(tuple(model_section["semantic_map"])),
-            MlpSpec(tuple(encoder)) if encoder else None,
-        )
+        specs = read_model_spec(model_section)
     else:
-        visual, semantic, encoder_spec = default_model_specs(v, d, True, latent_dim)
-    return init_model_params(visual, semantic, encoder_spec, cfg.seed)
+        v, d = bundle.train.feature_dim, bundle.semantics.dim
+        specs = default_model_specs(v, d, True, latent_dim)
+    return init_model_params(*specs, cfg.seed)
 
 
 def _cmd_generate(args) -> int:
@@ -336,9 +334,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma1", type=float)
     p.add_argument("--gamma2", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument(
-        "--encoder-mode", type=EncoderMode.parse, help="end-to-end or frozen"
-    )
+    p.add_argument("--encoder-mode", type=EncoderMode, help="end-to-end or frozen")
     p.add_argument("--term-mask", help="comma list from {rank,align,con}")
     p.add_argument("--k", help="comma list of top-k values, e.g. 2,3")
     p.add_argument("--latent-dim", type=int, help="latent width override")

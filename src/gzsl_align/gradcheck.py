@@ -28,6 +28,7 @@ from .networks import (
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 KINK_MARGIN = 1e-3
+MAX_RESAMPLES = 200  # kink-unsafe draws allowed per trial before giving up
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,6 @@ def run_gradient_check(
     trials: int = 100,
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
-    step: float = DEFAULT_STEP,
-    kink_margin: float = KINK_MARGIN,
-    max_resamples: int = 200,
 ) -> GradcheckResult:
     """Compare analytic gradients against central differences.
 
@@ -148,14 +146,14 @@ def run_gradient_check(
     resampled = 0
 
     for trial in range(trials):
-        for _ in range(max_resamples):
+        for _ in range(MAX_RESAMPLES):
             setup = _random_setup(rng)
-            if _kink_floor(*setup) > kink_margin:
+            if _kink_floor(*setup) > KINK_MARGIN:
                 break
             resampled += 1
         else:
             raise RuntimeError(
-                f"could not sample a kink-safe configuration in {max_resamples} tries"
+                f"could not sample a kink-safe configuration in {MAX_RESAMPLES} tries"
             )
         params, F, Y, W, cfg = setup
         _, grads = total_loss(F, Y, W, params, cfg)
@@ -165,12 +163,12 @@ def run_gradient_check(
             gflat = g.reshape(-1)
             for i in range(flat.size):
                 keep = flat[i]
-                flat[i] = keep + step
+                flat[i] = keep + DEFAULT_STEP
                 up, _ = total_loss(F, Y, W, params, cfg, compute_grads=False)
-                flat[i] = keep - step
+                flat[i] = keep - DEFAULT_STEP
                 dn, _ = total_loss(F, Y, W, params, cfg, compute_grads=False)
                 flat[i] = keep
-                fd = (up.total - dn.total) / (2.0 * step)
+                fd = (up.total - dn.total) / (2.0 * DEFAULT_STEP)
                 err = abs(gflat[i] - fd) / (max(abs(gflat[i]), abs(fd)) + 1e-3)
                 if err > max_err:
                     max_err = err

@@ -15,13 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .networks import MlpParams, ModelParams, mlp_backward, mlp_forward, pairwise_cosine, row_norms
+from .records import JsonRecord
 
 TERM_NAMES = ("rank", "align", "con")
 CON_BLOCK = 128  # rows per block of the consistency term's class x class walk
 
 
 @dataclass(frozen=True)
-class LossConfig:
+class LossConfig(JsonRecord):
     """Weights and switches of the composite objective.
 
     ``delta`` is the ranking margin on the cosine scale; ``gamma1`` and

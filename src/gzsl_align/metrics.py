@@ -15,6 +15,7 @@ import numpy as np
 from .data import ClassVocabulary, Dataset, LabelSpace, SemanticMatrix
 from .exceptions import UndefinedAurocError, ValidationError
 from .networks import ModelParams, mlp_forward, pairwise_cosine
+from .records import JsonRecord
 
 
 def infer_scores(
@@ -55,7 +56,7 @@ def _topk_mask(S: np.ndarray, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TopKMetrics:
+class TopKMetrics(JsonRecord):
     """Micro-averaged (headline) and macro-averaged (diagnostic) top-k scores."""
 
     k: int
@@ -169,7 +170,7 @@ def gzsl_summary(
 
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(JsonRecord):
     """Full evaluation result; round-trips exactly through JSON."""
 
     per_k: tuple[TopKMetrics, ...]
@@ -181,49 +182,20 @@ class MetricsReport:
     n_zero_positive: int
 
     def to_dict(self) -> dict:
-        return {
-            "per_k": {
-                str(m.k): {
-                    "recall": m.recall,
-                    "precision": m.precision,
-                    "f1": m.f1,
-                    "macro_recall": m.macro_recall,
-                    "macro_precision": m.macro_precision,
-                    "macro_f1": m.macro_f1,
-                }
-                for m in self.per_k
-            },
-            "per_class_auroc": list(self.per_class_auroc),
-            "seen_mean": self.seen_mean,
-            "unseen_mean": self.unseen_mean,
-            "harmonic": self.harmonic,
-            "n_samples": self.n_samples,
-            "n_zero_positive": self.n_zero_positive,
-        }
+        d = super().to_dict()
+        d["per_k"] = {str(m.pop("k")): m for m in d["per_k"]}  # JSON keys each entry by its k
+        return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        per_k = tuple(
-            TopKMetrics(
-                k=int(k),
-                recall=v["recall"],
-                precision=v["precision"],
-                f1=v["f1"],
-                macro_recall=v["macro_recall"],
-                macro_precision=v["macro_precision"],
-                macro_f1=v["macro_f1"],
-            )
-            for k, v in sorted(d["per_k"].items(), key=lambda kv: int(kv[0]))
-        )
-        return cls(
-            per_k=per_k,
-            per_class_auroc=tuple(d["per_class_auroc"]),
-            seen_mean=d["seen_mean"],
-            unseen_mean=d["unseen_mean"],
-            harmonic=d["harmonic"],
-            n_samples=d["n_samples"],
-            n_zero_positive=d["n_zero_positive"],
-        )
+    def from_dict(cls, data) -> "MetricsReport":
+        if isinstance(data, dict) and "per_k" in data:
+            per_k = data["per_k"]
+            if not (isinstance(per_k, dict) and all(k.isdecimal() for k in per_k)):
+                raise ValueError(f"MetricsReport.per_k must be an object keyed by k, got {per_k!r}")
+            entries = sorted(per_k.items(), key=lambda kv: int(kv[0]))
+            data = {**data, "per_k": [{**m, "k": int(k)} if isinstance(m, dict) else m
+                                      for k, m in entries]}
+        return super().from_dict(data)
 
 
 def evaluate(

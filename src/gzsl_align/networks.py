@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateVectorError
+from .records import is_int
 
 
 @dataclass(frozen=True)
@@ -303,6 +304,35 @@ class ModelParams:
     def zeros_like(self) -> "ModelParams":
         """A zeroed model of the same layout, e.g. to accumulate gradients in."""
         return ModelParams.from_flat(np.zeros_like(self.flat), *self._specs())
+
+
+def model_spec_dict(params: ModelParams) -> dict:
+    """The layer widths of each net as JSON lists, ``encoder`` null when absent.
+
+    Run configs and checkpoint headers store the model's shape in this form.
+    """
+    return {"encoder": None, **{name: list(net.spec.layer_dims) for name, net in params.nets()}}
+
+
+def read_model_spec(data) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
+    """The (visual, semantic, encoder) specs of a :func:`model_spec_dict` object.
+
+    ``encoder`` may be null or absent; anything else that
+    :func:`model_spec_dict` cannot write raises ``ValueError``.
+    """
+    names = ("visual_map", "semantic_map", "encoder")
+    if not isinstance(data, dict) or not set(data) <= set(names):
+        raise ValueError(f"model spec must be an object with keys from {names}, got {data!r}")
+    specs = []
+    for name in names:
+        dims = data.get(name)
+        if name == "encoder" and dims is None:
+            specs.append(None)
+        elif isinstance(dims, list) and len(dims) >= 2 and all(is_int(d) and d > 0 for d in dims):
+            specs.append(MlpSpec(tuple(dims)))
+        else:
+            raise ValueError(f"model spec {name!r} must list 2+ positive widths, got {dims!r}")
+    return tuple(specs)
 
 
 def init_model_params(

@@ -8,6 +8,9 @@ import numpy as np
 
 from .exceptions import NonFiniteGradientError
 
+# Adam's moment decays and denominator guard; training records them in last.ckpt
+ADAM_HPARAMS = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
+
 
 @dataclass
 class AdamState:
@@ -31,9 +34,9 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
+    beta1: float = ADAM_HPARAMS["beta1"],
+    beta2: float = ADAM_HPARAMS["beta2"],
+    epsilon: float = ADAM_HPARAMS["epsilon"],
 ) -> None:
     """One in-place Adam update with bias-corrected moment estimates.
 

@@ -31,6 +31,7 @@ from .data import (
 from .losses import LossConfig
 from .metrics import per_class_auroc
 from .networks import ModelParams, init_model_params, pairwise_cosine
+from .records import JsonRecord
 from .training import EncoderMode, TrainConfig, default_model_specs
 
 REFERENCE_SEEDS = (1, 2, 3, 4, 5)
@@ -42,7 +43,7 @@ REFERENCE_GAMMA = 0.1
 
 
 @dataclass(frozen=True)
-class SemanticGeometry:
+class SemanticGeometry(JsonRecord):
     """Knobs for the inter-class cosine structure.
 
     Seen classes form a centered random frame (orthonormal when the
@@ -64,7 +65,7 @@ class SemanticGeometry:
 
 
 @dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(JsonRecord):
     """Benchmark size, geometry, and noise; 2000/300/700 keeps 70/10/20."""
 
     n_classes: int = 14
@@ -94,26 +95,6 @@ class SynthSpec:
             )
         if self.geometry.parents_max > self.n_seen:
             raise ValueError("parents_max exceeds the number of seen classes")
-
-    def to_dict(self) -> dict:
-        g = self.geometry
-        return {
-            "n_classes": self.n_classes,
-            "n_seen": self.n_seen,
-            "d": self.d,
-            "v": self.v,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "n_test": self.n_test,
-            "geometry": {
-                "parents_min": g.parents_min,
-                "parents_max": g.parents_max,
-                "jitter": g.jitter,
-            },
-            "noise_sigma": self.noise_sigma,
-            "max_labels_per_sample": self.max_labels_per_sample,
-            "seed": self.seed,
-        }
 
 
 def _unit(x: np.ndarray) -> np.ndarray:

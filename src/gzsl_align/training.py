@@ -23,8 +23,9 @@ from .exceptions import (
 )
 from .losses import LossBreakdown, LossConfig, total_loss
 from .metrics import MetricsReport, evaluate, infer_scores, per_class_auroc
-from .networks import MlpSpec, ModelParams, pairwise_cosine
-from .optimizers import AdamState, PlateauScheduler, adam_step, init_adam
+from .networks import MlpSpec, ModelParams, model_spec_dict, pairwise_cosine
+from .optimizers import ADAM_HPARAMS, AdamState, PlateauScheduler, adam_step, init_adam
+from .records import JsonRecord
 
 
 class EncoderMode(Enum):
@@ -32,12 +33,13 @@ class EncoderMode(Enum):
     FROZEN = "frozen"
 
     @classmethod
-    def parse(cls, text: str) -> "EncoderMode":
-        key = text.strip().lower().replace("-", "_")
+    def _missing_(cls, value):
+        # EncoderMode(" End-To-End ") is END_TO_END: case, dashes and padding do not count
+        key = value.strip().lower().replace("-", "_") if isinstance(value, str) else None
         for mode in cls:
             if mode.value == key:
                 return mode
-        raise ValueError(f"unknown encoder mode {text!r} (use end-to-end or frozen)")
+        raise ValueError(f"unknown encoder mode {value!r} (use end-to-end or frozen)")
 
 
 def default_model_specs(
@@ -63,7 +65,7 @@ def default_model_specs(
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonRecord):
     """Fully resolved knobs of one training run."""
 
     epochs: int = 100
@@ -94,37 +96,6 @@ class TrainConfig:
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValueError(f"ks must be positive, got {self.ks}")
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "loss": {
-                "delta": self.loss.delta,
-                "gamma1": self.loss.gamma1,
-                "gamma2": self.loss.gamma2,
-                "use_rank": self.loss.use_rank,
-                "use_align": self.loss.use_align,
-                "use_con": self.loss.use_con,
-                "pair_normalize": self.loss.pair_normalize,
-            },
-            "seed": self.seed,
-            "encoder_mode": self.encoder_mode.value,
-            "shuffle": self.shuffle,
-            "patience": self.patience,
-            "lr_factor": self.lr_factor,
-            "min_delta": self.min_delta,
-            "ks": list(self.ks),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["loss"] = LossConfig(**d.get("loss", {}))
-        d["encoder_mode"] = EncoderMode.parse(d.get("encoder_mode", "end_to_end"))
-        d["ks"] = tuple(d.get("ks", (2, 3)))
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -154,17 +125,9 @@ class RunRecord:
     wall_time: float
 
 
-def _model_spec_dict(params: ModelParams) -> dict:
-    return {
-        "encoder": list(params.encoder.spec.layer_dims) if params.encoder else None,
-        "visual_map": list(params.visual_map.spec.layer_dims),
-        "semantic_map": list(params.semantic_map.spec.layer_dims),
-    }
-
-
 def run_config_dict(cfg: TrainConfig, params: ModelParams) -> dict:
     """The resolved, hashable config written next to every run."""
-    return {"train": cfg.to_dict(), "model": _model_spec_dict(params)}
+    return {"train": cfg.to_dict(), "model": model_spec_dict(params)}
 
 
 _CSV_COLUMNS = (
@@ -333,8 +296,7 @@ def train(
             epoch=cfg.epochs,
             config_hash=digest,
             adam=AdamState(m=pad + adam.m, v=pad + adam.v, step_count=adam.step_count),
-            adam_hparams={"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "lr": sched.lr,
-                          "frozen_encoder": frozen},
+            adam_hparams={**ADAM_HPARAMS, "lr": sched.lr, "frozen_encoder": frozen},
         )
 
     return RunRecord(
@@ -394,12 +356,6 @@ def _combo_dir(out_dir, gamma: float, lr: float):
     return str(Path(out_dir) / f"gamma{gamma:g}_lr{lr:g}")
 
 
-def _grid_worker(args):
-    base_cfg, data, params0, out_dir, gamma, lr = args
-    cfg = _combo_config(base_cfg, gamma, lr)
-    return train(cfg, data, params0, _combo_dir(out_dir, gamma, lr))
-
-
 def _selection_key(gamma: float, lr: float, rec: RunRecord):
     h = rec.best_report.harmonic if rec.best_report else -np.inf
     u = rec.best_report.unseen_mean if rec.best_report else -np.inf
@@ -435,16 +391,12 @@ def grid_search(
         combos = [combos[i] for i in sorted(chosen)]
 
     tasks = [(base_cfg, data, params0, out_dir, g, lr) for g, lr in combos]
-    outcomes: list[tuple[float, float, RunRecord | None, str | None]] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = list(pool.map(_grid_worker_safe, tasks))
-        for (g, lr), (rec, err) in zip(combos, futures):
-            outcomes.append((g, lr, rec, err))
+            results = list(pool.map(_grid_worker_safe, tasks))
     else:
-        for task in tasks:
-            rec, err = _grid_worker_safe(task)
-            outcomes.append((task[4], task[5], rec, err))
+        results = list(map(_grid_worker_safe, tasks))
+    outcomes = [(g, lr, rec, err) for (g, lr), (rec, err) in zip(combos, results)]
 
     failures = [{"gamma": g, "lr": lr, "error": err} for g, lr, rec, err in outcomes if rec is None]
     ranked = sorted(
@@ -468,8 +420,11 @@ def grid_search(
     return GridResult(best=ranked[0][2], leaderboard=leaderboard, failures=failures)
 
 
-def _grid_worker_safe(args):
+def _grid_worker_safe(args) -> tuple[RunRecord | None, str | None]:
+    """Train one combo; a ``GzslError`` becomes the failure text instead of the record."""
+    base_cfg, data, params0, out_dir, gamma, lr = args
     try:
-        return _grid_worker(args), None
+        cfg = _combo_config(base_cfg, gamma, lr)
+        return train(cfg, data, params0, _combo_dir(out_dir, gamma, lr)), None
     except GzslError as exc:
         return None, f"{type(exc).__name__}: {exc}"

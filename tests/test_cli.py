@@ -410,3 +410,48 @@ def test_argparse_error_codes(capsys):
     assert main(["validate"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_frozen_encoder_mode_flag(bench, tmp_path, command):
+    out = tmp_path / command
+    argv = [
+        command, "--manifest", str(bench), "--out-dir", str(out),
+        *FAST_TRAIN, "--epochs", "1", "--encoder-mode", "frozen",
+    ]
+    if command == "grid":
+        argv += ["--gammas", "0.1", "--lrs", "1e-3"]
+    assert main(argv) == 0
+    run = out if command == "train" else out / "gamma0.1_lr0.001"
+    assert json.loads((run / "config.json").read_text())["train"]["encoder_mode"] == "frozen"
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("train", {"encoder_mode": 5}),
+        ("train", {"train": [1]}),
+        ("train", {"model": 5}),
+        ("train", {"model": {"encoder": None}}),
+        ("train", {"model": {"visual_map": 3, "semantic_map": [16, 8]}}),
+        ("train", {"loss": [1]}),
+        ("train", {"epochs": 1.5}),
+        ("train", {"epochs": True}),
+        ("train", {"epoch": 5}),
+        ("report", {"per_k": {}}),
+        ("report", [1]),
+    ],
+    ids=repr,
+)
+def test_malformed_config_or_metrics_is_input_error(bench, tmp_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if command == "train":
+        argv = ["train", "--config", str(path), "--out-dir", str(tmp_path / "run")]
+    else:
+        argv = ["report", "--metrics", str(path)]
+    assert main([*argv, "--manifest", str(bench)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "run").exists()

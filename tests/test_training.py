@@ -386,10 +386,10 @@ def test_grid_writes_per_combo_dirs(bundle, tmp_path):
 
 
 def test_encoder_mode_parse():
-    assert EncoderMode.parse("end-to-end") is EncoderMode.END_TO_END
-    assert EncoderMode.parse("FROZEN") is EncoderMode.FROZEN
+    assert EncoderMode("end-to-end") is EncoderMode.END_TO_END
+    assert EncoderMode("FROZEN") is EncoderMode.FROZEN
     with pytest.raises(ValueError, match="encoder mode"):
-        EncoderMode.parse("detached")
+        EncoderMode("detached")
 
 
 def test_train_config_validation():
