@@ -6,8 +6,9 @@ vector (:attr:`ModelParams.flat`: encoder, visual mapping, semantic
 mapping; weights before biases per layer) as little-endian float64.
 When optimizer state is included, two more blocks of the same length
 follow: Adam's first- and second-moment vectors, laid out like the
-parameters, with zeros for a frozen encoder. Identical inputs produce
-byte-identical files.
+parameters, with zeros for a frozen encoder. Loading gives each moment
+back as one vector of that length, so ``m[0][i]`` is the moment of
+``params.flat[i]``. Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -157,10 +158,10 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: parameter block holds {values.size} values, expected {expected}"
         )
 
-    def block(i: int) -> ModelParams:
-        return ModelParams.from_flat(values[i * n : (i + 1) * n].astype(np.float64), *specs)
+    def block(i: int) -> np.ndarray:
+        return values[i * n : (i + 1) * n].astype(np.float64)
 
-    params = block(0)
+    params = ModelParams(block(0), *specs)
     try:
         params.validate()
     except ValueError as exc:
@@ -169,7 +170,7 @@ def load_checkpoint(path) -> Checkpoint:
     adam = None
     hparams = None
     if opt is not None:
-        adam = AdamState(m=block(1).arrays(), v=block(2).arrays(), step_count=opt["step_count"])
+        adam = AdamState(m=[block(1)], v=[block(2)], step_count=opt["step_count"])
         hparams = {k: v for k, v in opt.items() if k != "step_count"}
 
     return Checkpoint(

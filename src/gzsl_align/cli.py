@@ -136,12 +136,26 @@ def _resolve_train_config(args) -> tuple[TrainConfig, dict | None]:
 
 
 def _build_model(bundle, cfg: TrainConfig, model_section, latent_dim) -> ModelParams:
-    """Initial parameters: the config file's model section, else the default shapes."""
-    if model_section is not None and latent_dim is None:
-        specs = read_model_spec(model_section)
-    else:
+    """Initial parameters: the config file's model section, else the default shapes.
+
+    Rejects what the run could not honour before any artifact is written:
+    ``--latent-dim`` beside a model section, and frozen mode without an encoder.
+    """
+    if model_section is None:
         v, d = bundle.train.feature_dim, bundle.semantics.dim
         specs = default_model_specs(v, d, True, latent_dim)
+    elif latent_dim is not None:
+        raise ValidationError(
+            "--latent-dim cannot be combined with the --config model section; "
+            "drop one of them"
+        )
+    else:
+        specs = read_model_spec(model_section)
+    if cfg.encoder_mode is EncoderMode.FROZEN and specs[2] is None:
+        raise ValidationError(
+            "encoder mode frozen needs an encoder, and the --config model section "
+            'has "encoder": null'
+        )
     return init_model_params(*specs, cfg.seed)
 
 

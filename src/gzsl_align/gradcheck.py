@@ -157,23 +157,20 @@ def run_gradient_check(
             )
         params, F, Y, W, cfg = setup
         _, grads = total_loss(F, Y, W, params, cfg)
-        names = params.array_names()
-        for arr, g, name in zip(params.arrays(), grads.arrays(), names):
-            flat = arr.reshape(-1)
-            gflat = g.reshape(-1)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + DEFAULT_STEP
-                up, _ = total_loss(F, Y, W, params, cfg, compute_grads=False)
-                flat[i] = keep - DEFAULT_STEP
-                dn, _ = total_loss(F, Y, W, params, cfg, compute_grads=False)
-                flat[i] = keep
-                fd = (up.total - dn.total) / (2.0 * DEFAULT_STEP)
-                err = abs(gflat[i] - fd) / (max(abs(gflat[i]), abs(fd)) + 1e-3)
-                if err > max_err:
-                    max_err = err
-                    worst_trial = trial
-                    worst_array = name
+        flat, gflat = params.flat, grads.flat
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + DEFAULT_STEP
+            up, _ = total_loss(F, Y, W, params, cfg, compute_grads=False)
+            flat[i] = keep - DEFAULT_STEP
+            dn, _ = total_loss(F, Y, W, params, cfg, compute_grads=False)
+            flat[i] = keep
+            fd = (up.total - dn.total) / (2.0 * DEFAULT_STEP)
+            err = abs(gflat[i] - fd) / (max(abs(gflat[i]), abs(fd)) + 1e-3)
+            if err > max_err:
+                max_err = err
+                worst_trial = trial
+                worst_array = params.array_name(i)
     return GradcheckResult(
         n_trials=trials,
         max_error=float(max_err),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .networks import MlpParams, ModelParams, mlp_backward, mlp_forward, pairwise_cosine, row_norms
+from .networks import ModelParams, mlp_backward, mlp_forward, pairwise_cosine, row_norms
 from .records import JsonRecord
 
 TERM_NAMES = ("rank", "align", "con")
@@ -304,7 +304,7 @@ def total_loss(
         )
         if compute_grads:
             dZ[valid] += dZ_a
-            _accumulate(grads.semantic_map, mlp_backward(params.semantic_map, tape_avg, dA)[0])
+            mlp_backward(params.semantic_map, tape_avg, dA, grads.semantic_map)
 
     con_val = 0.0
     if cfg.use_con:
@@ -316,17 +316,11 @@ def total_loss(
             dT += dT_c
 
     if compute_grads and need_classes:
-        _accumulate(grads.semantic_map, mlp_backward(params.semantic_map, tape_cls, dT)[0])
+        mlp_backward(params.semantic_map, tape_cls, dT, grads.semantic_map)
     if compute_grads and need_visual:
-        g_vis, d_enc_out = mlp_backward(params.visual_map, tape_vis, dZ)
-        _accumulate(grads.visual_map, g_vis)
+        d_enc_out = mlp_backward(params.visual_map, tape_vis, dZ, grads.visual_map)
         if params.encoder is not None:
-            _accumulate(grads.encoder, mlp_backward(params.encoder, tape_enc, d_enc_out)[0])
+            mlp_backward(params.encoder, tape_enc, d_enc_out, grads.encoder)
 
     total = rank_val + cfg.gamma1 * align_val + cfg.gamma2 * con_val
     return LossBreakdown(rank_val, align_val, con_val, total), grads
-
-
-def _accumulate(net_grads: MlpParams, grads: list[np.ndarray]) -> None:
-    for acc, g in zip(net_grads.arrays(), grads):
-        acc += g

@@ -5,6 +5,11 @@ mapping net, and a semantic mapping net. Both mapping nets project into
 a shared latent space where cosine similarity scores class relevance.
 Forward passes record a tape of layer inputs and pre-activations;
 backward passes replay the tape for exact parameter and input gradients.
+
+:class:`ModelParams` keeps every parameter of the model in one float64
+vector, ``flat``; each layer's weight and bias are views into it. A
+gradient store is a second :class:`ModelParams` of the same layout, which
+:func:`mlp_backward` adds into through its views.
 """
 
 from __future__ import annotations
@@ -62,17 +67,6 @@ class MlpParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def check_shapes(self) -> None:
-        dims = self.spec.layer_dims
-        if len(self.weights) != self.spec.n_layers or len(self.biases) != self.spec.n_layers:
-            raise ValueError("layer count does not match spec")
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            want = (dims[k], dims[k + 1])
-            if w.shape != want:
-                raise ValueError(f"layer {k} weight shape {w.shape}, expected {want}")
-            if b.shape != (dims[k + 1],):
-                raise ValueError(f"layer {k} bias shape {b.shape}, expected ({dims[k + 1]},)")
-
     def arrays(self) -> list[np.ndarray]:
         """Parameter arrays in declared order: W1, b1, W2, b2, ..."""
         out: list[np.ndarray] = []
@@ -87,21 +81,6 @@ class MlpTape:
 
     inputs: list[np.ndarray]
     preacts: list[np.ndarray]
-
-
-def init_params(spec: MlpSpec, seed) -> MlpParams:
-    """Initialize weights uniformly in +/- 1/sqrt(fan_in), biases to zero.
-
-    ``seed`` may be an int or a ``np.random.SeedSequence``; the result is
-    deterministic for a fixed seed.
-    """
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(spec, weights, biases)
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
@@ -124,25 +103,24 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
 
 
 def mlp_backward(
-    params: MlpParams, tape: MlpTape, grad_out: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+    params: MlpParams, tape: MlpTape, grad_out: np.ndarray, grads: MlpParams
+) -> np.ndarray:
     """Backpropagate ``grad_out`` through a recorded forward pass.
 
-    Returns gradients in the same order as :meth:`MlpParams.arrays`
-    (dW1, db1, ...) plus the gradient with respect to the input. The
-    ReLU subgradient at 0 is taken as 0.
+    Adds the parameter gradients into ``grads``, a net of the same spec
+    (typically views into a gradient store), and returns the gradient with
+    respect to the input. The ReLU subgradient at 0 is taken as 0.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     n = params.spec.n_layers
     if g.shape != tape.preacts[-1].shape:
         raise ValueError(f"grad_out shape {g.shape} != output shape {tape.preacts[-1].shape}")
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * n)
     for k in reversed(range(n)):
         dz = g if k == n - 1 else g * (tape.preacts[k] > 0.0)
-        grads[2 * k] = tape.inputs[k].T @ dz
-        grads[2 * k + 1] = dz.sum(axis=0)
+        grads.weights[k] += tape.inputs[k].T @ dz
+        grads.biases[k] += dz.sum(axis=0)
         g = dz @ params.weights[k].T
-    return grads, g
+    return g
 
 
 def row_norms(m: np.ndarray, what: str = "vector") -> np.ndarray:
@@ -193,37 +171,21 @@ class ModelParams:
     ``flat`` holds the encoder (if any), then the visual mapping net, then
     the semantic mapping net, each layer W before b. Every ``weights[k]``
     and ``biases[k]`` of the three nets is a view into ``flat``, so a
-    write through either shows in both. The constructor copies the given
-    nets into a new vector and never keeps or rebinds their arrays.
+    write through either shows in both. The constructor keeps ``flat``
+    itself and copies nothing.
 
-    ``encoder`` is optional; when absent, precomputed features feed the
-    visual mapping net directly (frozen-feature operation). Both mapping
-    nets share the latent output width.
+    ``encoder_spec`` is optional; when absent, precomputed features feed
+    the visual mapping net directly (frozen-feature operation). Both
+    mapping nets share the latent output width.
     """
 
     def __init__(
-        self, visual_map: MlpParams, semantic_map: MlpParams, encoder: MlpParams | None = None
-    ):
-        nets = [net for net in (encoder, visual_map, semantic_map) if net is not None]
-        for net in nets:
-            net.check_shapes()
-        flat = np.concatenate([np.ravel(a) for net in nets for a in net.arrays()], dtype=np.float64)
-        self._bind(flat, visual_map.spec, semantic_map.spec, encoder.spec if encoder else None)
-
-    @classmethod
-    def from_flat(
-        cls,
+        self,
         flat: np.ndarray,
         visual_spec: MlpSpec,
         semantic_spec: MlpSpec,
         encoder_spec: MlpSpec | None = None,
-    ) -> "ModelParams":
-        """The model whose layers are views into ``flat``; nothing is copied."""
-        params = cls.__new__(cls)
-        params._bind(flat, visual_spec, semantic_spec, encoder_spec)
-        return params
-
-    def _bind(self, flat, visual_spec, semantic_spec, encoder_spec) -> None:
+    ):
         specs = [spec for spec in (encoder_spec, visual_spec, semantic_spec) if spec is not None]
         need = sum(spec.n_params for spec in specs)
         if flat.dtype != np.float64 or flat.shape != (need,):
@@ -240,7 +202,7 @@ class ModelParams:
 
     def __reduce__(self):
         # pickle the one vector; the views are rebuilt on load
-        return (ModelParams.from_flat, (self.flat, *self._specs()))
+        return (ModelParams, (self.flat, *self._specs()))
 
     def _specs(self) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
         return (
@@ -298,12 +260,17 @@ class ModelParams:
                 names.append(f"{label}.layer{k}.bias")
         return names
 
+    def array_name(self, index: int) -> str:
+        """Name of the array that holds ``flat[index]``, as :meth:`array_names` gives it."""
+        ends = np.cumsum([a.size for a in self.arrays()])
+        return self.array_names()[int(np.searchsorted(ends, index, side="right"))]
+
     def copy(self) -> "ModelParams":
-        return ModelParams.from_flat(self.flat.copy(), *self._specs())
+        return ModelParams(self.flat.copy(), *self._specs())
 
     def zeros_like(self) -> "ModelParams":
         """A zeroed model of the same layout, e.g. to accumulate gradients in."""
-        return ModelParams.from_flat(np.zeros_like(self.flat), *self._specs())
+        return ModelParams(np.zeros_like(self.flat), *self._specs())
 
 
 def model_spec_dict(params: ModelParams) -> dict:
@@ -341,12 +308,20 @@ def init_model_params(
     encoder_spec: MlpSpec | None,
     seed: int,
 ) -> ModelParams:
-    """Initialize all nets from one seed, each on an independent stream."""
-    enc_seq, vis_seq, sem_seq = np.random.SeedSequence(seed).spawn(3)
-    params = ModelParams(
-        visual_map=init_params(visual_spec, vis_seq),
-        semantic_map=init_params(semantic_spec, sem_seq),
-        encoder=init_params(encoder_spec, enc_seq) if encoder_spec else None,
-    )
+    """Initialize all nets from one seed, each on an independent stream.
+
+    Each weight is drawn uniformly in +/- 1/sqrt(fan_in) straight into its
+    view of ``flat``, layer by layer; biases start at zero.
+    """
+    specs = (visual_spec, semantic_spec, encoder_spec)
+    params = ModelParams(np.zeros(sum(s.n_params for s in specs if s is not None)), *specs)
+    streams = np.random.SeedSequence(seed).spawn(3)  # encoder, visual, semantic
+    for seq, net in zip(streams, (params.encoder, params.visual_map, params.semantic_map)):
+        if net is None:
+            continue
+        rng = np.random.default_rng(seq)
+        for w in net.weights:
+            bound = 1.0 / math.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
     params.validate()
     return params

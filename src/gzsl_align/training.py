@@ -189,6 +189,9 @@ def train(
     """
     t0 = time.perf_counter()
     params0.validate()
+    frozen = cfg.encoder_mode is EncoderMode.FROZEN
+    if frozen and params0.encoder is None:
+        raise ValueError("encoder_mode frozen needs a model with an encoder, and this one has none")
     check_inductive(data.train)
     if params0.feature_dim != data.train.feature_dim:
         raise ValueError(
@@ -200,7 +203,6 @@ def train(
         )
 
     params = params0.copy()
-    frozen = cfg.encoder_mode is EncoderMode.FROZEN and params.encoder is not None
     # the encoder leads the flat vector, so the trainable values are one slice
     n_frozen = params.encoder.spec.n_params if frozen else 0
     theta = params.flat[n_frozen:]
@@ -238,8 +240,9 @@ def train(
             try:
                 adam_step([theta], [grads.flat[n_frozen:]], adam, lr=lr_now)
             except NonFiniteGradientError:
+                bad = n_frozen + int(np.flatnonzero(~np.isfinite(grads.flat[n_frozen:]))[0])
                 raise NonFiniteGradientError(
-                    f"non-finite gradient in {_first_non_finite(grads, n_frozen)}"
+                    f"non-finite gradient in {grads.array_name(bad)}"
                 ) from None
 
         train_eval, _ = total_loss(
@@ -311,13 +314,6 @@ def train(
         best_checkpoint=best_ckpt_path,
         wall_time=time.perf_counter() - t0,
     )
-
-
-def _first_non_finite(grads: ModelParams, start: int) -> str:
-    """Name of the first array holding a non-finite value at or after ``start`` in ``flat``."""
-    bad = start + int(np.flatnonzero(~np.isfinite(grads.flat[start:]))[0])
-    ends = np.cumsum([a.size for a in grads.arrays()])
-    return grads.array_names()[int(np.searchsorted(ends, bad, side="right"))]
 
 
 @dataclass(frozen=True)

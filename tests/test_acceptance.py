@@ -36,6 +36,8 @@ from gzsl_align.optimizers import PlateauScheduler
 from gzsl_align.synthetic import REFERENCE_SEEDS, bayes_reference_auroc
 from gzsl_align.cli import main
 
+pytestmark = pytest.mark.acceptance
+
 VARIANTS = {
     "rank": ("rank",),
     "rank_align": ("rank", "align"),

@@ -426,6 +426,43 @@ def test_frozen_encoder_mode_flag(bench, tmp_path, command):
     assert json.loads((run / "config.json").read_text())["train"]["encoder_mode"] == "frozen"
 
 
+def _encoderless_config(tmp_path) -> Path:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(
+        {"model": {"encoder": None, "visual_map": [12, 8, 4], "semantic_map": [8, 4]}}
+    ))
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_frozen_mode_without_encoder_is_input_error(bench, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [
+        command, "--manifest", str(bench), "--out-dir", str(out), "--config",
+        str(_encoderless_config(tmp_path)), *FAST_TRAIN, "--encoder-mode", "frozen",
+    ]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "frozen" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_latent_dim_with_config_model_section_is_input_error(bench, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [
+        command, "--manifest", str(bench), "--out-dir", str(out), "--config",
+        str(_encoderless_config(tmp_path)), *FAST_TRAIN, "--latent-dim", "6",
+    ]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "--latent-dim" in captured.err and "--config model section" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [

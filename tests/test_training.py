@@ -133,6 +133,17 @@ def test_frozen_encoder_stays_at_init(bundle):
     )
 
 
+def test_frozen_mode_without_encoder_is_rejected_before_any_work(bundle, tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("train ran the objective")
+
+    monkeypatch.setattr(training_module, "total_loss", no_work)
+    cfg = quick_cfg(epochs=1, encoder_mode=EncoderMode.FROZEN)
+    with pytest.raises(ValueError, match="frozen needs a model with an encoder"):
+        train(cfg, bundle, quick_params(bundle, with_encoder=False), out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 def test_best_params_frozen_at_best_epoch(bundle):
     rec = train(quick_cfg(epochs=6), bundle, quick_params(bundle))
     harmonics = [ep.val_report.harmonic for ep in rec.epochs]
@@ -191,16 +202,17 @@ def test_last_checkpoint_carries_full_adam_state(bundle, tmp_path):
     ckpt = load_checkpoint(Path(tmp_path) / "checkpoints" / "last.ckpt")
     assert ckpt.epoch == cfg.epochs
     assert arrays_equal(ckpt.params, rec.final_params)
-    arrays = ckpt.params.arrays()
-    assert len(ckpt.adam.m) == len(arrays)
     assert ckpt.adam_hparams["frozen_encoder"] is True
-    # frozen slots carry zero moments, trainable slots nonzero
-    names = ckpt.params.array_names()
-    for name, m in zip(names, ckpt.adam.m):
-        if name.startswith("encoder."):
-            assert not m.any()
-        else:
-            assert m.any()
+    # each moment is one vector in flat's layout: a zero encoder head, then nonzero moments
+    n_enc = ckpt.params.encoder.spec.n_params
+    for moments in (ckpt.adam.m, ckpt.adam.v):
+        assert len(moments) == 1 and moments[0].shape == ckpt.params.flat.shape
+        assert not moments[0][:n_enc].any()
+        start = n_enc
+        for _, net in ckpt.params.nets()[1:]:
+            for a in net.arrays():
+                assert moments[0][start : start + a.size].any()
+                start += a.size
 
 
 @pytest.mark.parametrize(
