@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import CheckpointError
 from .networks import MlpSpec, ModelParams, model_spec_dict, read_model_spec
 from .optimizers import AdamState
-from .records import is_int
+from .records import canonical_json, is_int
 
 MAGIC = b"GZSLCKPT"
 FORMAT_VERSION = 1
@@ -31,8 +31,7 @@ FORMAT_VERSION = 1
 
 def config_digest(config: dict) -> str:
     """Stable sha256 of a JSON-serializable config dict."""
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -90,7 +89,7 @@ def save_checkpoint(
             **(adam_hparams or {}),
         }
         blocks += [*adam.m, *adam.v]
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    raw = canonical_json(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(raw)))

@@ -23,6 +23,7 @@ from .exceptions import GzslError, ValidationError
 from .gradcheck import run_gradient_check
 from .losses import TERM_NAMES
 from .metrics import (
+    DEFAULT_KS,
     MetricsReport,
     evaluate,
     read_report_json,
@@ -30,7 +31,7 @@ from .metrics import (
     write_report_json,
 )
 from .networks import ModelParams, init_model_params, read_model_spec
-from .records import to_json
+from .records import to_json, write_json
 from .synthetic import SemanticGeometry, SynthSpec, generate
 from .training import (
     EncoderMode,
@@ -76,12 +77,6 @@ def _parse_terms(text: str) -> tuple[str, ...]:
     if not terms:
         raise ValidationError("term mask must name at least one of rank, align, con")
     return terms
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_config_file(path) -> dict:
@@ -159,33 +154,33 @@ def _build_model(bundle, cfg: TrainConfig, model_section, latent_dim) -> ModelPa
     return init_model_params(*specs, cfg.seed)
 
 
+# generate's flags and the record field each one sets; the records hold the defaults
+_SPEC_FLAGS = {
+    "--seed": "seed",
+    "--classes": "n_classes",
+    "--seen": "n_seen",
+    "--d": "d",
+    "--v": "v",
+    "--n-train": "n_train",
+    "--n-val": "n_val",
+    "--n-test": "n_test",
+    "--noise-sigma": "noise_sigma",
+    "--max-labels": "max_labels_per_sample",
+}
+_GEOMETRY_FLAGS = {"--jitter": "jitter", "--parents-min": "parents_min", "--parents-max": "parents_max"}
+
+
 def _cmd_generate(args) -> int:
-    geometry = SemanticGeometry(
-        parents_min=args.parents_min,
-        parents_max=args.parents_max,
-        jitter=args.jitter,
-    )
     try:
-        spec = SynthSpec(
-            n_classes=args.classes,
-            n_seen=args.seen,
-            d=args.d,
-            v=args.v,
-            n_train=args.n_train,
-            n_val=args.n_val,
-            n_test=args.n_test,
-            geometry=geometry,
-            noise_sigma=args.noise_sigma,
-            max_labels_per_sample=args.max_labels,
-            seed=args.seed,
-        )
+        geometry = SemanticGeometry(**{f: getattr(args, f) for f in _GEOMETRY_FLAGS.values()})
+        spec = SynthSpec(geometry=geometry, **{f: getattr(args, f) for f in _SPEC_FLAGS.values()})
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = generate(spec)
     manifest_path = save_manifest(bundle, out)
-    _write_json(out / "synth_spec.json", spec.to_dict())
+    write_json(out / "synth_spec.json", spec.to_dict())
     log.info("benchmark written under %s", out)
     print(manifest_path)
     return 0
@@ -223,7 +218,7 @@ def _cmd_grid(args) -> int:
     params0 = _build_model(bundle, cfg, model_section, args.latent_dim)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(
+    write_json(
         out / "grid_config.json",
         {
             "base": cfg.to_dict(),
@@ -237,7 +232,7 @@ def _cmd_grid(args) -> int:
         grid, cfg, bundle, params0,
         out_dir=out, jobs=args.jobs, random_trials=args.random_trials,
     )
-    _write_json(
+    write_json(
         out / "grid_summary.json",
         {
             "leaderboard": result.leaderboard,
@@ -264,11 +259,11 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     bundle = load_manifest(args.manifest)
     ds = bundle.split(args.split)
-    ks = _parse_ints(args.k) if args.k else (2, 3)
+    ks = _parse_ints(args.k) if args.k else DEFAULT_KS
     report = evaluate(ckpt.params, ds, bundle.semantics, ks)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(
+    write_json(
         out / "eval_config.json",
         {
             "checkpoint": str(args.checkpoint),
@@ -363,19 +358,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic benchmark")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=14)
-    p.add_argument("--seen", type=int, default=10)
-    p.add_argument("--d", type=int, default=16)
-    p.add_argument("--v", type=int, default=32)
-    p.add_argument("--n-train", type=int, default=2000)
-    p.add_argument("--n-val", type=int, default=300)
-    p.add_argument("--n-test", type=int, default=700)
-    p.add_argument("--noise-sigma", type=float, default=0.3)
-    p.add_argument("--max-labels", type=int, default=5)
-    p.add_argument("--jitter", type=float, default=0.05)
-    p.add_argument("--parents-min", type=int, default=2)
-    p.add_argument("--parents-max", type=int, default=3)
+    for flags, record in ((_SPEC_FLAGS, SynthSpec()), (_GEOMETRY_FLAGS, SemanticGeometry())):
+        for flag, name in flags.items():
+            default = getattr(record, name)
+            p.add_argument(flag, dest=name, type=type(default), default=default)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("validate", help="lint a dataset manifest")

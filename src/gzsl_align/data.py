@@ -18,6 +18,7 @@ import numpy as np
 
 from .exceptions import InductiveViolationError, ManifestError
 from .networks import row_norms
+from .records import write_json
 
 
 class LabelSpace(enum.Enum):
@@ -328,5 +329,5 @@ def save_manifest(bundle: DataBundle, out_dir) -> Path:
         _write_csv(out / l_name, ds.labels, integer=True)
         doc["splits"][split] = {"features": f_name, "labels": l_name}
     manifest = out / "manifest.json"
-    manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(manifest, doc)
     return manifest

@@ -1,9 +1,10 @@
 """Composite training objective: ranking + alignment + consistency.
 
-Each term is one function of the latent rows that returns its value
-and its gradient: :func:`rank_term`, :func:`align_term` and
-:func:`con_term`. :func:`total_loss` runs the tower forwards, sums the
-terms and chains their gradients back through the recorded forward tapes.
+Each term is one function of unit latent rows that returns its value
+and its gradient w.r.t. those rows: :func:`rank_term`, :func:`align_term`
+and :func:`con_term`. :func:`total_loss` makes one pass per tower: one
+forward, one normalization, and one backward that takes the summed
+unit-row gradients through the normalization and the recorded tape.
 All three terms are differentiable almost everywhere; subgradients at
 the hinge and absolute-value kinks are taken as 0.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .networks import ModelParams, mlp_backward, mlp_forward, pairwise_cosine, row_norms
-from .records import JsonRecord
+from .records import JsonRecord, check_finite
 
 TERM_NAMES = ("rank", "align", "con")
 CON_BLOCK = 128  # rows per block of the consistency term's class x class walk
@@ -42,6 +43,7 @@ class LossConfig(JsonRecord):
     pair_normalize: bool = False
 
     def __post_init__(self):
+        check_finite(self)
         if self.delta < 0:
             raise ValueError(f"margin delta must be >= 0, got {self.delta}")
         if self.gamma1 < 0 or self.gamma2 < 0:
@@ -121,52 +123,37 @@ def rank_term(
 
 
 def align_term(
-    z_hat: np.ndarray,
-    z_norm: np.ndarray,
-    a_hat: np.ndarray,
-    a_norm: np.ndarray,
-    gamma1: float,
-    compute_grads: bool = True,
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Mean of (1 - cosine) over paired visual/semantic latent rows.
+    z_hat: np.ndarray, a_hat: np.ndarray, gamma1: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean of (1 - cosine) over paired visual/semantic unit rows.
 
     Row i pairs the latent visual of a sample that has at least one
     positive label with the projection of its averaged positive
-    semantics; each side comes as unit rows plus their norms. Returns the
-    value and the gradients of ``gamma1 * value`` w.r.t. the unnormalized
-    visual and semantic rows (both None without ``compute_grads``). An
-    empty pairing yields 0.
+    semantics. Returns the value and the gradients of ``gamma1 * value``
+    w.r.t. the unit rows ``z_hat`` and ``a_hat``. An empty pairing yields 0.
     """
     if z_hat.shape != a_hat.shape:
         raise ValueError(f"visual shape {z_hat.shape} != semantic shape {a_hat.shape}")
     n = z_hat.shape[0]
     cos = np.clip((z_hat * a_hat).sum(axis=1), -1.0, 1.0)
     value = float(np.mean(1.0 - cos)) if n else 0.0
-    if not compute_grads:
-        return value, None, None
-    coeff = gamma1 / max(n, 1)  # an empty pairing has empty gradients
-    d_z = -coeff * (a_hat - cos[:, None] * z_hat) / z_norm[:, None]
-    d_a = -coeff * (z_hat - cos[:, None] * a_hat) / a_norm[:, None]
-    return value, d_z, d_a
+    coeff = -gamma1 / max(n, 1)  # an empty pairing has empty gradients
+    return value, coeff * a_hat, coeff * z_hat
 
 
 def con_term(
-    t_hat: np.ndarray,
-    t_norm: np.ndarray,
-    target: np.ndarray,
-    gamma2: float,
-    compute_grads: bool = True,
+    t_hat: np.ndarray, target: np.ndarray, gamma2: float, compute_grads: bool = True
 ) -> tuple[float, np.ndarray | None]:
     """L1 drift of pairwise class cosines under the semantic projection.
 
-    ``t_hat`` holds the projected seen-class rows as unit rows, ``t_norm``
-    their norms, and ``target`` the fixed cosines of the original rows,
+    ``t_hat`` holds the projected seen-class rows as unit rows, and
+    ``target`` the fixed cosines of the original rows,
     ``pairwise_cosine(W, W)``. Sums |c_ij - t_ij| over ordered pairs
-    i != j, where c_ij = cos(p_i, p_j), so each unordered pair counts
+    i != j, where c_ij = t_hat_i . t_hat_j, so each unordered pair counts
     twice. Returns the value and the gradient of ``gamma2 * value``
-    w.r.t. the unnormalized projected rows (None without
-    ``compute_grads``); the subgradient of the pair {i, j} is
-    sign(c_ij - t_ij) + sign(c_ij - t_ji), for any target.
+    w.r.t. the unit rows (None without ``compute_grads``); the
+    subgradient of the pair {i, j} is sign(c_ij - t_ij) + sign(c_ij - t_ji),
+    for any target.
 
     The class x class matrix is walked in blocks of ``CON_BLOCK`` rows,
     over the block pairs (I, J >= I) of its upper triangle. Each cosine
@@ -179,9 +166,7 @@ def con_term(
     if target.shape != (k, k):
         raise ValueError(f"target shape {target.shape} != ({k}, {k})")
     value = 0.0
-    if compute_grads:
-        h_t = np.zeros_like(t_hat)  # H @ t_hat
-        h_c = np.zeros(k)  # row sums of H * C
+    d_t = np.zeros_like(t_hat) if compute_grads else None  # H @ t_hat
     for i0 in range(0, k, CON_BLOCK):
         rows_i = slice(i0, i0 + CON_BLOCK)
         t_i = t_hat[rows_i]
@@ -194,31 +179,26 @@ def con_term(
                 np.fill_diagonal(diff, 0.0)
                 if compute_grads:
                     H = np.sign(diff)
-                    H = H + H.T  # each row appears on both sides of every ordered pair
-                    h_t[rows_i] += H @ t_i
-                    h_c[rows_i] += (H * c).sum(axis=1)
+                    # each row appears on both sides of every ordered pair
+                    d_t[rows_i] += (H + H.T) @ t_i
                 value += float(np.abs(diff, out=diff).sum())
                 continue
             diff_t = c.T - target[rows_j, rows_i]
             if compute_grads:
                 H = np.sign(diff) + np.sign(diff_t).T
-                h_t[rows_i] += H @ t_j
-                h_t[rows_j] += H.T @ t_i
-                H *= c
-                h_c[rows_i] += H.sum(axis=1)
-                h_c[rows_j] += H.sum(axis=0)
+                d_t[rows_i] += H @ t_j
+                d_t[rows_j] += H.T @ t_i
             value += float(np.abs(diff, out=diff).sum()) + float(np.abs(diff_t, out=diff_t).sum())
-    if not compute_grads:
-        return value, None
-    d_t = gamma2 * (h_t - h_c[:, None] * t_hat) / t_norm[:, None]
+    if compute_grads:
+        d_t *= gamma2
     return value, d_t
 
 
-def _cosine_rows_backward(Xhat, xnorm, Yhat, ynorm, C, dC):
-    """Gradients of sum(dC * C) where C[i,j] = cos(x_i, y_j)."""
-    dX = (dC @ Yhat - (dC * C).sum(axis=1, keepdims=True) * Xhat) / xnorm[:, None]
-    dY = (dC.T @ Xhat - (dC * C).sum(axis=0)[:, None] * Yhat) / ynorm[:, None]
-    return dX, dY
+def _unit_rows_backward(g: np.ndarray, x_hat: np.ndarray, x_norm: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. x from ``g``, the gradient w.r.t. x_hat = x / |x|, in place."""
+    g -= (g * x_hat).sum(axis=1, keepdims=True) * x_hat
+    g /= x_norm[:, None]
+    return g
 
 
 def total_loss(
@@ -250,6 +230,13 @@ def total_loss(
         of the same layout whose ``flat`` holds d(total)/d(params.flat).
         Ranking and alignment gradients flow into the encoder and visual
         mapping nets; all three terms reach the semantic mapping net.
+
+    Each net runs forward once and backward at most once. The semantic
+    map runs over one stacked input: the seen rows (for rank or con),
+    then the averaged positive rows of each sample that has a positive
+    (for align). Each tower output is normalized once; the terms return
+    gradients w.r.t. the unit rows, which are summed per tower and taken
+    through one normalization backward.
     """
     F = np.atleast_2d(np.asarray(features, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(labels_seen))
@@ -260,65 +247,63 @@ def total_loss(
     if Y.shape != (n, W.shape[0]):
         raise ValueError(f"labels shape {Y.shape} != (batch {n}, seen {W.shape[0]})")
 
+    need_visual = cfg.use_rank or cfg.use_align
+    need_semantic = need_visual or cfg.use_con
+    n_cls = W.shape[0] if cfg.use_rank or cfg.use_con else 0  # class rows in the stack
     grads = params.zeros_like() if compute_grads else None
 
-    need_visual = cfg.use_rank or cfg.use_align
-    need_classes = cfg.use_rank or cfg.use_con
-
-    Z = dZ = tape_enc = tape_vis = None
     if need_visual:
-        if params.encoder is not None:
-            enc_out, tape_enc = mlp_forward(params.encoder, F)
-        else:
-            enc_out = F
+        enc_out, tape_enc = (F, None) if params.encoder is None else mlp_forward(params.encoder, F)
         Z, tape_vis = mlp_forward(params.visual_map, enc_out)
         z_norm = row_norms(Z, "latent visual")
-        Zhat = Z / z_norm[:, None]
-        dZ = np.zeros_like(Z)
+        z_hat = Z / z_norm[:, None]
+        d_z = np.zeros_like(Z) if compute_grads else None
 
-    T = dT = tape_cls = None
-    if need_classes:
-        T, tape_cls = mlp_forward(params.semantic_map, W)
-        t_norm = row_norms(T, "projected semantic")
-        That = T / t_norm[:, None]
-        dT = np.zeros_like(T)
+    if need_semantic:
+        counts = Y.sum(axis=1)
+        valid = (counts > 0) & cfg.use_align  # the samples that take an averaged row
+        sem_in = np.empty((n_cls + int(valid.sum()), W.shape[1]))
+        sem_in[:n_cls] = W[:n_cls]
+        np.matmul(Y[valid].astype(np.float64), W, out=sem_in[n_cls:])
+        sem_in[n_cls:] /= counts[valid, None]  # each sample's w_bar
+        T, tape_sem = mlp_forward(params.semantic_map, sem_in)
+        t_norm = np.concatenate([
+            row_norms(T[:n_cls], "projected semantic"),
+            row_norms(T[n_cls:], "projected averaged semantic"),
+        ])
+        t_hat = T / t_norm[:, None]
+        d_t = np.zeros_like(T) if compute_grads else None
 
     rank_val = 0.0
     if cfg.use_rank:
-        scores = np.clip(Zhat @ That.T, -1.0, 1.0)
+        scores = np.clip(z_hat @ t_hat[:n_cls].T, -1.0, 1.0)
         rank_val, d_scores = rank_term(scores, Y, cfg.delta, cfg.pair_normalize)
         if compute_grads:
-            dZ_r, dT_r = _cosine_rows_backward(Zhat, z_norm, That, t_norm, scores, d_scores)
-            dZ += dZ_r
-            dT += dT_r
+            d_z += d_scores @ t_hat[:n_cls]
+            d_t[:n_cls] += d_scores.T @ z_hat
 
     align_val = 0.0
     if cfg.use_align:
-        counts = Y.sum(axis=1)
-        valid = counts > 0
-        w_bar = (Y[valid].astype(np.float64) @ W) / counts[valid, None]
-        A, tape_avg = mlp_forward(params.semantic_map, w_bar)
-        a_norm = row_norms(A, "projected averaged semantic")
-        align_val, dZ_a, dA = align_term(
-            Zhat[valid], z_norm[valid], A / a_norm[:, None], a_norm, cfg.gamma1, compute_grads
-        )
+        align_val, d_z_a, d_a = align_term(z_hat[valid], t_hat[n_cls:], cfg.gamma1)
         if compute_grads:
-            dZ[valid] += dZ_a
-            mlp_backward(params.semantic_map, tape_avg, dA, grads.semantic_map)
+            d_z[valid] += d_z_a
+            d_t[n_cls:] += d_a
 
     con_val = 0.0
     if cfg.use_con:
         target = semantic_cosines
         if target is None:
             target = pairwise_cosine(W, W, "semantic row")
-        con_val, dT_c = con_term(That, t_norm, target, cfg.gamma2, compute_grads)
+        con_val, d_t_c = con_term(t_hat[:n_cls], target, cfg.gamma2, compute_grads)
         if compute_grads:
-            dT += dT_c
+            d_t[:n_cls] += d_t_c
 
-    if compute_grads and need_classes:
-        mlp_backward(params.semantic_map, tape_cls, dT, grads.semantic_map)
+    if compute_grads and need_semantic:
+        g = _unit_rows_backward(d_t, t_hat, t_norm)
+        mlp_backward(params.semantic_map, tape_sem, g, grads.semantic_map)
     if compute_grads and need_visual:
-        d_enc_out = mlp_backward(params.visual_map, tape_vis, dZ, grads.visual_map)
+        g = _unit_rows_backward(d_z, z_hat, z_norm)
+        d_enc_out = mlp_backward(params.visual_map, tape_vis, g, grads.visual_map)
         if params.encoder is not None:
             mlp_backward(params.encoder, tape_enc, d_enc_out, grads.encoder)
 

@@ -15,7 +15,9 @@ import numpy as np
 from .data import ClassVocabulary, Dataset, LabelSpace, SemanticMatrix
 from .exceptions import UndefinedAurocError, ValidationError
 from .networks import ModelParams, mlp_forward, pairwise_cosine
-from .records import JsonRecord
+from .records import JsonRecord, write_json
+
+DEFAULT_KS = (2, 3)  # the top-k cut-offs reported when none are given
 
 
 def infer_scores(
@@ -202,7 +204,7 @@ def evaluate(
     params: ModelParams,
     dataset: Dataset,
     semantics: SemanticMatrix,
-    ks: tuple[int, ...] = (2, 3),
+    ks: tuple[int, ...] = DEFAULT_KS,
 ) -> MetricsReport:
     """Score a full-width dataset and assemble the complete report."""
     if dataset.label_space is not LabelSpace.ALL_CLASSES:
@@ -222,9 +224,7 @@ def evaluate(
 
 
 def write_report_json(report: MetricsReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_dict())
 
 
 def read_report_json(path) -> MetricsReport:

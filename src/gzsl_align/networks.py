@@ -226,10 +226,6 @@ class ModelParams:
             )
 
     @property
-    def latent_dim(self) -> int:
-        return self.visual_map.spec.out_dim
-
-    @property
     def feature_dim(self) -> int:
         return self.encoder.spec.in_dim if self.encoder else self.visual_map.spec.in_dim
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
+import math
 import types
 import typing
 
@@ -16,6 +18,29 @@ import typing
 def is_int(x) -> bool:
     """True for a JSON integer: an ``int`` that is not a ``bool``."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def canonical_json(value) -> str:
+    """Compact JSON with sorted keys: the form config digests and checkpoint headers take."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def write_json(path, value) -> None:
+    """Write ``value`` to ``path`` as JSON: indent 2, sorted keys, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def check_finite(record) -> None:
+    """Raise ``ValueError`` on a float field of a dataclass that is NaN or infinite.
+
+    ``x < 0`` is false for NaN, so range checks alone let it through.
+    """
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def to_json(value):

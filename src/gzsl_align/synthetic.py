@@ -31,7 +31,7 @@ from .data import (
 from .losses import LossConfig
 from .metrics import per_class_auroc
 from .networks import ModelParams, init_model_params, pairwise_cosine
-from .records import JsonRecord
+from .records import JsonRecord, check_finite
 from .training import EncoderMode, TrainConfig, default_model_specs
 
 REFERENCE_SEEDS = (1, 2, 3, 4, 5)
@@ -58,6 +58,7 @@ class SemanticGeometry(JsonRecord):
     jitter: float = 0.05
 
     def __post_init__(self):
+        check_finite(self)
         if not 1 <= self.parents_min <= self.parents_max:
             raise ValueError("need 1 <= parents_min <= parents_max")
         if self.jitter < 0:
@@ -81,6 +82,7 @@ class SynthSpec(JsonRecord):
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if not 2 <= self.n_seen < self.n_classes:
             raise ValueError(f"need 2 <= n_seen < n_classes, got {self.n_seen}/{self.n_classes}")
         for name in ("d", "v", "n_train", "n_val", "n_test"):
@@ -262,9 +264,9 @@ def reference_spec(seed: int) -> SynthSpec:
     return SynthSpec(seed=seed)
 
 
-def reference_model_params(spec: SynthSpec, seed: int, with_encoder: bool = True) -> ModelParams:
+def reference_model_params(spec: SynthSpec, seed: int) -> ModelParams:
     """Initial model sized for the benchmark dims at a given seed."""
-    visual, semantic, encoder = default_model_specs(spec.v, spec.d, with_encoder)
+    visual, semantic, encoder = default_model_specs(spec.v, spec.d)
     return init_model_params(visual, semantic, encoder, seed)
 
 

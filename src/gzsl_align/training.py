@@ -4,7 +4,6 @@ model selection by validation harmonic AUROC, and the hyperparameter grid.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -22,10 +21,10 @@ from .exceptions import (
     UndefinedAurocError,
 )
 from .losses import LossBreakdown, LossConfig, total_loss
-from .metrics import MetricsReport, evaluate, infer_scores, per_class_auroc
+from .metrics import DEFAULT_KS, MetricsReport, evaluate, infer_scores, per_class_auroc
 from .networks import MlpSpec, ModelParams, model_spec_dict, pairwise_cosine
 from .optimizers import ADAM_HPARAMS, AdamState, PlateauScheduler, adam_step, init_adam
-from .records import JsonRecord
+from .records import JsonRecord, check_finite, write_json
 
 
 class EncoderMode(Enum):
@@ -78,9 +77,10 @@ class TrainConfig(JsonRecord):
     patience: int = 10
     lr_factor: float = 0.01
     min_delta: float = 1e-6
-    ks: tuple[int, ...] = (2, 3)
+    ks: tuple[int, ...] = DEFAULT_KS
 
     def __post_init__(self):
+        check_finite(self)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -281,9 +281,7 @@ def train(
         (out / "checkpoints").mkdir(parents=True, exist_ok=True)
         config = run_config_dict(cfg, params)
         digest = config_digest(config)
-        with open(out / "config.json", "w", encoding="utf-8") as fh:
-            json.dump(config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "config.json", config)
         with open(out / "metrics.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(_metrics_rows(records)) + "\n")
         best_ckpt_path = str(out / "checkpoints" / "best.ckpt")
@@ -326,6 +324,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.gamma_candidates or not self.lr_candidates:
             raise ValueError("candidate sets must be non-empty")
+        if not np.isfinite([*self.gamma_candidates, *self.lr_candidates]).all():
+            raise ValueError("candidates must be finite")
         if any(g < 0 for g in self.gamma_candidates):
             raise ValueError("gamma candidates must be >= 0")
         if any(lr <= 0 for lr in self.lr_candidates):

@@ -119,17 +119,16 @@ def test_criterion_01_gradient_oracle():
 
 def _unit(rows):
     rows = np.asarray(rows, dtype=np.float64)
-    norms = np.linalg.norm(rows, axis=1)
-    return rows / norms[:, None], norms
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
 def _align(visuals, semantics) -> float:
-    return align_term(*_unit(visuals), *_unit(semantics), 1.0, compute_grads=False)[0]
+    return align_term(_unit(visuals), _unit(semantics), 1.0)[0]
 
 
 def _con(original, projected) -> float:
     target = pairwise_cosine(original, original)
-    return con_term(*_unit(projected), target, 1.0, compute_grads=False)[0]
+    return con_term(_unit(projected), target, 1.0, compute_grads=False)[0]
 
 
 def test_criterion_02_loss_fixtures():

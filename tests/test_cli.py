@@ -177,6 +177,38 @@ def test_train_bad_term_mask(bench, tmp_path, capsys):
     assert "unknown loss terms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("train", ["--lr", "nan"]),
+        ("train", ["--lr", "inf"]),
+        ("train", ["--gamma1", "nan"]),
+        ("train", ["--delta", "inf"]),
+        ("train", ["--config", '{"min_delta": Infinity}']),
+        ("grid", ["--gammas", "0.1,nan"]),
+        ("generate", ["--noise-sigma", "nan"]),
+        ("generate", ["--jitter", "inf"]),
+    ],
+    ids=[
+        "lr-nan", "lr-inf", "gamma1-nan", "delta-inf", "config-min_delta-inf",
+        "grid-gamma-nan", "noise_sigma-nan", "jitter-inf",
+    ],
+)
+def test_non_finite_setting_is_input_error(bench, tmp_path, capsys, command, flags):
+    if flags[0] == "--config":
+        config = tmp_path / "config.json"
+        config.write_text(flags[1])
+        flags = ["--config", str(config)]
+    out = tmp_path / "out"
+    argv = [command, "--out-dir", str(out), *flags]
+    if command != "generate":
+        argv += ["--manifest", str(bench), "--epochs", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err, err
+    assert not out.exists()
+
+
 def test_train_refuses_unseen_positive(bench, tmp_path, capsys):
     # widen the stored train labels to full class width and poison sample 2
     poisoned = tmp_path / "poisoned"

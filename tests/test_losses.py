@@ -1,6 +1,11 @@
 """Objective terms against hand computations and finite differences."""
 
+import inspect
+import itertools
+import re
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,16 +22,18 @@ from gzsl_align import (
     rank_term,
     total_loss,
 )
-from gzsl_align.networks import MlpSpec, init_model_params, mlp_forward, row_norms
+from gzsl_align import losses
+from gzsl_align.networks import MlpSpec, init_model_params, mlp_backward, mlp_forward, row_norms
 from gzsl_align.gradcheck import GradcheckResult, run_gradient_check
-from gzsl_align.losses import CON_BLOCK
+from gzsl_align.losses import CON_BLOCK, TERM_NAMES
+
+TERM_MASKS = [t for r in (1, 2, 3) for t in itertools.combinations(TERM_NAMES, r)]
 
 
 def _unit(x):
-    """Unit rows of ``x`` and their norms, as the align and con terms take them."""
+    """Unit rows of ``x``, as the align and con terms take them."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    norms = row_norms(x)
-    return x / norms[:, None], norms
+    return x / row_norms(x)[:, None]
 
 
 def _rank(scores, labels, delta=0.5, pair_normalize=False):
@@ -34,11 +41,11 @@ def _rank(scores, labels, delta=0.5, pair_normalize=False):
 
 
 def _align(visuals, semantics, gamma1=1.0):
-    return align_term(*_unit(visuals), *_unit(semantics), gamma1)[0]
+    return align_term(_unit(visuals), _unit(semantics), gamma1)[0]
 
 
 def _con(original, projected, gamma2=1.0):
-    return con_term(*_unit(projected), pairwise_cosine(original, original), gamma2)[0]
+    return con_term(_unit(projected), pairwise_cosine(original, original), gamma2)[0]
 
 
 def _central_diff(value, x, step=1e-6):
@@ -220,11 +227,8 @@ def test_alignment_range(seed):
 
 def test_alignment_empty_pairing_is_zero():
     empty = np.zeros((0, 3))
-    value, d_z, d_a = align_term(empty, np.zeros(0), empty, np.zeros(0), 0.1)
+    value, d_z, d_a = align_term(empty, empty, 0.1)
     assert value == 0.0 and d_z.shape == d_a.shape == (0, 3)
-    assert align_term(empty, np.zeros(0), empty, np.zeros(0), 0.1, compute_grads=False) == (
-        0.0, None, None
-    )
 
 
 def _align_oracle(latent_visuals, projected_semantics) -> float:
@@ -247,20 +251,20 @@ def test_alignment_term_matches_standalone_oracle(seed):
     v = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
     w = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
     want = _align_oracle(v, w)
-    got = align_term(*_unit(v), *_unit(w), 0.1, compute_grads=False)[0]
+    got = align_term(_unit(v), _unit(w), 0.1)[0]
     assert abs(got - want) < 1e-12
 
 
 def test_alignment_gradients_match_finite_differences():
     rng = np.random.default_rng(31)
-    visuals = rng.standard_normal((4, 3))
-    semantics = rng.standard_normal((4, 3))
+    visuals = _unit(rng.standard_normal((4, 3)))
+    semantics = _unit(rng.standard_normal((4, 3)))
     gamma1 = 0.3
 
     def value() -> float:
-        return gamma1 * align_term(*_unit(visuals), *_unit(semantics), gamma1, False)[0]
+        return gamma1 * align_term(visuals, semantics, gamma1)[0]
 
-    _, d_z, d_a = align_term(*_unit(visuals), *_unit(semantics), gamma1)
+    _, d_z, d_a = align_term(visuals, semantics, gamma1)
     np.testing.assert_allclose(d_z, _central_diff(value, visuals), rtol=0, atol=1e-8)
     np.testing.assert_allclose(d_a, _central_diff(value, semantics), rtol=0, atol=1e-8)
 
@@ -326,27 +330,27 @@ def test_consistency_term_matches_standalone_oracle(seed):
 
 def test_alignment_and_consistency_reject_mismatched_shapes():
     with pytest.raises(ValueError, match="shape"):
-        align_term(np.ones((2, 3)), np.ones(2), np.ones((1, 3)), np.ones(1), 0.1)
+        align_term(np.ones((2, 3)), np.ones((1, 3)), 0.1)
     with pytest.raises(ValueError, match="target shape"):
-        con_term(np.ones((3, 2)), np.ones(3), np.eye(2), 0.1)
+        con_term(np.ones((3, 2)), np.eye(2), 0.1)
 
 
 def test_consistency_gradients_match_finite_differences():
     rng = np.random.default_rng(37)
     target = pairwise_cosine(*(2 * [rng.standard_normal((5, 4))]))
-    projected = rng.standard_normal((5, 3))
+    projected = _unit(rng.standard_normal((5, 3)))
     gamma2 = 0.7
     drift = np.abs(pairwise_cosine(projected, projected) - target)[~np.eye(5, dtype=bool)]
     assert drift.min() > 1e-3  # away from the absolute-value kink
 
     def value() -> float:
-        return gamma2 * con_term(*_unit(projected), target, gamma2, False)[0]
+        return gamma2 * con_term(projected, target, gamma2, False)[0]
 
-    _, d_t = con_term(*_unit(projected), target, gamma2)
+    _, d_t = con_term(projected, target, gamma2)
     np.testing.assert_allclose(d_t, _central_diff(value, projected), rtol=0, atol=1e-7)
 
 
-def _con_dense_oracle(t_hat, t_norm, target, gamma2, compute_grads):
+def _con_dense_oracle(t_hat, target, gamma2, compute_grads):
     """The former dense consistency term: the whole class x class matrix at once."""
     c_proj = np.clip(t_hat @ t_hat.T, -1.0, 1.0)
     diff = c_proj - target
@@ -355,9 +359,7 @@ def _con_dense_oracle(t_hat, t_norm, target, gamma2, compute_grads):
     if not compute_grads:
         return value, None
     H = np.sign(diff)
-    H = H + H.T
-    d_t = gamma2 * (H @ t_hat - (H * c_proj).sum(axis=1, keepdims=True) * t_hat) / t_norm[:, None]
-    return value, d_t
+    return value, gamma2 * ((H + H.T) @ t_hat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -375,15 +377,14 @@ def test_consistency_blocks_match_dense_oracle(k, ties, compute_grads, seed):
         t_hat = np.zeros((k, 8))
         for row in t_hat:
             row[rng.choice(8, 4, replace=False)] = rng.choice([-0.5, 0.5], 4)
-        t_norm = rng.uniform(0.5, 2.0, k)
         target = t_hat @ t_hat.T
         moved = rng.uniform(size=(k, k)) < 0.3  # on one side of a pair only, mostly
         target[moved] = rng.uniform(-1.0, 1.0, int(moved.sum()))
     else:
-        t_hat, t_norm = _unit(rng.standard_normal((k, int(rng.integers(1, 9)))))
+        t_hat = _unit(rng.standard_normal((k, int(rng.integers(1, 9)))))
         target = rng.uniform(-1.0, 1.0, (k, k))  # neither symmetric nor unit-diagonal
-    value, d_t = con_term(t_hat, t_norm, target, 0.3, compute_grads)
-    want, want_d = _con_dense_oracle(t_hat, t_norm, target, 0.3, compute_grads)
+    value, d_t = con_term(t_hat, target, 0.3, compute_grads)
+    want, want_d = _con_dense_oracle(t_hat, target, 0.3, compute_grads)
     exact = k <= CON_BLOCK  # one diagonal block: the dense arithmetic, bit for bit
     assert value == want if exact else abs(value - want) <= 1e-12 * abs(want)
     if not compute_grads:
@@ -394,16 +395,16 @@ def test_consistency_blocks_match_dense_oracle(k, ties, compute_grads, seed):
     )
     # the pair {i, j} takes sign(c_ij - t_ij) + sign(c_ij - t_ji): a transposed target
     # gives the same gradient bit for bit, as the cosine blocks are exactly symmetric
-    assert np.array_equal(con_term(t_hat, t_norm, target.T.copy(), 0.3)[1], d_t)
+    assert np.array_equal(con_term(t_hat, target.T.copy(), 0.3)[1], d_t)
 
 
 def test_consistency_term_peak_memory_at_paper_scale():
     rng = np.random.default_rng(4)
-    t_hat, t_norm = _unit(rng.standard_normal((925, 16)))
+    t_hat = _unit(rng.standard_normal((925, 16)))
     target = pairwise_cosine(*(2 * [rng.standard_normal((925, 32))]))
     tracemalloc.start()
     try:
-        con_term(t_hat, t_norm, target, 0.1)
+        con_term(t_hat, target, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -506,11 +507,134 @@ def test_total_loss_composes_the_terms():
     counts = labels.sum(axis=1)
     valid = counts > 0
     A, _ = mlp_forward(params.semantic_map, (labels[valid] @ sem) / counts[valid, None])
-    z_hat, z_norm = _unit(Z)
-    align, _, _ = align_term(z_hat[valid], z_norm[valid], *_unit(A), cfg.gamma1)
-    con, _ = con_term(*_unit(T), pairwise_cosine(sem, sem), cfg.gamma2)
+    align, _, _ = align_term(_unit(Z)[valid], _unit(A), cfg.gamma1)
+    con, _ = con_term(_unit(T), pairwise_cosine(sem, sem), cfg.gamma2)
     assert (breakdown.rank, breakdown.align, breakdown.con) == (rank, align, con)
     assert breakdown.total == rank + cfg.gamma1 * align + cfg.gamma2 * con
+
+
+def _cosine_rows_backward(Xhat, xnorm, Yhat, ynorm, C, dC):
+    """Gradients of sum(dC * C) where C[i,j] = cos(x_i, y_j)."""
+    dX = (dC @ Yhat - (dC * C).sum(axis=1, keepdims=True) * Xhat) / xnorm[:, None]
+    dY = (dC.T @ Xhat - (dC * C).sum(axis=0)[:, None] * Yhat) / ynorm[:, None]
+    return dX, dY
+
+
+def _total_loss_oracle(F, Y, W, params, cfg):
+    """The former composition: each term takes its own norm gradients, and the
+    semantic map runs twice, once over the class rows and once over the w_bar rows.
+
+    Returns the (rank, align, con, total) values and d(total)/d(params.flat).
+    """
+    grads = params.zeros_like()
+    rank = align = con = 0.0
+    if cfg.use_rank or cfg.use_align:
+        enc, tape_enc = (F, None) if params.encoder is None else mlp_forward(params.encoder, F)
+        Z, tape_vis = mlp_forward(params.visual_map, enc)
+        z_norm = row_norms(Z)
+        z_hat = Z / z_norm[:, None]
+        dZ = np.zeros_like(Z)
+    if cfg.use_rank or cfg.use_con:
+        T, tape_cls = mlp_forward(params.semantic_map, W)
+        t_norm = row_norms(T)
+        t_hat = T / t_norm[:, None]
+        dT = np.zeros_like(T)
+    if cfg.use_rank:
+        scores = np.clip(z_hat @ t_hat.T, -1.0, 1.0)
+        rank, d_scores = rank_term(scores, Y, cfg.delta, cfg.pair_normalize)
+        dZ_r, dT_r = _cosine_rows_backward(z_hat, z_norm, t_hat, t_norm, scores, d_scores)
+        dZ += dZ_r
+        dT += dT_r
+    if cfg.use_align:
+        counts = Y.sum(axis=1)
+        valid = counts > 0
+        A, tape_avg = mlp_forward(params.semantic_map, (Y[valid] @ W) / counts[valid, None])
+        a_norm = row_norms(A)
+        a_hat = A / a_norm[:, None]
+        zv, zn = z_hat[valid], z_norm[valid]
+        cos = np.clip((zv * a_hat).sum(axis=1), -1.0, 1.0)
+        align = float(np.mean(1.0 - cos)) if cos.size else 0.0
+        coeff = cfg.gamma1 / max(cos.size, 1)
+        dZ[valid] -= coeff * (a_hat - cos[:, None] * zv) / zn[:, None]
+        dA = -coeff * (zv - cos[:, None] * a_hat) / a_norm[:, None]
+        mlp_backward(params.semantic_map, tape_avg, dA, grads.semantic_map)
+    if cfg.use_con:
+        c_proj = np.clip(t_hat @ t_hat.T, -1.0, 1.0)
+        diff = c_proj - pairwise_cosine(W, W)
+        np.fill_diagonal(diff, 0.0)
+        con = float(np.abs(diff).sum())
+        H = np.sign(diff)
+        H = H + H.T
+        h_c = (H * c_proj).sum(axis=1, keepdims=True)
+        dT += cfg.gamma2 * (H @ t_hat - h_c * t_hat) / t_norm[:, None]
+    if cfg.use_rank or cfg.use_con:
+        mlp_backward(params.semantic_map, tape_cls, dT, grads.semantic_map)
+    if cfg.use_rank or cfg.use_align:
+        d_enc = mlp_backward(params.visual_map, tape_vis, dZ, grads.visual_map)
+        if params.encoder is not None:
+            mlp_backward(params.encoder, tape_enc, d_enc, grads.encoder)
+    return (rank, align, con, rank + cfg.gamma1 * align + cfg.gamma2 * con), grads.flat
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    s=st.sampled_from([2, 10, 129, 259]),
+    with_encoder=st.booleans(),
+    terms=st.sampled_from(TERM_MASKS),
+    pair_normalize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_total_loss_matches_two_pass_oracle(s, with_encoder, terms, pair_normalize, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    encoder = MlpSpec((5, 5)) if with_encoder else None
+    params = init_model_params(MlpSpec((5, 6, 3)), MlpSpec((4, 6, 3)), encoder, seed=0)
+    params.flat[:] = rng.uniform(-1.0, 1.0, params.flat.size)  # nonzero biases: no zero rows
+    feats = rng.standard_normal((n, 5))
+    sem = rng.standard_normal((s, 4))
+    labels = (rng.uniform(size=(n, s)) < rng.uniform(0.05, 0.6)).astype(np.int8)
+    labels[rng.uniform(size=n) < 0.3] = 0  # rows without positives
+    cfg = LossConfig(delta=0.4, gamma1=0.3, gamma2=0.7, pair_normalize=pair_normalize)
+    cfg = cfg.with_terms(terms)
+
+    breakdown, grads = total_loss(feats, labels, sem, params, cfg)
+    want, want_grad = _total_loss_oracle(feats, labels, sem, params, cfg)
+    got = (breakdown.rank, breakdown.align, breakdown.con, breakdown.total)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w)
+    assert np.abs(grads.flat - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+    assert total_loss(feats, labels, sem, params, cfg, compute_grads=False) == (breakdown, None)
+
+
+@pytest.mark.parametrize("compute_grads", [True, False], ids=["grads", "values"])
+@pytest.mark.parametrize("terms", TERM_MASKS, ids="+".join)
+def test_each_net_runs_forward_once_and_backward_at_most_once(monkeypatch, terms, compute_grads):
+    params = init_model_params(MlpSpec((4, 5, 3)), MlpSpec((3, 3)), MlpSpec((4, 4)), seed=5)
+    rng = np.random.default_rng(3)
+    params.flat[:] = rng.uniform(-1.0, 1.0, params.flat.size)  # nonzero biases: no zero rows
+    names = {id(net): name for name, net in params.nets()}
+    calls = Counter()
+
+    def counted(kind, fn):
+        def wrapper(net, *args):
+            calls[kind, names[id(net)]] += 1
+            return fn(net, *args)
+        return wrapper
+
+    monkeypatch.setattr(losses, "mlp_forward", counted("forward", mlp_forward))
+    monkeypatch.setattr(losses, "mlp_backward", counted("backward", mlp_backward))
+    labels = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=np.int8)
+    cfg = LossConfig().with_terms(terms)
+    total_loss(rng.standard_normal((3, 4)), labels, rng.standard_normal((3, 3)), params, cfg,
+               compute_grads=compute_grads)
+
+    towers = ["semantic_map"]
+    if "rank" in terms or "align" in terms:
+        towers += ["encoder", "visual_map"]
+    want = Counter({("forward", name): 1 for name in towers})
+    if compute_grads:
+        want.update({("backward", name): 1 for name in towers})
+    assert calls == want
 
 
 def test_align_only_zero_latent_without_positives_raises():
@@ -529,6 +653,19 @@ def test_loss_config_term_mask_round_trip():
         LossConfig().with_terms(("rank", "nope"))
 
 
+def test_readme_term_signatures_match_the_code():
+    """Each README ``term(...)`` lists exactly the function's parameters without a default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for fn in (rank_term, align_term, con_term):
+        params = inspect.signature(fn).parameters.values()
+        required = [p.name for p in params if p.default is inspect.Parameter.empty]
+        listed = [
+            [name.strip() for name in args.split(",")]
+            for args in re.findall(rf"`{fn.__name__}\(([^)`]*)\)`", readme)
+        ]
+        assert listed and all(names == required for names in listed), (fn.__name__, listed)
+
+
 # ----------------------------------------------------------- gradient check
 
 def test_gradient_check_result_is_pinned():
@@ -536,7 +673,7 @@ def test_gradient_check_result_is_pinned():
     # are perturbed in the same order, and the worst one has the same name.
     assert run_gradient_check(trials=20, seed=0) == GradcheckResult(
         n_trials=20,
-        max_error=6.17038972259764e-07,
+        max_error=6.170389701708483e-07,
         tolerance=1e-4,
         passed=True,
         worst_trial=16,

@@ -169,7 +169,7 @@ def test_model_params_array_names_align_with_arrays():
     arrays = model.arrays()
     assert len(names) == len(arrays) == 6
     assert names[0].startswith("encoder.") and names[-1].startswith("semantic_map.")
-    assert model.latent_dim == 4 and model.feature_dim == 6 and model.semantic_dim == 5
+    assert model.feature_dim == 6 and model.semantic_dim == 5
 
 
 def test_array_name_maps_first_and_last_index_of_every_array():
