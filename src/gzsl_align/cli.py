@@ -214,6 +214,7 @@ def _cmd_grid(args) -> int:
         gamma_candidates=_parse_floats(args.gammas) if args.gammas else GridSpec().gamma_candidates,
         lr_candidates=_parse_floats(args.lrs) if args.lrs else GridSpec().lr_candidates,
     )
+    grid.check_random_trials(args.random_trials)  # before anything is written
     bundle = load_manifest(args.manifest)
     params0 = _build_model(bundle, cfg, model_section, args.latent_dim)
     out = Path(args.out_dir)

@@ -74,14 +74,19 @@ class LossBreakdown:
 
 
 def rank_term(
-    scores: np.ndarray, labels: np.ndarray, delta: float, pair_normalize: bool
-) -> tuple[float, np.ndarray]:
+    scores: np.ndarray,
+    labels: np.ndarray,
+    delta: float,
+    pair_normalize: bool,
+    compute_grads: bool = True,
+) -> tuple[float, np.ndarray | None]:
     """Batch margin-ranking loss and its gradient w.r.t. the score matrix.
 
     Per image: (1/S) * sum over positive p, negative n of
     max(delta + s_n - s_p, 0), or 1/(|positives|*|negatives|) in place of
     1/S with ``pair_normalize``; images lacking positives or negatives
-    contribute 0. The batch value is the mean over a nonempty batch.
+    contribute 0. The batch value is the mean over a nonempty batch. The
+    gradient is None without ``compute_grads``.
 
     A pair (p, n) is active when fl(delta + s_n) > s_p. Sorting each row
     by key (s_p for positives, fl(delta + s_n) for negatives; negatives
@@ -98,15 +103,14 @@ def rank_term(
         raise ValueError("rank_term needs at least one image")
     pos = Y > 0.5
     keys = np.where(pos, P, delta + P)
-    order = np.lexsort((pos, keys), axis=-1)
-    k_sorted = np.take_along_axis(keys, order, axis=1)
-    p_sorted = np.take_along_axis(pos, order, axis=1)
+    # each row's sort order as indices into the flattened (n, s) matrix
+    order = np.lexsort((pos, keys), axis=-1) + np.arange(n)[:, None] * s
+    k_sorted = keys.take(order)
+    p_sorted = pos.take(order)
     neg_sorted = ~p_sorted
     # suffix sums over negatives: at a positive, the negatives ranked after it
     negs_after = np.cumsum(neg_sorted[:, ::-1], axis=1)[:, ::-1]
     keys_after = np.cumsum(np.where(neg_sorted, k_sorted, 0.0)[:, ::-1], axis=1)[:, ::-1]
-    # prefix counts over positives: at a negative, the positives ranked before it
-    pos_before = np.cumsum(p_sorted, axis=1)
     if pair_normalize:
         n_pos = pos.sum(axis=1)
         n_pairs = n_pos * (s - n_pos)
@@ -116,8 +120,12 @@ def rank_term(
     hinge = np.where(p_sorted, keys_after - negs_after * k_sorted, 0.0)
     per_image = hinge.sum(axis=1) * scale
     loss = float(per_image.sum() / n)
+    if not compute_grads:
+        return loss, None
+    # prefix counts over positives: at a negative, the positives ranked before it
+    pos_before = np.cumsum(p_sorted, axis=1)
     counts = np.empty_like(pos_before)
-    np.put_along_axis(counts, order, np.where(p_sorted, -negs_after, pos_before), axis=1)
+    counts.put(order, np.where(p_sorted, -negs_after, pos_before))
     d_scores = counts * (scale / n)[:, None]
     return loss, d_scores
 
@@ -209,6 +217,8 @@ def total_loss(
     cfg: LossConfig,
     compute_grads: bool = True,
     semantic_cosines: np.ndarray | None = None,
+    *,
+    grads: ModelParams | None = None,
 ) -> tuple[LossBreakdown, ModelParams | None]:
     """Composite objective value and exact parameter gradients on one batch.
 
@@ -219,11 +229,14 @@ def total_loss(
         params: model parameters; the encoder may be absent.
         cfg: term weights and switches.
         compute_grads: skip all backward passes and return None grads
-            (evaluation-only calls).
+            (evaluation-only calls). Such a call records no forward tape
+            and builds no term gradient.
         semantic_cosines: ``pairwise_cosine(semantics_seen, semantics_seen)``,
             the fixed target of the consistency term. Callers that evaluate
             many batches against the same semantics pass it once computed;
             when omitted it is computed here.
+        grads: a gradient store of ``params``' layout to zero and fill in
+            place of a new one, so a training loop allocates it once.
 
     Returns:
         The per-term breakdown and the gradients, a :class:`ModelParams`
@@ -250,11 +263,23 @@ def total_loss(
     need_visual = cfg.use_rank or cfg.use_align
     need_semantic = need_visual or cfg.use_con
     n_cls = W.shape[0] if cfg.use_rank or cfg.use_con else 0  # class rows in the stack
-    grads = params.zeros_like() if compute_grads else None
+    if not compute_grads:
+        grads = None
+    elif grads is None:
+        grads = params.zeros_like()
+    elif grads.flat.shape != params.flat.shape:
+        raise ValueError(
+            f"gradient store holds {grads.flat.size} values, params {params.flat.size}"
+        )
+    else:
+        grads.flat.fill(0.0)
 
     if need_visual:
-        enc_out, tape_enc = (F, None) if params.encoder is None else mlp_forward(params.encoder, F)
-        Z, tape_vis = mlp_forward(params.visual_map, enc_out)
+        enc_out, tape_enc = (
+            (F, None) if params.encoder is None
+            else mlp_forward(params.encoder, F, compute_grads)
+        )
+        Z, tape_vis = mlp_forward(params.visual_map, enc_out, compute_grads)
         z_norm = row_norms(Z, "latent visual")
         z_hat = Z / z_norm[:, None]
         d_z = np.zeros_like(Z) if compute_grads else None
@@ -266,7 +291,7 @@ def total_loss(
         sem_in[:n_cls] = W[:n_cls]
         np.matmul(Y[valid].astype(np.float64), W, out=sem_in[n_cls:])
         sem_in[n_cls:] /= counts[valid, None]  # each sample's w_bar
-        T, tape_sem = mlp_forward(params.semantic_map, sem_in)
+        T, tape_sem = mlp_forward(params.semantic_map, sem_in, compute_grads)
         t_norm = np.concatenate([
             row_norms(T[:n_cls], "projected semantic"),
             row_norms(T[n_cls:], "projected averaged semantic"),
@@ -277,7 +302,7 @@ def total_loss(
     rank_val = 0.0
     if cfg.use_rank:
         scores = np.clip(z_hat @ t_hat[:n_cls].T, -1.0, 1.0)
-        rank_val, d_scores = rank_term(scores, Y, cfg.delta, cfg.pair_normalize)
+        rank_val, d_scores = rank_term(scores, Y, cfg.delta, cfg.pair_normalize, compute_grads)
         if compute_grads:
             d_z += d_scores @ t_hat[:n_cls]
             d_t[:n_cls] += d_scores.T @ z_hat
@@ -300,12 +325,13 @@ def total_loss(
 
     if compute_grads and need_semantic:
         g = _unit_rows_backward(d_t, t_hat, t_norm)
-        mlp_backward(params.semantic_map, tape_sem, g, grads.semantic_map)
+        mlp_backward(params.semantic_map, tape_sem, g, grads.semantic_map, False)
     if compute_grads and need_visual:
         g = _unit_rows_backward(d_z, z_hat, z_norm)
-        d_enc_out = mlp_backward(params.visual_map, tape_vis, g, grads.visual_map)
-        if params.encoder is not None:
-            mlp_backward(params.encoder, tape_enc, d_enc_out, grads.encoder)
+        has_encoder = params.encoder is not None
+        d_enc_out = mlp_backward(params.visual_map, tape_vis, g, grads.visual_map, has_encoder)
+        if has_encoder:
+            mlp_backward(params.encoder, tape_enc, d_enc_out, grads.encoder, False)
 
     total = rank_val + cfg.gamma1 * align_val + cfg.gamma2 * con_val
     return LossBreakdown(rank_val, align_val, con_val, total), grads

@@ -29,9 +29,9 @@ def infer_scores(
     columns to the seen classes reproduces training-time relevance exactly.
     """
     F = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    enc = mlp_forward(params.encoder, F)[0] if params.encoder is not None else F
-    Z, _ = mlp_forward(params.visual_map, enc)
-    T, _ = mlp_forward(params.semantic_map, semantics.rows)
+    enc = mlp_forward(params.encoder, F, False)[0] if params.encoder is not None else F
+    Z, _ = mlp_forward(params.visual_map, enc, False)
+    T, _ = mlp_forward(params.semantic_map, semantics.rows, False)
     return pairwise_cosine(Z, T, "latent vector")
 
 

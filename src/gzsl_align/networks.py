@@ -3,8 +3,9 @@
 Three nets make up the model: an optional feature encoder, a visual
 mapping net, and a semantic mapping net. Both mapping nets project into
 a shared latent space where cosine similarity scores class relevance.
-Forward passes record a tape of layer inputs and pre-activations;
-backward passes replay the tape for exact parameter and input gradients.
+Forward passes record a tape of layer inputs and pre-activations (unless
+told not to); backward passes replay the tape for exact parameter and
+input gradients.
 
 :class:`ModelParams` keeps every parameter of the model in one float64
 vector, ``flat``; each layer's weight and bias are views into it. A
@@ -83,33 +84,44 @@ class MlpTape:
     preacts: list[np.ndarray]
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
+def mlp_forward(
+    params: MlpParams, x: np.ndarray, tape: bool = True
+) -> tuple[np.ndarray, MlpTape | None]:
     """Evaluate the net on a batch of row vectors.
 
     Returns the (N, out) output and the tape needed by :func:`mlp_backward`.
+    With ``tape`` off, no tape is kept (None is returned in its place) and
+    each ReLU overwrites its own pre-activation; the input is never written.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != params.spec.in_dim:
         raise ValueError(f"input shape {a.shape} is not (N, {params.spec.in_dim}) rows")
-    n = params.spec.n_layers
+    last = params.spec.n_layers - 1
     inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        inputs.append(a)
-        z = a @ w + b
-        preacts.append(z)
-        a = np.maximum(z, 0.0) if k < n - 1 else z
-    return a, MlpTape(inputs, preacts)
+        z = a @ w
+        z += b
+        if tape:
+            inputs.append(a)
+            preacts.append(z)
+        a = z if k == last else np.maximum(z, 0.0, out=None if tape else z)
+    return a, MlpTape(inputs, preacts) if tape else None
 
 
 def mlp_backward(
-    params: MlpParams, tape: MlpTape, grad_out: np.ndarray, grads: MlpParams
-) -> np.ndarray:
+    params: MlpParams,
+    tape: MlpTape,
+    grad_out: np.ndarray,
+    grads: MlpParams,
+    input_grad: bool = True,
+) -> np.ndarray | None:
     """Backpropagate ``grad_out`` through a recorded forward pass.
 
     Adds the parameter gradients into ``grads``, a net of the same spec
     (typically views into a gradient store), and returns the gradient with
-    respect to the input. The ReLU subgradient at 0 is taken as 0.
+    respect to the input, or None with ``input_grad`` off, which skips
+    its product. The ReLU subgradient at 0 is taken as 0.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     n = params.spec.n_layers
@@ -119,6 +131,8 @@ def mlp_backward(
         dz = g if k == n - 1 else g * (tape.preacts[k] > 0.0)
         grads.weights[k] += tape.inputs[k].T @ dz
         grads.biases[k] += dz.sum(axis=0)
+        if k == 0 and not input_grad:
+            return None
         g = dz @ params.weights[k].T
     return g
 

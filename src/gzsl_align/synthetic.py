@@ -97,6 +97,8 @@ class SynthSpec(JsonRecord):
             )
         if self.geometry.parents_max > self.n_seen:
             raise ValueError("parents_max exceeds the number of seen classes")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _unit(x: np.ndarray) -> np.ndarray:

@@ -93,6 +93,8 @@ class TrainConfig(JsonRecord):
             raise ValueError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if self.min_delta < 0:
             raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValueError(f"ks must be positive, got {self.ks}")
 
@@ -207,6 +209,8 @@ def train(
     n_frozen = params.encoder.spec.n_params if frozen else 0
     theta = params.flat[n_frozen:]
     adam = init_adam([theta])
+    grads = params.zeros_like()  # refilled by every batch's total_loss
+    grad_theta = grads.flat[n_frozen:]
     sched = PlateauScheduler(
         initial_lr=cfg.lr, patience=cfg.patience, factor=cfg.lr_factor, min_delta=cfg.min_delta
     )
@@ -232,15 +236,15 @@ def train(
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            breakdown, grads = total_loss(
-                X[idx], Y[idx], W_seen, params, cfg.loss, semantic_cosines=c_seen
+            breakdown, _ = total_loss(
+                X[idx], Y[idx], W_seen, params, cfg.loss, semantic_cosines=c_seen, grads=grads
             )
             if not np.isfinite(breakdown.total):
                 raise NonFiniteLossError(epoch=epoch, batch_index=b, value=breakdown.total)
             try:
-                adam_step([theta], [grads.flat[n_frozen:]], adam, lr=lr_now)
+                adam_step([theta], [grad_theta], adam, lr=lr_now)
             except NonFiniteGradientError:
-                bad = n_frozen + int(np.flatnonzero(~np.isfinite(grads.flat[n_frozen:]))[0])
+                bad = n_frozen + int(np.flatnonzero(~np.isfinite(grad_theta))[0])
                 raise NonFiniteGradientError(
                     f"non-finite gradient in {grads.array_name(bad)}"
                 ) from None
@@ -334,6 +338,12 @@ class GridSpec:
     def combos(self) -> list[tuple[float, float]]:
         return [(g, lr) for g in self.gamma_candidates for lr in self.lr_candidates]
 
+    def check_random_trials(self, random_trials: int | None) -> None:
+        """Raise unless ``random_trials`` is None or a count of combos to draw."""
+        n = len(self.combos())
+        if random_trials is not None and not 1 <= random_trials <= n:
+            raise ValueError(f"random_trials must be in [1, {n}], got {random_trials}")
+
 
 @dataclass
 class GridResult:
@@ -377,11 +387,8 @@ def grid_search(
     parallel worker processes.
     """
     combos = grid.combos()
+    grid.check_random_trials(random_trials)
     if random_trials is not None:
-        if not 1 <= random_trials <= len(combos):
-            raise ValueError(
-                f"random_trials must be in [1, {len(combos)}], got {random_trials}"
-            )
         rng = np.random.default_rng(np.random.SeedSequence(base_cfg.seed))
         chosen = rng.choice(len(combos), size=random_trials, replace=False)
         combos = [combos[i] for i in sorted(chosen)]

@@ -378,6 +378,39 @@ def test_grid_rejects_unparseable_candidates(bench, tmp_path, capsys):
     assert "comma-separated numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_negative_seed_is_input_error_naming_seed(bench, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--out-dir", str(out), "--seed", "-1"]
+    if command == "train":
+        argv += ["--manifest", str(bench), *FAST_TRAIN]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+def test_grid_bad_random_trials_writes_nothing(bench, tmp_path, capsys, existing):
+    out = tmp_path / "grid"
+    if existing:
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+
+    def tree():
+        return sorted((str(p.relative_to(out)), p.read_bytes() if p.is_file() else None)
+                      for p in out.rglob("*")) if out.exists() else None
+
+    before = tree()
+    argv = ["grid", "--manifest", str(bench), "--out-dir", str(out), *FAST_TRAIN,
+            "--random-trials", "0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "random_trials" in err, err
+    assert tree() == before
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--trials", "5", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -16,10 +16,15 @@ from gzsl_align import (
     DegenerateVectorError,
     LossConfig,
     ModelParams,
+    adam_step,
     align_term,
     con_term,
+    generate,
+    init_adam,
     pairwise_cosine,
     rank_term,
+    reference_model_params,
+    reference_spec,
     total_loss,
 )
 from gzsl_align import losses
@@ -186,6 +191,24 @@ def test_ranking_sort_form_matches_margin_tensor_oracle(n, s, decimals, delta, p
         scores[r : r + 1, :2], labels[r : r + 1, :2], delta, pair_normalize
     )
     assert tie_loss == 0.0 and not tie_grad.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    s=st.integers(2, 60),
+    decimals=st.integers(0, 3),
+    pair_normalize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ranking_without_grads_gives_the_same_loss_bits(n, s, decimals, pair_normalize, seed):
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.uniform(-1, 1, size=(n, s)), decimals)
+    labels = (rng.uniform(size=(n, s)) < rng.uniform(0.05, 0.95)).astype(np.int8)
+    loss, grad = rank_term(scores, labels, 0.5, pair_normalize)
+    value_only, no_grad = rank_term(scores, labels, 0.5, pair_normalize, False)
+    assert grad.shape == (n, s) and no_grad is None
+    assert value_only.hex() == loss.hex()
 
 
 def test_ranking_rejects_empty_batch_and_shape_mismatch():
@@ -604,6 +627,33 @@ def test_total_loss_matches_two_pass_oracle(s, with_encoder, terms, pair_normali
         assert abs(g - w) <= 1e-12 * abs(w)
     assert np.abs(grads.flat - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
     assert total_loss(feats, labels, sem, params, cfg, compute_grads=False) == (breakdown, None)
+
+
+@pytest.mark.parametrize("with_encoder", [True, False], ids=["encoder", "no_encoder"])
+def test_reused_dirty_gradient_store_matches_a_fresh_one(with_encoder):
+    """Twenty Adam steps: a store that starts dirty and is reused gets the fresh store's bits."""
+    spec = reference_spec(1)
+    data = generate(spec)
+    params = reference_model_params(spec, 1)
+    if not with_encoder:  # the visual map reads the features directly
+        sem = params.semantic_map.spec
+        params = init_model_params(MlpSpec((spec.v, 24, sem.out_dim)), sem, None, seed=1)
+    W = data.semantics.seen_rows(data.vocab)
+    X, Y = data.train.features, data.train.seen_label_view()
+    cfg = LossConfig(gamma1=0.1, gamma2=0.1)
+    store = params.zeros_like()
+    store.flat[:] = np.random.default_rng(0).standard_normal(store.flat.size)
+    adam = init_adam([params.flat])
+    for step in range(20):
+        rows = slice(32 * step, 32 * step + 32)
+        want_bd, want = total_loss(X[rows], Y[rows], W, params, cfg)
+        got_bd, got = total_loss(X[rows], Y[rows], W, params, cfg, grads=store)
+        assert got is store and got_bd == want_bd
+        assert got.flat.tobytes() == want.flat.tobytes()
+        adam_step([params.flat], [got.flat], adam, lr=1e-3)
+    other = init_model_params(MlpSpec((spec.v, 8)), MlpSpec((spec.d, 8)), None, seed=1)
+    with pytest.raises(ValueError, match="gradient store holds"):
+        total_loss(X[:4], Y[:4], W, params, cfg, grads=other.zeros_like())
 
 
 @pytest.mark.parametrize("compute_grads", [True, False], ids=["grads", "values"])

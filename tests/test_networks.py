@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gzsl_align import DegenerateVectorError, ModelParams, pairwise_cosine
+from gzsl_align import (
+    DegenerateVectorError,
+    ModelParams,
+    generate,
+    pairwise_cosine,
+    reference_model_params,
+    reference_spec,
+)
 from gzsl_align.networks import (
     MlpParams,
     MlpSpec,
@@ -141,6 +148,65 @@ def test_backward_adds_into_a_nonzero_store():
     assert np.array_equal(got_in, want_in)
     for acc, b, g in zip(store.arrays(), before, fresh.arrays()):
         assert np.array_equal(acc, b + g)
+
+
+def _assert_tape_free_forward_matches(net: MlpParams, x: np.ndarray) -> None:
+    """The tape-free forward is bit-equal to the taped one and leaves ``x`` as it was."""
+    keep = x.copy()
+    want, tape = mlp_forward(net, x)
+    got, no_tape = mlp_forward(net, x, False)
+    assert tape is not None and no_tape is None
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(x, keep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=2, max_size=5),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_tape_free_forward_is_bit_equal_and_keeps_its_input(dims, n, seed):
+    rng = np.random.default_rng(seed)
+    net = _net(tuple(dims), seed=seed)
+    for b in net.biases:
+        b[...] = rng.standard_normal(b.shape)  # nonzero biases: the += step is exercised
+    _assert_tape_free_forward_matches(net, rng.standard_normal((n, dims[0])))
+
+
+def test_tape_free_forward_is_bit_equal_at_reference_shapes():
+    """The 2000-row train split through each net of the reference model."""
+    spec = reference_spec(1)
+    params = reference_model_params(spec, 1)
+    data = generate(spec)
+    rng = np.random.default_rng(0)
+    params.flat[:] += 0.01 * rng.standard_normal(params.flat.size)  # trained-like biases
+    x = data.train.features
+    assert x.shape[0] == 2000
+    _assert_tape_free_forward_matches(params.encoder, x)
+    _assert_tape_free_forward_matches(params.visual_map, mlp_forward(params.encoder, x)[0])
+    y = data.train.seen_label_view().astype(np.float64)
+    w = data.semantics.seen_rows(data.vocab)
+    counts = y.sum(axis=1)
+    has = counts > 0
+    w_bar = (y[has] @ w) / counts[has, None]
+    _assert_tape_free_forward_matches(params.semantic_map, np.vstack([w, w_bar]))
+
+
+@pytest.mark.parametrize("dims", [(4, 5, 3), (4, 3), (6, 5, 4, 2)])
+def test_backward_without_input_grad_adds_the_same_gradients(dims):
+    rng = np.random.default_rng(len(dims))
+    p = _net(dims, seed=len(dims))
+    x, g_out = rng.standard_normal((7, dims[0])), rng.standard_normal((7, dims[-1]))
+    _, tape = mlp_forward(p, x)
+    want, got = _zeros(p), _zeros(p)
+    for a, b in zip(want.arrays(), got.arrays()):
+        a[...] = b[...] = rng.standard_normal(a.shape)  # a dirty store on both sides
+    grad_in = mlp_backward(p, tape, g_out, want)
+    assert mlp_backward(p, tape, g_out, got, False) is None
+    assert grad_in.shape == x.shape
+    for a, b in zip(got.arrays(), want.arrays()):
+        assert np.array_equal(a, b)
 
 
 def test_init_model_params_bounds_and_determinism():
