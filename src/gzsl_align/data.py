@@ -108,9 +108,15 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int8)
-        if feats.ndim != 2 or labels.ndim != 2:
+        raw = np.asarray(self.labels)
+        if feats.ndim != 2 or raw.ndim != 2:
             raise ValueError("features and labels must be 2-D arrays")
+        binary = raw == 0
+        binary |= raw == 1
+        if not binary.all():
+            i, j = np.argwhere(~binary)[0]
+            raise ValueError(f"labels row {i} column {j}: non-binary value {raw[i, j]}")
+        labels = raw.astype(np.int8)
         if feats.shape[0] != labels.shape[0]:
             raise ValueError(
                 f"{feats.shape[0]} feature rows vs {labels.shape[0]} label rows"
@@ -175,10 +181,23 @@ class DataBundle:
 SPLIT_NAMES = ("train", "val", "test")
 
 
-def _write_csv(path: Path, matrix: np.ndarray, integer: bool) -> None:
-    fmt = str if integer else repr
+def _write_floats(path: Path, matrix: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(",".join(map(fmt, row)) + "\n" for row in matrix.tolist())
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in matrix.tolist())
+
+
+def _write_labels(path: Path, labels: np.ndarray) -> None:
+    """Write 0/1 label rows as one byte buffer: a digit and ``,`` per cell.
+
+    Byte-identical to formatting each cell with ``str`` and joining with
+    ``,``; it relies on every label being 0 or 1, which ``Dataset`` enforces.
+    """
+    buf = np.full((labels.shape[0], 2 * labels.shape[1]), ord(","), dtype=np.uint8)
+    buf[:, ::2] = labels
+    buf[:, ::2] += ord("0")
+    buf[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(buf)
 
 
 def _member(obj, key: str, what: str):
@@ -282,9 +301,6 @@ def load_manifest(path) -> DataBundle:
                 f"{split} features have {feats.shape[1]} columns, manifest declares v={v}"
             )
         labels = _read_csv(base, _member(ref, "labels", f"{split} split"), f"{split} labels")
-        if not np.isin(labels, (0.0, 1.0)).all():
-            i, j = np.argwhere(~np.isin(labels, (0.0, 1.0)))[0]
-            raise ManifestError(f"{split} labels row {i} column {j}: non-binary value {labels[i, j]}")
         if labels.shape[1] == vocab.n_seen:
             space = LabelSpace.SEEN_ONLY
         elif labels.shape[1] == vocab.n_classes:
@@ -295,7 +311,7 @@ def load_manifest(path) -> DataBundle:
                 f"{vocab.n_seen} (seen only) or {vocab.n_classes} (all classes)"
             )
         try:
-            splits[split] = Dataset(feats, labels.astype(np.int8), space, vocab)
+            splits[split] = Dataset(feats, labels, space, vocab)
         except ValueError as exc:
             raise ManifestError(f"{split}: {exc}") from None
 
@@ -311,10 +327,11 @@ def save_manifest(bundle: DataBundle, out_dir) -> Path:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "embeddings.csv", bundle.semantics.rows, integer=False)
+    _write_floats(out / "embeddings.csv", bundle.semantics.rows)
+    seen = set(bundle.vocab.seen_ids)
     doc = {
         "classes": [
-            {"name": n, "seen": i in set(bundle.vocab.seen_ids), "embedding_row": i}
+            {"name": n, "seen": i in seen, "embedding_row": i}
             for i, n in enumerate(bundle.vocab.names)
         ],
         "d": bundle.semantics.dim,
@@ -325,8 +342,8 @@ def save_manifest(bundle: DataBundle, out_dir) -> Path:
     for split in SPLIT_NAMES:
         ds = bundle.split(split)
         f_name, l_name = f"{split}_features.csv", f"{split}_labels.csv"
-        _write_csv(out / f_name, ds.features, integer=False)
-        _write_csv(out / l_name, ds.labels, integer=True)
+        _write_floats(out / f_name, ds.features)
+        _write_labels(out / l_name, ds.labels)
         doc["splits"][split] = {"features": f_name, "labels": l_name}
     manifest = out / "manifest.json"
     write_json(manifest, doc)

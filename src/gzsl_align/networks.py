@@ -144,7 +144,7 @@ def row_norms(m: np.ndarray, what: str = "vector") -> np.ndarray:
     real array along one axis, without its dispatch overhead.
     """
     norms = np.sqrt(np.add.reduce(m * m, axis=-1))
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         idx = int(np.argwhere(norms == 0.0)[0][0])
         raise DegenerateVectorError(f"{what} {idx} has zero norm")
     return norms

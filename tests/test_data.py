@@ -1,6 +1,7 @@
 """Vocabulary, dataset validation, and manifest round-trip behavior."""
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -23,7 +24,7 @@ from gzsl_align import (
     save_manifest,
     train,
 )
-from gzsl_align.data import ClassVocabulary, Dataset, LabelSpace, check_inductive
+from gzsl_align.data import ClassVocabulary, Dataset, LabelSpace, _write_labels, check_inductive
 from gzsl_align.networks import MlpSpec, init_model_params
 from gzsl_align.synthetic import SemanticGeometry
 from gzsl_align.cli import main
@@ -113,6 +114,57 @@ def test_zero_label_rows_are_counted_not_rejected():
         features=b.train.features, labels=labels, label_space=LabelSpace.SEEN_ONLY, vocab=b.vocab
     )
     assert ds.zero_label_count() == 1
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (2, "2"), (-1, "-1"), (0.5, "0.5"), (float("nan"), "nan"), (np.int64(257), "257"),
+], ids=["2", "-1", "0.5", "nan", "int64 257"])
+def test_non_binary_label_is_rejected_with_its_cell(bad, shown):
+    b = hand_bundle()
+    labels = b.train.labels.astype(np.array(bad).dtype)
+    labels[3, 1] = bad
+    with pytest.raises(ValueError, match=f"labels row 3 column 1: non-binary value {shown}$"):
+        Dataset(b.train.features, labels, LabelSpace.SEEN_ONLY, b.vocab)
+
+
+def _per_cell_labels_csv(labels: np.ndarray) -> bytes:
+    """The label writer's previous formula: ``str`` of each cell, joined by commas."""
+    return "".join(",".join(map(str, row)) + "\n" for row in labels.tolist()).encode()
+
+
+LABEL_SHAPES = {
+    "no rows": np.zeros((0, 5), dtype=np.int8),
+    "one column": np.array([[0], [1], [1], [0]], dtype=np.int8),
+    "all zero": np.zeros((3, 7), dtype=np.int8),
+    "all one": np.ones((3, 7), dtype=np.int8),
+    "random 300x1006": (np.random.default_rng(12).random((300, 1006)) < 0.1).astype(np.int8),
+}
+
+
+@pytest.mark.parametrize("labels", LABEL_SHAPES.values(), ids=LABEL_SHAPES.keys())
+def test_label_writer_matches_per_cell_formula(tmp_path, labels):
+    _write_labels(tmp_path / "labels.csv", labels)
+    assert (tmp_path / "labels.csv").read_bytes() == _per_cell_labels_csv(labels)
+
+
+# sha256 of every file save_manifest writes for generate(TOY_SPEC), taken
+# from the per-cell writer; any byte drift in a CSV or manifest.json fails.
+TOY_MANIFEST_SHA256 = {
+    "embeddings.csv": "9ad17b15526a67ccf4d3e940d03b2f76cff2eb686c9c15986cf92bf6ed2aff03",
+    "manifest.json": "43b431297869d1e4d0287b26242c42c5835340fd3731534bbbc8fa995cbc82cd",
+    "test_features.csv": "a913f687c2062d323c5b049115a77b3d1aa8b7feb502cb133b4d88be0742aebf",
+    "test_labels.csv": "1081e97c1b3caaa58b20ec575e2a0e8273f16e88c0df955fc2ca50163a667531",
+    "train_features.csv": "07a3efadf443a0d775874c500decd85d006bd6a814ab347da8d6826f5cc9ffff",
+    "train_labels.csv": "d1cb1b155ffe6c710f6a712eca1a9b4baedd3ff12760388356e10dd418abf580",
+    "val_features.csv": "26c70023425715be544b5f53a199abe908ec3c9d4184b3a349f8ae322bb6d4fd",
+    "val_labels.csv": "e5e2704869bfbea8e16ad494a80949f76975162a8947c6da5e73b0e9ea7a1fc9",
+}
+
+
+def test_toy_manifest_files_are_pinned(tmp_path):
+    save_manifest(generate(TOY_SPEC), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == TOY_MANIFEST_SHA256
 
 
 def test_manifest_round_trips_byte_identically(tmp_path):
@@ -223,6 +275,13 @@ def test_malformed_manifest_raises_manifest_error(tmp_path, edit):
     manifest = save_manifest(generate(TOY_SPEC), tmp_path)
     edit(manifest)
     with pytest.raises(ManifestError):
+        load_manifest(manifest)
+
+
+def test_non_binary_label_cell_is_named_with_its_split(tmp_path):
+    manifest = save_manifest(generate(TOY_SPEC), tmp_path)
+    _edit_csv("val_labels.csv", lambda b: b"1.5" + b[1:])(manifest)
+    with pytest.raises(ManifestError, match="^val: labels row 0 column 0: non-binary value 1.5$"):
         load_manifest(manifest)
 
 
