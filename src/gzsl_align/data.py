@@ -98,7 +98,8 @@ class Dataset:
     """Immutable feature/label arrays bound to a vocabulary.
 
     ``features`` is (N, v) float64 and ``labels`` (N, K) int8 where K is
-    S or C depending on ``label_space``.
+    S or C depending on ``label_space``. Every label must be exactly 0 or
+    1; any other value raises ValueError naming its row and column.
     """
 
     features: np.ndarray
@@ -112,7 +113,7 @@ class Dataset:
         if feats.ndim != 2 or raw.ndim != 2:
             raise ValueError("features and labels must be 2-D arrays")
         binary = raw == 0
-        binary |= raw == 1
+        binary |= raw == 1  # in place: one full-size bool temporary fewer
         if not binary.all():
             i, j = np.argwhere(~binary)[0]
             raise ValueError(f"labels row {i} column {j}: non-binary value {raw[i, j]}")

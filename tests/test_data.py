@@ -128,7 +128,7 @@ def test_non_binary_label_is_rejected_with_its_cell(bad, shown):
 
 
 def _per_cell_labels_csv(labels: np.ndarray) -> bytes:
-    """The label writer's previous formula: ``str`` of each cell, joined by commas."""
+    """Reference label CSV: ``str`` of each cell, joined by commas."""
     return "".join(",".join(map(str, row)) + "\n" for row in labels.tolist()).encode()
 
 
@@ -147,8 +147,8 @@ def test_label_writer_matches_per_cell_formula(tmp_path, labels):
     assert (tmp_path / "labels.csv").read_bytes() == _per_cell_labels_csv(labels)
 
 
-# sha256 of every file save_manifest writes for generate(TOY_SPEC), taken
-# from the per-cell writer; any byte drift in a CSV or manifest.json fails.
+# sha256 of every file save_manifest writes for generate(TOY_SPEC): any byte
+# drift in a CSV or in manifest.json fails.
 TOY_MANIFEST_SHA256 = {
     "embeddings.csv": "9ad17b15526a67ccf4d3e940d03b2f76cff2eb686c9c15986cf92bf6ed2aff03",
     "manifest.json": "43b431297869d1e4d0287b26242c42c5835340fd3731534bbbc8fa995cbc82cd",
