@@ -20,6 +20,8 @@ from .exceptions import InductiveViolationError, ManifestError
 from .networks import row_norms
 from .records import write_json
 
+LABEL_BLOCK = 1024  # label rows checked together, in a Dataset and in a label file
+
 
 class LabelSpace(enum.Enum):
     """Which classes a dataset's label columns cover."""
@@ -112,11 +114,13 @@ class Dataset:
         raw = np.asarray(self.labels)
         if feats.ndim != 2 or raw.ndim != 2:
             raise ValueError("features and labels must be 2-D arrays")
-        binary = raw == 0
-        binary |= raw == 1  # in place: one full-size bool temporary fewer
-        if not binary.all():
-            i, j = np.argwhere(~binary)[0]
-            raise ValueError(f"labels row {i} column {j}: non-binary value {raw[i, j]}")
+        for i in range(0, raw.shape[0], LABEL_BLOCK):  # no temporary beyond one block
+            block = raw[i : i + LABEL_BLOCK]
+            binary = block == 0
+            binary |= block == 1
+            if not binary.all():
+                r, j = np.argwhere(~binary)[0]
+                raise ValueError(f"labels row {i + r} column {j}: non-binary value {block[r, j]}")
         labels = raw.astype(np.int8)
         if feats.shape[0] != labels.shape[0]:
             raise ValueError(
@@ -192,6 +196,7 @@ def _write_labels(path: Path, labels: np.ndarray) -> None:
 
     Byte-identical to formatting each cell with ``str`` and joining with
     ``,``; it relies on every label being 0 or 1, which ``Dataset`` enforces.
+    This is the canonical form that ``_read_canonical_labels`` reads.
     """
     buf = np.full((labels.shape[0], 2 * labels.shape[1]), ord(","), dtype=np.uint8)
     buf[:, ::2] = labels
@@ -210,12 +215,40 @@ def _member(obj, key: str, what: str):
     return obj[key]
 
 
-def _read_csv(base: Path, name, what: str) -> np.ndarray:
+def _read_canonical_labels(path: Path) -> np.ndarray | None:
+    """Int8 labels of a file exactly as ``_write_labels`` writes it, else None.
+
+    That form has rows of one length, ``0`` or ``1`` in the even byte
+    columns, ``,`` in the odd ones and ``\n`` ending each row, so it is
+    read straight from its bytes, ``LABEL_BLOCK`` rows at a time. Any other
+    file, though ``_read_csv`` may accept it, gives None.
+    """
+    data = path.read_bytes()
+    width = data.find(b"\n") + 1
+    if width < 2 or width % 2 or len(data) % width:
+        return None
+    cells = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+    labels = np.empty((cells.shape[0], width // 2), dtype=np.uint8)
+    for i in range(0, cells.shape[0], LABEL_BLOCK):
+        rows = slice(i, i + LABEL_BLOCK)
+        block = cells[rows]
+        digits = np.subtract(block[:, ::2], ord("0"), out=labels[rows])  # other bytes wrap past 1
+        if ((digits > 1).any() or (block[:, 1:-1:2] != ord(",")).any()
+                or (block[:, -1] != ord("\n")).any()):
+            return None
+    return labels.view(np.int8)
+
+
+def _data_path(base: Path, name, what: str) -> Path:
     if not isinstance(name, str):
         raise ManifestError(f"{what} file name must be a string, got {name!r}")
     path = base / name
     if not path.is_file():
         raise ManifestError(f"{what} file not found: {path}")
+    return path
+
+
+def _read_csv(path: Path, what: str) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             # loadtxt only warns on input without data; reported below
@@ -277,7 +310,7 @@ def load_manifest(path) -> DataBundle:
     except ValueError as exc:
         raise ManifestError(str(exc)) from None
 
-    raw_emb = _read_csv(base, doc["embeddings"], "embeddings")
+    raw_emb = _read_csv(_data_path(base, doc["embeddings"], "embeddings"), "embeddings")
     _require_finite(raw_emb, "embeddings")
     if raw_emb.shape[1] != d:
         raise ManifestError(f"embeddings have {raw_emb.shape[1]} columns, manifest declares d={d}")
@@ -295,13 +328,18 @@ def load_manifest(path) -> DataBundle:
     splits = {}
     for split in SPLIT_NAMES:
         ref = _member(doc["splits"], split, "manifest splits")
-        feats = _read_csv(base, _member(ref, "features", f"{split} split"), f"{split} features")
+        what = f"{split} features"
+        feats = _read_csv(_data_path(base, _member(ref, "features", f"{split} split"), what), what)
         _require_finite(feats, f"{split} features")
         if feats.shape[1] != v:
             raise ManifestError(
                 f"{split} features have {feats.shape[1]} columns, manifest declares v={v}"
             )
-        labels = _read_csv(base, _member(ref, "labels", f"{split} split"), f"{split} labels")
+        what = f"{split} labels"
+        path = _data_path(base, _member(ref, "labels", f"{split} split"), what)
+        labels = _read_canonical_labels(path)
+        if labels is None:
+            labels = _read_csv(path, what)
         if labels.shape[1] == vocab.n_seen:
             space = LabelSpace.SEEN_ONLY
         elif labels.shape[1] == vocab.n_classes:

@@ -18,6 +18,8 @@ from .networks import ModelParams, mlp_forward, pairwise_cosine
 from .records import JsonRecord, write_json
 
 DEFAULT_KS = (2, 3)  # the top-k cut-offs reported when none are given
+AUROC_BLOCK = 64  # score columns transposed and sorted together by per_class_auroc
+TOPK_BLOCK = 512  # score rows partitioned together by _topk_mask
 
 
 def infer_scores(
@@ -41,13 +43,18 @@ def _topk_mask(S: np.ndarray, k: int) -> np.ndarray:
     One partition per row finds the k-th largest score ``thr``: every score
     above it is picked, and scores equal to it fill the remaining quota in
     ascending column order, as a stable descending sort would. O(N*C).
+    The rows are partitioned ``TOPK_BLOCK`` at a time, so the partition's
+    copy is one block, not the whole matrix; each row's ``thr`` is the same.
     """
-    c = S.shape[1]
+    n, c = S.shape
     if not 1 <= k <= c:
         raise ValueError(f"k={k} out of range for {c} classes")
     if not np.isfinite(S).all():
         raise ValidationError("top-k scores must be finite")
-    thr = np.partition(S, c - k, axis=1)[:, c - k, None]
+    thr = np.empty((n, 1))
+    for i in range(0, n, TOPK_BLOCK):
+        rows = slice(i, i + TOPK_BLOCK)
+        thr[rows, 0] = np.partition(S[rows], c - k, axis=1)[:, c - k]
     picked = S > thr
     tied = S == thr
     quota = k - picked.sum(axis=1)
@@ -89,13 +96,14 @@ def topk_metrics(scores: np.ndarray, labels: np.ndarray, k: int) -> TopKMetrics:
         raise ValueError(f"scores shape {S.shape} != labels shape {Y.shape}")
     n, c = S.shape
     picked = _topk_mask(S, k)
+    hit = picked & Y
 
-    tp = int((picked & Y).sum())
-    total_pos = int(Y.sum())
+    tp = int(np.count_nonzero(hit))
+    total_pos = int(np.count_nonzero(Y))
     precision = tp / (n * k)
     recall = tp / total_pos if total_pos > 0 else 0.0
 
-    tp_c = (picked & Y).sum(axis=0).astype(np.float64)
+    tp_c = hit.sum(axis=0).astype(np.float64)
     pred_c = picked.sum(axis=0).astype(np.float64)
     pos_c = Y.sum(axis=0).astype(np.float64)
     has_pos = pos_c > 0
@@ -134,8 +142,9 @@ def _midrank_auroc(sorted_scores: np.ndarray, pos_scores: np.ndarray) -> float |
 def per_class_auroc(scores: np.ndarray, labels: np.ndarray) -> list[float | None]:
     """AUROC per class column; None where the column is single-class.
 
-    The transposed score matrix is sorted once, one contiguous row per
-    class, and each class's positives are ranked in its row.
+    The score matrix is transposed and sorted ``AUROC_BLOCK`` columns at a
+    time, one contiguous row per class, and each class's positives are
+    ranked in its row; no full-size copy of the scores is made.
     """
     S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(labels))
@@ -143,11 +152,18 @@ def per_class_auroc(scores: np.ndarray, labels: np.ndarray) -> list[float | None
         raise ValueError(f"scores shape {S.shape} != labels shape {Y.shape}")
     if not np.isfinite(S).all():
         raise ValidationError("AUROC scores must be finite")
-    cls, rows = np.nonzero(Y.T > 0.5)  # class-major: each class's positives are contiguous
-    pos_scores = np.split(S[rows, cls], np.cumsum(np.bincount(cls, minlength=S.shape[1]))[:-1])
-    by_class = S.T.copy()
-    by_class.sort(axis=1)
-    return [_midrank_auroc(col, pos) for col, pos in zip(by_class, pos_scores)]
+    c = S.shape[1]
+    rows, cls = np.nonzero(Y > 0.5)
+    order = np.argsort(cls, kind="stable")  # class-major: each class's positives are contiguous
+    pos_scores = np.split(S[rows[order], cls[order]],
+                          np.cumsum(np.bincount(cls, minlength=c))[:-1])
+    out = []
+    for j in range(0, c, AUROC_BLOCK):
+        cols = slice(j, j + AUROC_BLOCK)
+        by_class = S[:, cols].T.copy()
+        by_class.sort(axis=1)
+        out += map(_midrank_auroc, by_class, pos_scores[cols])
+    return out
 
 
 def gzsl_summary(

@@ -165,7 +165,8 @@ def pairwise_cosine(a: np.ndarray, b: np.ndarray, what: str = "row") -> np.ndarr
         bad = ~np.isfinite(norms)
         if bad.any():
             raise DegenerateVectorError(f"{what} {int(np.argmax(bad))} has a non-finite norm")
-    return np.clip((a / an[:, None]) @ (b / bn[:, None]).T, -1.0, 1.0)
+    cos = (a / an[:, None]) @ (b / bn[:, None]).T
+    return np.clip(cos, -1.0, 1.0, out=cos)
 
 
 def _layer_views(flat: np.ndarray, offset: int, spec: MlpSpec) -> tuple[MlpParams, int]:

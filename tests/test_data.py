@@ -6,12 +6,14 @@ import io
 import json
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gzsl_align import (
     DataBundle,
@@ -24,7 +26,15 @@ from gzsl_align import (
     save_manifest,
     train,
 )
-from gzsl_align.data import ClassVocabulary, Dataset, LabelSpace, _write_labels, check_inductive
+from gzsl_align.data import (
+    LABEL_BLOCK,
+    ClassVocabulary,
+    Dataset,
+    LabelSpace,
+    _read_canonical_labels,
+    _write_labels,
+    check_inductive,
+)
 from gzsl_align.networks import MlpSpec, init_model_params
 from gzsl_align.synthetic import SemanticGeometry
 from gzsl_align.cli import main
@@ -127,6 +137,30 @@ def test_non_binary_label_is_rejected_with_its_cell(bad, shown):
         Dataset(b.train.features, labels, LabelSpace.SEEN_ONLY, b.vocab)
 
 
+def test_non_binary_label_past_the_first_block_is_named_with_its_row():
+    b = hand_bundle()
+    labels = np.zeros((LABEL_BLOCK + 3, 2), dtype=np.int8)
+    labels[LABEL_BLOCK + 1, 1] = 3
+    features = np.zeros((len(labels), 4))
+    with pytest.raises(ValueError, match=f"labels row {LABEL_BLOCK + 1} column 1: non-binary value 3$"):
+        Dataset(features, labels, LabelSpace.SEEN_ONLY, b.vocab)
+
+
+def test_dataset_label_check_peaks_near_the_label_bytes():
+    """The 0/1 check works in row blocks: beside the int8 copy no full-size temporary."""
+    n, c = 20000, 1006
+    vocab = ClassVocabulary(tuple(f"c{i}" for i in range(c)), tuple(range(925)), tuple(range(925, c)))
+    labels = np.random.default_rng(5).integers(0, 2, size=(n, c), dtype=np.int8)
+    features = np.zeros((n, 1))
+    tracemalloc.start()
+    try:
+        Dataset(features, labels, LabelSpace.ALL_CLASSES, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - features.nbytes <= 1.25 * labels.nbytes
+
+
 def _per_cell_labels_csv(labels: np.ndarray) -> bytes:
     """Reference label CSV: ``str`` of each cell, joined by commas."""
     return "".join(",".join(map(str, row)) + "\n" for row in labels.tolist()).encode()
@@ -145,6 +179,79 @@ LABEL_SHAPES = {
 def test_label_writer_matches_per_cell_formula(tmp_path, labels):
     _write_labels(tmp_path / "labels.csv", labels)
     assert (tmp_path / "labels.csv").read_bytes() == _per_cell_labels_csv(labels)
+
+
+def _loadtxt_labels(path: Path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", dtype=np.float64, comments=None, ndmin=2,
+                      encoding="utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.int8, array_shapes(min_dims=2, max_dims=2, max_side=40), elements=st.integers(0, 1)))
+@example(np.ones((1, 1), dtype=np.int8))
+@example(np.array([[0, 1, 1, 0, 1]], dtype=np.int8))
+@example(np.array([[1], [0], [0]], dtype=np.int8))
+@example(np.eye(LABEL_BLOCK + 1, 3, dtype=np.int8))
+def test_canonical_label_reader_matches_loadtxt(labels):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        _write_labels(path, labels)
+        got = _read_canonical_labels(path)
+        want = _loadtxt_labels(path)
+    assert got.dtype == np.int8
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, labels)
+
+
+def _blank_line_after_first_row(blob: bytes) -> bytes:
+    cut = blob.index(b"\n") + 1
+    return blob[:cut] + b"\n" + blob[cut:]
+
+
+NON_CANONICAL_LABELS = {
+    "1.0": lambda b: b.replace(b"1", b"1.0"),
+    "every cell 0.0 or 1.0": lambda b: b.replace(b"0", b"0.0").replace(b"1", b"1.0"),
+    "space before 1": lambda b: b.replace(b"1", b" 1"),
+    "+1": lambda b: b.replace(b"1", b"+1"),
+    "CRLF endings": lambda b: b.replace(b"\n", b"\r\n"),
+    "no final newline": lambda b: b[:-1],
+    "blank line": _blank_line_after_first_row,
+}
+
+
+@pytest.mark.parametrize("edit", NON_CANONICAL_LABELS.values(), ids=NON_CANONICAL_LABELS.keys())
+def test_non_canonical_label_spellings_load_to_the_same_labels(tmp_path, edit):
+    bundle = generate(TOY_SPEC)
+    manifest = save_manifest(bundle, tmp_path)
+    for split in ("train", "test"):
+        path = tmp_path / f"{split}_labels.csv"
+        blob = path.read_bytes()
+        assert b"1" in blob
+        path.write_bytes(edit(blob))
+        assert _read_canonical_labels(path) is None
+    loaded = load_manifest(manifest)
+    for split in ("train", "test"):
+        np.testing.assert_array_equal(loaded.split(split).labels, bundle.split(split).labels)
+
+
+def test_canonical_manifest_reads_no_label_file_with_loadtxt(tmp_path, monkeypatch):
+    """A canonical label file is read from its bytes; loadtxt is left for the floats."""
+    bundle = generate(TOY_SPEC)
+    manifest = save_manifest(bundle, tmp_path)
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        parsed.append(Path(fname).name)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    loaded = load_manifest(manifest)
+    assert sorted(parsed) == ["embeddings.csv", "test_features.csv", "train_features.csv",
+                              "val_features.csv"]
+    for split in ("train", "val", "test"):
+        assert loaded.split(split).labels.dtype == np.int8
+        np.testing.assert_array_equal(loaded.split(split).labels, bundle.split(split).labels)
 
 
 # sha256 of every file save_manifest writes for generate(TOY_SPEC): any byte

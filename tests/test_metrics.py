@@ -1,5 +1,6 @@
 """AUROC vs a pairwise oracle, top-k hand counts, report round-trips."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,8 @@ from gzsl_align import (
 )
 from gzsl_align.data import ClassVocabulary, LabelSpace
 from gzsl_align.metrics import (
+    AUROC_BLOCK,
+    TOPK_BLOCK,
     gzsl_summary,
     per_class_auroc,
     read_report_json,
@@ -27,10 +30,10 @@ from gzsl_align.metrics import (
     write_report_csv,
     write_report_json,
 )
-from gzsl_align.networks import MlpSpec, init_model_params, mlp_forward
+from gzsl_align.networks import MlpSpec, init_model_params, mlp_forward, row_norms
 from conftest import hand_bundle, small_spec
 
-from gzsl_align import generate, reference_model_params
+from gzsl_align import SynthSpec, generate, reference_model_params
 
 
 def _column_auroc(scores, labels):
@@ -88,6 +91,96 @@ def _tie_heavy_case(draw):
     scores = draw(arrays(np.int64, (n, c), elements=st.integers(-2, 2))).astype(np.float64)
     labels = draw(arrays(np.int8, (n, c), elements=st.integers(0, 1)))
     return scores, labels
+
+
+def _per_class_auroc_full_sort(scores, labels):
+    """per_class_auroc as it was before blocking: one sort of a full transposed copy."""
+    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    Y = np.atleast_2d(np.asarray(labels))
+    if S.shape != Y.shape:
+        raise ValueError(f"scores shape {S.shape} != labels shape {Y.shape}")
+    if not np.isfinite(S).all():
+        raise ValidationError("AUROC scores must be finite")
+    cls, rows = np.nonzero(Y.T > 0.5)
+    pos_scores = np.split(S[rows, cls], np.cumsum(np.bincount(cls, minlength=S.shape[1]))[:-1])
+    by_class = S.T.copy()
+    by_class.sort(axis=1)
+    return [metrics_mod._midrank_auroc(col, pos) for col, pos in zip(by_class, pos_scores)]
+
+
+def _topk_mask_full_partition(S, k):
+    """_topk_mask as it was before blocking: one partition of the whole matrix."""
+    c = S.shape[1]
+    if not 1 <= k <= c:
+        raise ValueError(f"k={k} out of range for {c} classes")
+    if not np.isfinite(S).all():
+        raise ValidationError("top-k scores must be finite")
+    thr = np.partition(S, c - k, axis=1)[:, c - k, None]
+    picked = S > thr
+    tied = S == thr
+    quota = k - picked.sum(axis=1)
+    over = tied.sum(axis=1) > quota
+    tied[over] &= np.cumsum(tied[over], axis=1) <= quota[over, None]
+    picked |= tied
+    return picked
+
+
+def _around(block):
+    return st.sampled_from((block - 1, block, block + 1))
+
+
+@pytest.mark.parametrize("auroc_block, topk_block", [(AUROC_BLOCK, TOPK_BLOCK), (3, 2)],
+                         ids=["module blocks", "tiny blocks"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_blocked_metrics_equal_full_matrix_oracles_exactly(auroc_block, topk_block, data):
+    """N and C at a block size and one either side; scores from a few levels, so ties abound."""
+    n = data.draw(_around(topk_block), label="n")
+    c = data.draw(_around(auroc_block), label="c")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    levels = data.draw(st.integers(1, 5), label="levels")
+    scores = rng.integers(0, levels, size=(n, c)).astype(np.float64) / levels
+    labels = (rng.random((n, c)) < rng.random()).astype(np.int8)
+    labels[:, rng.random(c) < 0.1] = 0  # columns without positives
+    labels[:, rng.random(c) < 0.1] = 1  # columns without negatives
+    ks = sorted({1, 2, c // 2, c - 1, c} - {0})
+    with mock.patch.multiple(metrics_mod, AUROC_BLOCK=auroc_block, TOPK_BLOCK=topk_block):
+        assert per_class_auroc(scores, labels) == _per_class_auroc_full_sort(scores, labels)
+        for k in ks:
+            np.testing.assert_array_equal(
+                metrics_mod._topk_mask(scores, k), _topk_mask_full_partition(scores, k)
+            )
+            with mock.patch.object(metrics_mod, "_topk_mask", _topk_mask_full_partition):
+                want = topk_metrics(scores, labels, k)
+            assert topk_metrics(scores, labels, k) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_pairwise_cosine_is_bit_equal_to_the_clipped_product(n, m, d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, (n, 1))
+    b = rng.standard_normal((m, d))
+    b[: min(n, m)] = 3.0 * a[: min(n, m)]  # parallel rows land near +-1, where clipping acts
+    an, bn = row_norms(a), row_norms(b)
+    want = np.clip((a / an[:, None]) @ (b / bn[:, None]).T, -1.0, 1.0)
+    got = pairwise_cosine(a, b)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_evaluate_peaks_below_one_and_a_half_score_matrices():
+    """No full-size copy of the (N, C) scores: not for clipping, sorting or partitioning."""
+    spec = SynthSpec(n_classes=600, n_seen=540, n_train=8, n_val=8, n_test=3000, seed=2)
+    bundle = generate(spec)
+    params = reference_model_params(spec, seed=2)
+    score_bytes = len(bundle.test) * spec.n_classes * 8
+    tracemalloc.start()
+    try:
+        evaluate(params, bundle.test, bundle.semantics, ks=(1, 2, 3, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * score_bytes
 
 
 @settings(max_examples=200, deadline=None)
