@@ -6,9 +6,8 @@ vector (:attr:`ModelParams.flat`: encoder, visual mapping, semantic
 mapping; weights before biases per layer) as little-endian float64.
 When optimizer state is included, two more blocks of the same length
 follow: Adam's first- and second-moment vectors, laid out like the
-parameters, with zeros for a frozen encoder. Loading gives each moment
-back as one vector of that length, so ``m[0][i]`` is the moment of
-``params.flat[i]``. Identical inputs produce byte-identical files.
+parameters, with zeros for a frozen encoder, so ``m[i]`` is the moment
+of ``params.flat[i]``. Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -62,9 +61,9 @@ def save_checkpoint(
 ) -> None:
     """Write params (and optionally Adam state) to ``path``.
 
-    ``adam`` may split its moments into any arrays whose values, in
-    order, cover ``params.flat``. ``adam_hparams`` records the scalar
-    optimizer settings (beta1, beta2, epsilon, lr) alongside them.
+    Each of ``adam``'s moments must have ``params.flat``'s length.
+    ``adam_hparams`` records the scalar optimizer settings (beta1,
+    beta2, epsilon, lr) alongside them.
     """
     params.validate()
     n = params.flat.size
@@ -79,16 +78,15 @@ def save_checkpoint(
     }
     blocks = [params.flat]
     if adam is not None:
-        m_size, v_size = (sum(a.size for a in moments) for moments in (adam.m, adam.v))
-        if m_size != n or v_size != n:
+        if adam.m.shape != (n,) or adam.v.shape != (n,):
             raise CheckpointError(
-                f"optimizer moments hold {m_size} and {v_size} values, model has {n}"
+                f"optimizer moments have shapes {adam.m.shape} and {adam.v.shape}, model has {n}"
             )
         header["optimizer"] = {
             "step_count": int(adam.step_count),
             **(adam_hparams or {}),
         }
-        blocks += [*adam.m, *adam.v]
+        blocks += [adam.m, adam.v]
     raw = canonical_json(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -169,7 +167,7 @@ def load_checkpoint(path) -> Checkpoint:
     adam = None
     hparams = None
     if opt is not None:
-        adam = AdamState(m=[block(1)], v=[block(2)], step_count=opt["step_count"])
+        adam = AdamState(m=block(1), v=block(2), step_count=opt["step_count"])
         hparams = {k: v for k, v in opt.items() if k != "step_count"}
 
     return Checkpoint(

@@ -171,11 +171,8 @@ _GEOMETRY_FLAGS = {"--jitter": "jitter", "--parents-min": "parents_min", "--pare
 
 
 def _cmd_generate(args) -> int:
-    try:
-        geometry = SemanticGeometry(**{f: getattr(args, f) for f in _GEOMETRY_FLAGS.values()})
-        spec = SynthSpec(geometry=geometry, **{f: getattr(args, f) for f in _SPEC_FLAGS.values()})
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    geometry = SemanticGeometry(**{f: getattr(args, f) for f in _GEOMETRY_FLAGS.values()})
+    spec = SynthSpec(geometry=geometry, **{f: getattr(args, f) for f in _SPEC_FLAGS.values()})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = generate(spec)

@@ -14,48 +14,47 @@ ADAM_HPARAMS = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators and step counter for one parameter list."""
+    """Adam's step counter and moments: one vector each, covering the updated arrays in order."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
 
 
 def init_adam(arrays: list[np.ndarray]) -> AdamState:
-    """Zero-initialized moments matching the given parameter arrays."""
-    return AdamState(
-        m=[np.zeros_like(a, dtype=np.float64) for a in arrays],
-        v=[np.zeros_like(a, dtype=np.float64) for a in arrays],
-    )
+    """Zero moments covering the given parameter arrays in order."""
+    n = sum(a.size for a in arrays)
+    return AdamState(m=np.zeros(n), v=np.zeros(n))
 
 
 def adam_step(
-    arrays: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = ADAM_HPARAMS["beta1"],
-    beta2: float = ADAM_HPARAMS["beta2"],
-    epsilon: float = ADAM_HPARAMS["epsilon"],
+    arrays: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float
 ) -> None:
     """One in-place Adam update with bias-corrected moment estimates.
 
     Every gradient array is checked for NaN/Inf before any parameter is
     touched, so a poisoned batch never half-applies an update.
     """
-    if len(arrays) != len(grads) or len(arrays) != len(state.m):
+    n = sum(a.size for a in arrays)
+    if len(arrays) != len(grads) or n != state.m.size:
         raise ValueError(
-            f"mismatched lengths: {len(arrays)} params, {len(grads)} grads, "
-            f"{len(state.m)} moment slots"
+            f"mismatched sizes: {len(arrays)} params, {len(grads)} grads, "
+            f"{n} values against {state.m.size} moments"
         )
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in array {i}")
+    beta1, beta2, epsilon = (ADAM_HPARAMS[k] for k in ("beta1", "beta2", "epsilon"))
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for theta, g, m, v in zip(arrays, grads, state.m, state.v):
+    start = 0
+    for theta, g in zip(arrays, grads):
+        end = start + theta.size
+        m = state.m[start:end].reshape(theta.shape)
+        v = state.v[start:end].reshape(theta.shape)
+        start = end
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2

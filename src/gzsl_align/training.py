@@ -23,7 +23,7 @@ from .exceptions import (
 from .losses import LossBreakdown, LossConfig, total_loss
 from .metrics import DEFAULT_KS, MetricsReport, evaluate, infer_scores, per_class_auroc
 from .networks import MlpSpec, ModelParams, model_spec_dict, pairwise_cosine
-from .optimizers import ADAM_HPARAMS, AdamState, PlateauScheduler, adam_step, init_adam
+from .optimizers import ADAM_HPARAMS, PlateauScheduler, adam_step, init_adam
 from .records import JsonRecord, check_finite, write_json
 
 
@@ -205,12 +205,9 @@ def train(
         )
 
     params = params0.copy()
-    # the encoder leads the flat vector, so the trainable values are one slice
-    n_frozen = params.encoder.spec.n_params if frozen else 0
-    theta = params.flat[n_frozen:]
-    adam = init_adam([theta])
+    adam = init_adam([params.flat])
     grads = params.zeros_like()  # refilled by every batch's total_loss
-    grad_theta = grads.flat[n_frozen:]
+    n_frozen = params.encoder.spec.n_params if frozen else 0  # the encoder leads flat
     sched = PlateauScheduler(
         initial_lr=cfg.lr, patience=cfg.patience, factor=cfg.lr_factor, min_delta=cfg.min_delta
     )
@@ -241,10 +238,12 @@ def train(
             )
             if not np.isfinite(breakdown.total):
                 raise NonFiniteLossError(epoch=epoch, batch_index=b, value=breakdown.total)
+            # a frozen encoder's zero gradient and zero moments make its update exactly 0.0
+            grads.flat[:n_frozen] = 0.0
             try:
-                adam_step([theta], [grad_theta], adam, lr=lr_now)
+                adam_step([params.flat], [grads.flat], adam, lr=lr_now)
             except NonFiniteGradientError:
-                bad = n_frozen + int(np.flatnonzero(~np.isfinite(grad_theta))[0])
+                bad = int(np.flatnonzero(~np.isfinite(grads.flat))[0])
                 raise NonFiniteGradientError(
                     f"non-finite gradient in {grads.array_name(bad)}"
                 ) from None
@@ -292,15 +291,13 @@ def train(
         save_checkpoint(
             best_ckpt_path, best_params, seed=cfg.seed, epoch=best_epoch, config_hash=digest
         )
-        # a frozen encoder's moments are stored as zeros, so the layout stays full
-        pad = [np.zeros(n_frozen)]
         save_checkpoint(
             str(out / "checkpoints" / "last.ckpt"),
             params,
             seed=cfg.seed,
             epoch=cfg.epochs,
             config_hash=digest,
-            adam=AdamState(m=pad + adam.m, v=pad + adam.v, step_count=adam.step_count),
+            adam=adam,
             adam_hparams={**ADAM_HPARAMS, "lr": sched.lr, "frozen_encoder": frozen},
         )
 
@@ -363,7 +360,7 @@ def _combo_dir(out_dir, gamma: float, lr: float):
 
 
 def _selection_key(gamma: float, lr: float, rec: RunRecord):
-    h = rec.best_report.harmonic if rec.best_report else -np.inf
+    h = rec.best_value if np.isfinite(rec.best_value) else -np.inf
     u = rec.best_report.unseen_mean if rec.best_report else -np.inf
     return (-h, -u, lr, gamma)
 
@@ -379,8 +376,10 @@ def grid_search(
 ) -> GridResult:
     """Train one run per (gamma, lr) combination and pick the winner.
 
-    Selection maximizes validation harmonic AUROC; ties break by higher
-    unseen AUROC, then lower lr, then lower gamma. All runs share the
+    Selection maximizes the value each run selected its best epoch on
+    (``RunRecord.best_value``: validation harmonic AUROC, or mean seen
+    AUROC on a seen-only val split); ties break by higher unseen AUROC,
+    then lower lr, then lower gamma. All runs share the
     base config's seed and initial parameters so combos differ only in
     hyperparameters. ``random_trials`` subsamples the grid without
     replacement (seeded by the base config); ``jobs`` > 1 runs combos in

@@ -44,9 +44,8 @@ def test_adam_state_round_trips(tmp_path):
     params = _model(seed=1)
     state = init_adam(params.arrays())
     rng = np.random.default_rng(0)
-    for m, v in zip(state.m, state.v):
-        m[:] = rng.standard_normal(m.shape)
-        v[:] = rng.uniform(size=v.shape)
+    state.m[:] = rng.standard_normal(state.m.shape)
+    state.v[:] = rng.uniform(size=state.v.shape)
     state.step_count = 42
     path = tmp_path / "full.ckpt"
     hparams = {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
@@ -54,10 +53,19 @@ def test_adam_state_round_trips(tmp_path):
     ck = load_checkpoint(path)
     assert ck.adam is not None and ck.adam.step_count == 42
     assert ck.adam_hparams["lr"] == 1e-3
-    # per-layer moments come back as one vector each, in flat's layout
-    assert len(ck.adam.m) == len(ck.adam.v) == 1
-    assert np.array_equal(ck.adam.m[0], np.concatenate([m.ravel() for m in state.m]))
-    assert np.array_equal(ck.adam.v[0], np.concatenate([v.ravel() for v in state.v]))
+    # the moments come back as one vector each, in flat's layout
+    assert ck.adam.m.shape == ck.adam.v.shape == params.flat.shape
+    assert np.array_equal(ck.adam.m, state.m)
+    assert np.array_equal(ck.adam.v, state.v)
+
+
+def test_moments_shorter_than_flat_are_rejected(tmp_path):
+    params = _model(seed=1)
+    trainable = init_adam([params.flat[params.encoder.spec.n_params :]])
+    path = tmp_path / "short.ckpt"
+    with pytest.raises(CheckpointError, match="optimizer moments"):
+        save_checkpoint(path, params, seed=1, epoch=1, adam=trainable)
+    assert not path.exists()
 
 
 def test_saved_files_are_deterministic(tmp_path):
@@ -138,7 +146,9 @@ def test_loaded_buffers_are_private_and_writable(tmp_path):
     ck = load_checkpoint(path)
     assert np.array_equal(ck.params.flat, params.flat)
     assert not np.shares_memory(ck.params.flat, params.flat)
-    for moment in ck.adam.m + ck.adam.v:
+    assert not np.shares_memory(ck.adam.m, ck.adam.v)
+    for moment in (ck.adam.m, ck.adam.v):
+        assert moment.flags.writeable
         assert not np.shares_memory(moment, ck.params.flat)
     ck.params.visual_map.weights[0][0, 0] = 2.5
     assert ck.params.flat[params.encoder.spec.n_params] == 2.5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gzsl_align import NonFiniteGradientError, adam_step, init_adam
+from gzsl_align.networks import MlpSpec, init_model_params
 from gzsl_align.optimizers import PlateauScheduler
 
 
@@ -56,7 +57,59 @@ def test_nonfinite_gradient_rejected_before_any_update():
     assert "array 1" in str(exc_info.value)
     np.testing.assert_array_equal(a, [1.0, 2.0])  # first array untouched too
     np.testing.assert_array_equal(b, [3.0])
-    assert state.step_count == 0 and np.all(state.m[0] == 0)
+    assert state.step_count == 0
+    assert state.m.shape == state.v.shape == (3,)
+    assert not state.m.any() and not state.v.any()
+
+
+def test_moments_of_another_size_are_rejected():
+    w = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="mismatched sizes"):
+        adam_step([w], [np.ones(2)], init_adam([np.zeros(3)]), lr=0.1)
+    np.testing.assert_array_equal(w, [1.0, 2.0])
+
+
+def _per_array_adam_oracle(arrays, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """Adam's update body from when each parameter array had its own moment arrays."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for theta, g, m, v in zip(arrays, grads, ms, vs):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+
+
+def test_per_array_and_flat_calls_equal_the_per_array_oracle_exactly():
+    params = init_model_params(
+        MlpSpec((6, 5, 4)), MlpSpec((3, 5, 4)), MlpSpec((6, 7, 6)), seed=4
+    )
+    assert init_adam(params.arrays()).m.shape == params.flat.shape
+    per_array, flat, oracle = params.copy(), params.copy(), params.copy()
+    per_array_state = init_adam(per_array.arrays())
+    flat_state = init_adam([flat.flat])
+    ms = [np.zeros_like(a) for a in oracle.arrays()]
+    vs = [np.zeros_like(a) for a in oracle.arrays()]
+    grads = params.zeros_like()
+    rng = np.random.default_rng(9)
+    n = grads.flat.size
+    for t in range(1, 21):
+        # gradients over eight decades, some exactly zero, and a changing lr
+        grads.flat[:] = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 2, n)
+        grads.flat[rng.random(n) < 0.1] = 0.0
+        lr = 1e-3 * 0.5 ** (t // 7)
+        adam_step(per_array.arrays(), grads.arrays(), per_array_state, lr=lr)
+        adam_step([flat.flat], [grads.flat], flat_state, lr=lr)
+        _per_array_adam_oracle(oracle.arrays(), grads.arrays(), ms, vs, t, lr)
+    want_m = np.concatenate([m.ravel() for m in ms])
+    want_v = np.concatenate([v.ravel() for v in vs])
+    assert not np.array_equal(oracle.flat, params.flat)
+    for got, state in ((per_array, per_array_state), (flat, flat_state)):
+        assert state.step_count == 20
+        assert got.flat.tobytes() == oracle.flat.tobytes()
+        assert state.m.tobytes() == want_m.tobytes()
+        assert state.v.tobytes() == want_v.tobytes()
 
 
 def test_scheduler_constant_loss_fires_at_patience():

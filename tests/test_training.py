@@ -206,12 +206,12 @@ def test_last_checkpoint_carries_full_adam_state(bundle, tmp_path):
     # each moment is one vector in flat's layout: a zero encoder head, then nonzero moments
     n_enc = ckpt.params.encoder.spec.n_params
     for moments in (ckpt.adam.m, ckpt.adam.v):
-        assert len(moments) == 1 and moments[0].shape == ckpt.params.flat.shape
-        assert not moments[0][:n_enc].any()
+        assert moments.shape == ckpt.params.flat.shape
+        assert not moments[:n_enc].any()
         start = n_enc
         for _, net in ckpt.params.nets()[1:]:
             for a in net.arrays():
-                assert moments[0][start : start + a.size].any()
+                assert moments[start : start + a.size].any()
                 start += a.size
 
 
@@ -245,7 +245,8 @@ def test_non_finite_gradient_stops_before_any_update(bundle, monkeypatch, mode, 
     assert np.array_equal(seen["params"].flat, seen["before"])
     adam = seen["adam"]
     assert adam.step_count == 0
-    assert not any(a.any() for a in adam.m + adam.v)
+    assert adam.m.shape == adam.v.shape == seen["params"].flat.shape
+    assert not adam.m.any() and not adam.v.any()
 
 
 def test_scheduler_reduces_lr_when_val_loss_plateaus(bundle):
@@ -260,7 +261,7 @@ def test_scheduler_reduces_lr_when_val_loss_plateaus(bundle):
     assert rec.epochs[4].lr == cfg.lr * 0.25
 
 
-def test_seen_only_val_selects_by_seen_auroc(bundle):
+def _with_seen_only_val(bundle) -> DataBundle:
     seen_cols = list(bundle.vocab.seen_ids)
     val = Dataset(
         features=bundle.val.features,
@@ -268,13 +269,17 @@ def test_seen_only_val_selects_by_seen_auroc(bundle):
         label_space=LabelSpace.SEEN_ONLY,
         vocab=bundle.vocab,
     )
-    data = DataBundle(
+    return DataBundle(
         vocab=bundle.vocab,
         semantics=bundle.semantics,
         train=bundle.train,
         val=val,
         test=bundle.test,
     )
+
+
+def test_seen_only_val_selects_by_seen_auroc(bundle):
+    data = _with_seen_only_val(bundle)
     rec = train(quick_cfg(epochs=2), data, quick_params(bundle))
     assert rec.best_report is None
     assert all(ep.val_report is None for ep in rec.epochs)
@@ -360,6 +365,18 @@ def test_grid_winner_tops_leaderboard(bundle):
     top = result.leaderboard[0]
     assert result.best.config.lr == top["lr"]
     assert result.best.config.loss.gamma1 == top["gamma"]
+
+
+def test_grid_ranks_seen_only_runs_by_their_selection_value(bundle):
+    # no run has a harmonic here, so ranking by it would tie them all and pick the lowest lr
+    data = _with_seen_only_val(bundle)
+    cfg, params = quick_cfg(epochs=2), quick_params(bundle)
+    result = grid_search(GridSpec((0.1,), (1e-6, 1e-2)), cfg, data, params)
+    by_lr = {lr: train(replace(cfg, lr=lr), data, params).best_value for lr in (1e-6, 1e-2)}
+    assert by_lr[1e-2] > by_lr[1e-6]
+    assert result.best.config.lr == 1e-2
+    assert result.best.best_value == by_lr[1e-2]
+    assert [row["lr"] for row in result.leaderboard] == [1e-2, 1e-6]
 
 
 def test_grid_random_trials_subsamples(bundle):
