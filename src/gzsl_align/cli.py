@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .checkpoints import load_checkpoint
-from .data import SPLIT_NAMES, load_manifest, save_manifest
+from .data import SPLIT_NAMES, DataBundle, load_manifest, save_manifest
 from .exceptions import GzslError, ValidationError
 from .gradcheck import run_gradient_check
 from .losses import TERM_NAMES
@@ -37,6 +37,7 @@ from .training import (
     EncoderMode,
     GridSpec,
     TrainConfig,
+    check_run,
     default_model_specs,
     grid_search,
     train,
@@ -74,8 +75,6 @@ def _parse_terms(text: str) -> tuple[str, ...]:
         raise ValidationError(
             f"unknown loss terms {sorted(unknown)}; valid: {', '.join(TERM_NAMES)}"
         )
-    if not terms:
-        raise ValidationError("term mask must name at least one of rank, align, con")
     return terms
 
 
@@ -97,10 +96,13 @@ def _overlay(base: dict, layer, where: str = "train config") -> dict:
     return merged
 
 
-def _resolve_train_config(args) -> tuple[TrainConfig, dict | None]:
-    """Layer the defaults, the config file's train section and the set flags.
+def _resolve_run(args) -> tuple[TrainConfig, DataBundle, ModelParams]:
+    """The config, data and initial model of a ``train`` or ``grid`` run.
 
-    Returns the config and the file's model section (None without one).
+    Layers the defaults, the config file's train section and the set flags;
+    the file's model section sets the widths, else ``default_model_specs``
+    does. Raises on every input ``train`` would reject, before anything is
+    written.
     """
     layers = [TrainConfig().to_dict()]
     model_section = None
@@ -125,33 +127,17 @@ def _resolve_train_config(args) -> tuple[TrainConfig, dict | None]:
     }
     layers.append(to_json({k: v for k, v in flags.items() if v is not None}))
     try:
-        return TrainConfig.from_dict(functools.reduce(_overlay, layers)), model_section
+        cfg = TrainConfig.from_dict(functools.reduce(_overlay, layers))
     except ValueError as exc:
         raise ValidationError(f"invalid training config: {exc}") from exc
-
-
-def _build_model(bundle, cfg: TrainConfig, model_section, latent_dim) -> ModelParams:
-    """Initial parameters: the config file's model section, else the default shapes.
-
-    Rejects what the run could not honour before any artifact is written:
-    ``--latent-dim`` beside a model section, and frozen mode without an encoder.
-    """
+    bundle = load_manifest(args.manifest)
     if model_section is None:
-        v, d = bundle.train.feature_dim, bundle.semantics.dim
-        specs = default_model_specs(v, d, True, latent_dim)
-    elif latent_dim is not None:
-        raise ValidationError(
-            "--latent-dim cannot be combined with the --config model section; "
-            "drop one of them"
-        )
+        specs = default_model_specs(bundle.train.feature_dim, bundle.semantics.dim)
     else:
         specs = read_model_spec(model_section)
-    if cfg.encoder_mode is EncoderMode.FROZEN and specs[2] is None:
-        raise ValidationError(
-            "encoder mode frozen needs an encoder, and the --config model section "
-            'has "encoder": null'
-        )
-    return init_model_params(*specs, cfg.seed)
+    params0 = init_model_params(*specs, cfg.seed)
+    check_run(cfg, bundle, params0)
+    return cfg, bundle, params0
 
 
 # generate's flags and the record field each one sets; the records hold the defaults
@@ -193,9 +179,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg, model_section = _resolve_train_config(args)
-    bundle = load_manifest(args.manifest)
-    params0 = _build_model(bundle, cfg, model_section, args.latent_dim)
+    cfg, bundle, params0 = _resolve_run(args)
     record = train(cfg, bundle, params0, args.out_dir)
     h = record.best_report.harmonic if record.best_report else float("nan")
     print(
@@ -206,14 +190,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    cfg, model_section = _resolve_train_config(args)
     grid = GridSpec(
         gamma_candidates=_parse_floats(args.gammas) if args.gammas else GridSpec().gamma_candidates,
         lr_candidates=_parse_floats(args.lrs) if args.lrs else GridSpec().lr_candidates,
     )
     grid.check_random_trials(args.random_trials)  # before anything is written
-    bundle = load_manifest(args.manifest)
-    params0 = _build_model(bundle, cfg, model_section, args.latent_dim)
+    cfg, bundle, params0 = _resolve_run(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(
@@ -344,7 +326,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--encoder-mode", type=EncoderMode, help="end-to-end or frozen")
     p.add_argument("--term-mask", help="comma list from {rank,align,con}")
     p.add_argument("--k", help="comma list of top-k values, e.g. 2,3")
-    p.add_argument("--latent-dim", type=int, help="latent width override")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -48,6 +48,8 @@ class LossConfig(JsonRecord):
             raise ValueError(f"margin delta must be >= 0, got {self.delta}")
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise ValueError("gamma weights must be >= 0")
+        if not (self.use_rank or self.use_align or self.use_con):
+            raise ValueError("the loss must use at least one of rank, align, con")
 
     def with_terms(self, terms) -> "LossConfig":
         """Config with exactly the named terms of {rank, align, con} enabled."""

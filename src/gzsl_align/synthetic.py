@@ -153,16 +153,18 @@ def _draw_split(
     return features, labels
 
 
+def _streams(spec: SynthSpec) -> list[np.random.Generator]:
+    """The generator's independent streams, in order: semantics, lift, train, val, test."""
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(spec.seed).spawn(5)]
+
+
 def generate(spec: SynthSpec) -> DataBundle:
     """Deterministic benchmark bundle: vocabulary, semantics, three splits.
 
     The training split carries seen-only label rows (width S); val and
     test carry full-width rows and contain unseen-class positives.
     """
-    ss = np.random.SeedSequence(spec.seed)
-    rng_sem, rng_lift, rng_train, rng_val, rng_test = (
-        np.random.default_rng(c) for c in ss.spawn(5)
-    )
+    rng_sem, rng_lift, rng_train, rng_val, rng_test = _streams(spec)
     names = tuple(f"class{i:02d}" for i in range(spec.n_classes))
     vocab = ClassVocabulary(
         names=names,
@@ -214,10 +216,9 @@ def true_scores(
     all classes. With zero noise the pseudo-inverse of the lift recovers
     w_bar exactly and is used directly.
     """
-    ss = np.random.SeedSequence(spec.seed)
-    children = ss.spawn(5)
-    rows = _draw_semantics(spec, np.random.default_rng(children[0]))
-    lift = _feature_map(spec, np.random.default_rng(children[1]))
+    rng_sem, rng_lift, *_ = _streams(spec)
+    rows = _draw_semantics(spec, rng_sem)
+    lift = _feature_map(spec, rng_lift)
     feats = np.atleast_2d(features)
     if spec.noise_sigma == 0:
         w_hat = feats @ np.linalg.pinv(lift).T

@@ -45,18 +45,16 @@ def default_model_specs(
     feature_dim: int,
     semantic_dim: int,
     with_encoder: bool = True,
-    latent_dim: int | None = None,
 ) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
     """Mapping-net shapes scaled to the data dims.
 
-    The latent width defaults to 128 capped by the smaller input; hidden
+    The latent width is 128 capped by the smaller input; hidden
     widths are 4x and 2x the latent, which reproduces the
     [1024, 512, 256, 128] / [d, 512, 256, 128] pyramids at full scale and
     shrinks proportionally at benchmark scale. The optional feature encoder is
     one hidden ReLU layer of the feature width.
     """
-    if latent_dim is None:
-        latent_dim = min(128, max(4, min(feature_dim, semantic_dim)))
+    latent_dim = min(128, max(4, min(feature_dim, semantic_dim)))
     visual = MlpSpec((feature_dim, 4 * latent_dim, 2 * latent_dim, latent_dim))
     semantic = MlpSpec((semantic_dim, 4 * latent_dim, 2 * latent_dim, latent_dim))
     encoder = MlpSpec((feature_dim, feature_dim, feature_dim)) if with_encoder else None
@@ -177,6 +175,24 @@ def _seen_only_selection_value(params: ModelParams, data: DataBundle) -> float:
     return float(np.mean(vals)) if vals else float("nan")
 
 
+def check_run(cfg: TrainConfig, data: DataBundle, params0: ModelParams) -> None:
+    """Raise unless ``train(cfg, data, params0)`` can run; it does no work and writes nothing."""
+    params0.validate()
+    if cfg.encoder_mode is EncoderMode.FROZEN and params0.encoder is None:
+        raise ValueError("encoder_mode frozen needs a model with an encoder, and this one has none")
+    check_inductive(data.train)
+    if params0.feature_dim != data.train.feature_dim:
+        raise ValueError(
+            f"model expects {params0.feature_dim}-dim features, data has {data.train.feature_dim}"
+        )
+    if params0.semantic_dim != data.semantics.dim:
+        raise ValueError(
+            f"model expects {params0.semantic_dim}-dim semantics, data has {data.semantics.dim}"
+        )
+    if max(cfg.ks) > data.vocab.n_classes:
+        raise ValueError(f"top-k {max(cfg.ks)} exceeds the {data.vocab.n_classes} classes")
+
+
 def train(
     cfg: TrainConfig,
     data: DataBundle,
@@ -190,20 +206,8 @@ def train(
     config.json, metrics.csv, and checkpoints/{best,last}.ckpt.
     """
     t0 = time.perf_counter()
-    params0.validate()
+    check_run(cfg, data, params0)
     frozen = cfg.encoder_mode is EncoderMode.FROZEN
-    if frozen and params0.encoder is None:
-        raise ValueError("encoder_mode frozen needs a model with an encoder, and this one has none")
-    check_inductive(data.train)
-    if params0.feature_dim != data.train.feature_dim:
-        raise ValueError(
-            f"model expects {params0.feature_dim}-dim features, data has {data.train.feature_dim}"
-        )
-    if params0.semantic_dim != data.semantics.dim:
-        raise ValueError(
-            f"model expects {params0.semantic_dim}-dim semantics, data has {data.semantics.dim}"
-        )
-
     params = params0.copy()
     adam = init_adam([params.flat])
     grads = params.zeros_like()  # refilled by every batch's total_loss
@@ -411,15 +415,22 @@ def grid_search(
         {
             "gamma": g,
             "lr": lr,
-            "harmonic": rec.best_report.harmonic if rec.best_report else None,
-            "unseen_mean": rec.best_report.unseen_mean if rec.best_report else None,
-            "seen_mean": rec.best_report.seen_mean if rec.best_report else None,
+            **_leaderboard_means(rec),
             "best_epoch": rec.best_epoch,
             "out_dir": rec.out_dir,
         }
         for g, lr, rec in ranked
     ]
     return GridResult(best=ranked[0][2], leaderboard=leaderboard, failures=failures)
+
+
+def _leaderboard_means(rec: RunRecord) -> dict:
+    """A run's selection means; on a seen-only val split ``best_value`` is the seen mean."""
+    if rec.best_report is not None:
+        r = rec.best_report
+        return {"harmonic": r.harmonic, "unseen_mean": r.unseen_mean, "seen_mean": r.seen_mean}
+    seen = rec.best_value if np.isfinite(rec.best_value) else None
+    return {"harmonic": None, "unseen_mean": None, "seen_mean": seen}
 
 
 def _grid_worker_safe(args) -> tuple[RunRecord | None, str | None]:

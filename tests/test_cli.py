@@ -153,11 +153,15 @@ def test_train_model_section_reused_from_config(bench, run_dir, tmp_path):
 
 
 def test_train_latent_dim_override(bench, tmp_path):
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"model": {
+        "encoder": [12, 12, 12], "visual_map": [12, 16, 8, 4], "semantic_map": [8, 16, 8, 4],
+    }}))
     out = tmp_path / "narrow"
     code = main(
         [
             "train", "--manifest", str(bench), "--out-dir", str(out),
-            *FAST_TRAIN, "--epochs", "1", "--latent-dim", "4",
+            "--config", str(config), *FAST_TRAIN, "--epochs", "1",
         ]
     )
     assert code == 0
@@ -499,6 +503,15 @@ def _encoderless_config(tmp_path) -> Path:
     return path
 
 
+def _assert_input_error_writes_nothing(argv, out, capsys) -> str:
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+    return captured.err
+
+
 @pytest.mark.parametrize("command", ["train", "grid"])
 def test_frozen_mode_without_encoder_is_input_error(bench, tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -506,26 +519,32 @@ def test_frozen_mode_without_encoder_is_input_error(bench, tmp_path, capsys, com
         command, "--manifest", str(bench), "--out-dir", str(out), "--config",
         str(_encoderless_config(tmp_path)), *FAST_TRAIN, "--encoder-mode", "frozen",
     ]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "frozen" in captured.err
-    assert "Traceback" not in captured.out + captured.err
-    assert not out.exists()
+    assert "frozen" in _assert_input_error_writes_nothing(argv, out, capsys)
 
 
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ({"model": {"encoder": None, "visual_map": [7, 8, 4], "semantic_map": [8, 4]}}, [],
+         "expects 7-dim features, data has 12"),
+        ({"model": {"encoder": None, "visual_map": [12, 4], "semantic_map": [5, 4]}}, [],
+         "expects 5-dim semantics, data has 8"),
+        (None, ["--k", "2,7"], "top-k 7 exceeds the 6 classes"),
+        ({"loss": {"use_rank": False, "use_align": False, "use_con": False}}, [],
+         "at least one of rank, align, con"),
+    ],
+    ids=["visual-width", "semantic-width", "k-above-classes", "no-loss-term"],
+)
 @pytest.mark.parametrize("command", ["train", "grid"])
-def test_latent_dim_with_config_model_section_is_input_error(bench, tmp_path, capsys, command):
+def test_run_train_would_reject_is_input_error(bench, tmp_path, capsys, command, config, flags,
+                                               message):
     out = tmp_path / "out"
-    argv = [
-        command, "--manifest", str(bench), "--out-dir", str(out), "--config",
-        str(_encoderless_config(tmp_path)), *FAST_TRAIN, "--latent-dim", "6",
-    ]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
-    assert "--latent-dim" in captured.err and "--config model section" in captured.err
-    assert "Traceback" not in captured.out + captured.err
-    assert not out.exists()
+    argv = [command, "--manifest", str(bench), "--out-dir", str(out), *FAST_TRAIN, *flags]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert message in _assert_input_error_writes_nothing(argv, out, capsys)
 
 
 @pytest.mark.parametrize(

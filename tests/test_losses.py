@@ -701,6 +701,8 @@ def test_loss_config_term_mask_round_trip():
     assert (cfg.use_rank, cfg.use_align, cfg.use_con) == (True, False, True)
     with pytest.raises(ValueError):
         LossConfig().with_terms(("rank", "nope"))
+    with pytest.raises(ValueError, match="at least one of rank, align, con"):
+        LossConfig().with_terms(())
 
 
 def test_readme_term_signatures_match_the_code():

@@ -144,6 +144,16 @@ def test_frozen_mode_without_encoder_is_rejected_before_any_work(bundle, tmp_pat
     assert not (tmp_path / "run").exists()
 
 
+def test_topk_above_class_count_is_rejected_before_any_work(bundle, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("train ran the objective")
+
+    monkeypatch.setattr(training_module, "total_loss", no_work)
+    cfg = quick_cfg(epochs=1, ks=(2, bundle.vocab.n_classes + 1))
+    with pytest.raises(ValueError, match=f"exceeds the {bundle.vocab.n_classes} classes"):
+        train(cfg, bundle, quick_params(bundle))
+
+
 def test_best_params_frozen_at_best_epoch(bundle):
     rec = train(quick_cfg(epochs=6), bundle, quick_params(bundle))
     harmonics = [ep.val_report.harmonic for ep in rec.epochs]
@@ -377,6 +387,10 @@ def test_grid_ranks_seen_only_runs_by_their_selection_value(bundle):
     assert result.best.config.lr == 1e-2
     assert result.best.best_value == by_lr[1e-2]
     assert [row["lr"] for row in result.leaderboard] == [1e-2, 1e-6]
+    # the leaderboard shows each run's selection value as its seen mean
+    assert [row["seen_mean"] for row in result.leaderboard] == [by_lr[1e-2], by_lr[1e-6]]
+    assert all(row["harmonic"] is None and row["unseen_mean"] is None
+               for row in result.leaderboard)
 
 
 def test_grid_random_trials_subsamples(bundle):
