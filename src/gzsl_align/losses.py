@@ -163,7 +163,9 @@ def con_term(
     twice. Returns the value and the gradient of ``gamma2 * value``
     w.r.t. the unit rows (None without ``compute_grads``); the
     subgradient of the pair {i, j} is sign(c_ij - t_ij) + sign(c_ij - t_ji),
-    for any target.
+    for any target. Where rounding puts t_hat_i . t_hat_j past +-1, c_ij
+    is clipped and the pair has no slope (two classes projected onto one
+    row would otherwise leave a gradient residue of machine-epsilon size).
 
     The class x class matrix is walked in blocks of ``CON_BLOCK`` rows,
     over the block pairs (I, J >= I) of its upper triangle. Each cosine
@@ -183,19 +185,23 @@ def con_term(
         for j0 in range(i0, k, CON_BLOCK):
             rows_j = slice(j0, j0 + CON_BLOCK)
             t_j = t_hat[rows_j]
-            c = np.clip(t_i @ t_j.T, -1.0, 1.0)  # syrk on the diagonal block
+            c = t_i @ t_j.T  # syrk on the diagonal block
+            cut = np.abs(c) > 1.0 if compute_grads else None
+            np.clip(c, -1.0, 1.0, out=c)
             diff = c - target[rows_i, rows_j]
             if j0 == i0:
                 np.fill_diagonal(diff, 0.0)
                 if compute_grads:
                     H = np.sign(diff)
-                    # each row appears on both sides of every ordered pair
-                    d_t[rows_i] += (H + H.T) @ t_i
+                    H = H + H.T  # each row appears on both sides of every ordered pair
+                    H[cut] = 0.0
+                    d_t[rows_i] += H @ t_i
                 value += float(np.abs(diff, out=diff).sum())
                 continue
             diff_t = c.T - target[rows_j, rows_i]
             if compute_grads:
                 H = np.sign(diff) + np.sign(diff_t).T
+                H[cut] = 0.0
                 d_t[rows_i] += H @ t_j
                 d_t[rows_j] += H.T @ t_i
             value += float(np.abs(diff, out=diff).sum()) + float(np.abs(diff_t, out=diff_t).sum())

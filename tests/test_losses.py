@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gzsl_align import (
@@ -607,6 +607,8 @@ def _total_loss_oracle(F, Y, W, params, cfg):
     pair_normalize=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# dead hidden units map both classes onto one row: a zero consistency gradient
+@example(s=2, with_encoder=False, terms=("con",), pair_normalize=False, seed=512472)
 def test_total_loss_matches_two_pass_oracle(s, with_encoder, terms, pair_normalize, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 12))
