@@ -195,6 +195,8 @@ def _cmd_grid(args) -> int:
         lr_candidates=_parse_floats(args.lrs) if args.lrs else GridSpec().lr_candidates,
     )
     grid.check_random_trials(args.random_trials)  # before anything is written
+    if args.jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {args.jobs}")
     cfg, bundle, params0 = _resolve_run(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -262,9 +264,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    result = run_gradient_check(
-        trials=args.trials, seed=args.seed, tolerance=args.tolerance
-    )
+    result = run_gradient_check(args.trials, args.seed, args.tolerance)
     status = "PASS" if result.passed else "FAIL"
     print(
         f"{status}: max relative error {result.max_error:.3e} over "

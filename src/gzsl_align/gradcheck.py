@@ -137,8 +137,11 @@ def run_gradient_check(
 
     The error measure is |analytic - fd| / (max(|analytic|, |fd|) + 1e-3):
     relative for large gradients, absolute near zero where a pure ratio
-    would be meaningless.
+    would be meaningless. Raises ValueError for fewer than one trial or a
+    tolerance that is not finite and positive, which would check nothing.
     """
+    if trials < 1 or not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"need trials >= 1 and a finite tolerance > 0, got {trials}, {tolerance}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     max_err = 0.0
     worst_trial = -1

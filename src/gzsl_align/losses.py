@@ -157,20 +157,20 @@ def con_term(
     """L1 drift of pairwise class cosines under the semantic projection.
 
     ``t_hat`` holds the projected seen-class rows as unit rows, and
-    ``target`` the fixed cosines of the original rows,
-    ``pairwise_cosine(W, W)``. Sums |c_ij - t_ij| over ordered pairs
-    i != j, where c_ij = t_hat_i . t_hat_j, so each unordered pair counts
-    twice. Returns the value and the gradient of ``gamma2 * value``
-    w.r.t. the unit rows (None without ``compute_grads``); the
-    subgradient of the pair {i, j} is sign(c_ij - t_ij) + sign(c_ij - t_ji),
-    for any target. Where rounding puts t_hat_i . t_hat_j past +-1, c_ij
-    is clipped and the pair has no slope (two classes projected onto one
-    row would otherwise leave a gradient residue of machine-epsilon size).
+    ``target`` the fixed cosines of the original rows; it must be
+    symmetric, as ``pairwise_cosine(W, W)`` is. Sums |c_ij - t_ij| over
+    ordered pairs i != j, where c_ij = t_hat_i . t_hat_j, so each
+    unordered pair counts twice. Returns the value and the gradient of
+    ``gamma2 * value`` w.r.t. the unit rows (None without
+    ``compute_grads``); the subgradient of the pair {i, j} is
+    2 sign(c_ij - t_ij). Where rounding puts t_hat_i . t_hat_j past +-1,
+    c_ij is clipped and the pair has no slope (two classes projected onto
+    one row would otherwise leave a gradient residue of machine-epsilon size).
 
     The class x class matrix is walked in blocks of ``CON_BLOCK`` rows,
-    over the block pairs (I, J >= I) of its upper triangle. Each cosine
-    block is computed once and read in both orientations, so the cosine
-    matrix is exactly symmetric. Time is O(S^2 d) and memory O(B S) for
+    over the block pairs (I, J >= I) of its upper triangle. A block off
+    the diagonal also stands for its mirror: its sum counts twice and its
+    slopes reach both row blocks. Time is O(S^2 d) and memory O(B S) for
     B = CON_BLOCK: a few temporaries of at most B x B besides the (S, d)
     gradient. With S <= B the whole matrix is one diagonal block.
     """
@@ -186,25 +186,15 @@ def con_term(
             rows_j = slice(j0, j0 + CON_BLOCK)
             t_j = t_hat[rows_j]
             c = t_i @ t_j.T  # syrk on the diagonal block
-            cut = np.abs(c) > 1.0 if compute_grads else None
-            np.clip(c, -1.0, 1.0, out=c)
-            diff = c - target[rows_i, rows_j]
+            diff = np.clip(c, -1.0, 1.0) - target[rows_i, rows_j]
             if j0 == i0:
                 np.fill_diagonal(diff, 0.0)
-                if compute_grads:
-                    H = np.sign(diff)
-                    H = H + H.T  # each row appears on both sides of every ordered pair
-                    H[cut] = 0.0
-                    d_t[rows_i] += H @ t_i
-                value += float(np.abs(diff, out=diff).sum())
-                continue
-            diff_t = c.T - target[rows_j, rows_i]
             if compute_grads:
-                H = np.sign(diff) + np.sign(diff_t).T
-                H[cut] = 0.0
+                H = np.where(np.abs(c) > 1.0, 0.0, 2.0 * np.sign(diff))  # clip-cut: no slope
                 d_t[rows_i] += H @ t_j
-                d_t[rows_j] += H.T @ t_i
-            value += float(np.abs(diff, out=diff).sum()) + float(np.abs(diff_t, out=diff_t).sum())
+                if j0 != i0:
+                    d_t[rows_j] += H.T @ t_i
+            value += (1.0 if j0 == i0 else 2.0) * float(np.abs(diff, out=diff).sum())
     if compute_grads:
         d_t *= gamma2
     return value, d_t
@@ -240,9 +230,9 @@ def total_loss(
             (evaluation-only calls). Such a call records no forward tape
             and builds no term gradient.
         semantic_cosines: ``pairwise_cosine(semantics_seen, semantics_seen)``,
-            the fixed target of the consistency term. Callers that evaluate
-            many batches against the same semantics pass it once computed;
-            when omitted it is computed here.
+            the fixed, exactly symmetric target of the consistency term.
+            Callers that evaluate many batches against the same semantics
+            pass it once computed; when omitted it is computed here.
         grads: a gradient store of ``params``' layout to zero and fill in
             place of a new one, so a training loop allocates it once.
 
@@ -324,10 +314,9 @@ def total_loss(
 
     con_val = 0.0
     if cfg.use_con:
-        target = semantic_cosines
-        if target is None:
-            target = pairwise_cosine(W, W, "semantic row")
-        con_val, d_t_c = con_term(t_hat[:n_cls], target, cfg.gamma2, compute_grads)
+        if semantic_cosines is None:
+            semantic_cosines = pairwise_cosine(W, W, "semantic row")
+        con_val, d_t_c = con_term(t_hat[:n_cls], semantic_cosines, cfg.gamma2, compute_grads)
         if compute_grads:
             d_t[:n_cls] += d_t_c
 

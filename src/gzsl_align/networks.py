@@ -153,19 +153,23 @@ def row_norms(m: np.ndarray, what: str = "vector") -> np.ndarray:
 def pairwise_cosine(a: np.ndarray, b: np.ndarray, what: str = "row") -> np.ndarray:
     """Cosine similarities between all rows of ``a`` and all rows of ``b``.
 
+    When ``b is a``, the rows are normalized once and numpy computes
+    ``u @ u.T`` as one symmetric update, so the result is exactly symmetric.
     Raises :class:`DegenerateVectorError` on a row whose norm is zero or
     not finite (a NaN, an inf, or a square sum beyond float64 range).
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    with np.errstate(over="ignore"):  # an overflowing norm is reported by row below
-        an = row_norms(a, what)
-        bn = row_norms(b, what)
-    for norms in (an, bn):
+
+    def unit_rows(x):
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        with np.errstate(over="ignore"):  # an overflowing norm is reported by row below
+            norms = row_norms(x, what)
         bad = ~np.isfinite(norms)
         if bad.any():
             raise DegenerateVectorError(f"{what} {int(np.argmax(bad))} has a non-finite norm")
-    cos = (a / an[:, None]) @ (b / bn[:, None]).T
+        return x / norms[:, None]
+
+    u = unit_rows(a)
+    cos = u @ (u if b is a else unit_rows(b)).T
     return np.clip(cos, -1.0, 1.0, out=cos)
 
 

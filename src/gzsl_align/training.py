@@ -391,6 +391,8 @@ def grid_search(
     """
     combos = grid.combos()
     grid.check_random_trials(random_trials)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if random_trials is not None:
         rng = np.random.default_rng(np.random.SeedSequence(base_cfg.seed))
         chosen = rng.choice(len(combos), size=random_trials, replace=False)

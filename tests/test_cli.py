@@ -422,6 +422,26 @@ def test_gradcheck_passes(capsys):
     assert "5 trials" in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--trials", "0"], ["--trials", "-5"], ["--tolerance", "nan"], ["--tolerance", "inf"],
+     ["--tolerance", "0"], ["--tolerance=-1e-4"]],
+    ids=" ".join,
+)
+def test_gradcheck_that_checks_nothing_is_input_error(capsys, flags):
+    assert main(["gradcheck", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no PASS or FAIL line
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_grid_jobs_below_one_is_input_error(bench, tmp_path, capsys, jobs):
+    out = tmp_path / "grid"
+    argv = ["grid", "--manifest", str(bench), "--out-dir", str(out), *FAST_TRAIN, "--jobs", jobs]
+    assert "jobs" in _assert_input_error_writes_nothing(argv, out, capsys)
+
+
 def test_report_renders_table(bench, run_dir, tmp_path, capsys):
     eval_dir = tmp_path / "eval"
     main(

@@ -385,15 +385,13 @@ def _con_dense_oracle(t_hat, target, gamma2, compute_grads):
     return value, gamma2 * ((H + H.T) @ t_hat)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    k=st.sampled_from([1, 2, CON_BLOCK - 1, CON_BLOCK, CON_BLOCK + 1, 2 * CON_BLOCK + 3]),
-    ties=st.booleans(),
-    compute_grads=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_consistency_blocks_match_dense_oracle(k, ties, compute_grads, seed):
-    rng = np.random.default_rng(seed)
+def _symmetric(m):
+    """``m``'s upper triangle mirrored onto its lower one."""
+    return np.triu(m) + np.triu(m, 1).T
+
+
+def _symmetric_con_case(rng, k, ties):
+    """Unit rows and a symmetric target for the consistency term."""
     if ties:
         # four entries of +-1/2 per row: every cosine is a multiple of 1/4 in any
         # summation order, so a target built from t_hat ties exactly
@@ -401,11 +399,26 @@ def test_consistency_blocks_match_dense_oracle(k, ties, compute_grads, seed):
         for row in t_hat:
             row[rng.choice(8, 4, replace=False)] = rng.choice([-0.5, 0.5], 4)
         target = t_hat @ t_hat.T
-        moved = rng.uniform(size=(k, k)) < 0.3  # on one side of a pair only, mostly
-        target[moved] = rng.uniform(-1.0, 1.0, int(moved.sum()))
+        moved = _symmetric(rng.uniform(size=(k, k)) < 0.3)  # both sides of a pair
+        target[moved] = _symmetric(rng.uniform(-1.0, 1.0, (k, k)))[moved]
     else:
         t_hat = _unit(rng.standard_normal((k, int(rng.integers(1, 9)))))
-        target = rng.uniform(-1.0, 1.0, (k, k))  # neither symmetric nor unit-diagonal
+        target = _symmetric(rng.uniform(-1.0, 1.0, (k, k)))  # not unit-diagonal
+    return t_hat, target
+
+
+CON_SIZES = [1, 2, CON_BLOCK - 1, CON_BLOCK, CON_BLOCK + 1, 2 * CON_BLOCK + 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from(CON_SIZES),
+    ties=st.booleans(),
+    compute_grads=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_consistency_blocks_match_dense_oracle(k, ties, compute_grads, seed):
+    t_hat, target = _symmetric_con_case(np.random.default_rng(seed), k, ties)
     value, d_t = con_term(t_hat, target, 0.3, compute_grads)
     want, want_d = _con_dense_oracle(t_hat, target, 0.3, compute_grads)
     exact = k <= CON_BLOCK  # one diagonal block: the dense arithmetic, bit for bit
@@ -416,9 +429,63 @@ def test_consistency_blocks_match_dense_oracle(k, ties, compute_grads, seed):
     assert np.array_equal(d_t, want_d) if exact else (
         np.abs(d_t - want_d).max() <= 1e-12 * np.abs(want_d).max()
     )
-    # the pair {i, j} takes sign(c_ij - t_ij) + sign(c_ij - t_ji): a transposed target
-    # gives the same gradient bit for bit, as the cosine blocks are exactly symmetric
-    assert np.array_equal(con_term(t_hat, target.T.copy(), 0.3)[1], d_t)
+
+
+def _con_two_sided_oracle(t_hat, target, gamma2, compute_grads):
+    """The former blocked consistency term, which read each off-diagonal pair from
+    both sides so that it held for a target that is not exactly symmetric."""
+    k = t_hat.shape[0]
+    value = 0.0
+    d_t = np.zeros_like(t_hat) if compute_grads else None
+    for i0 in range(0, k, CON_BLOCK):
+        rows_i = slice(i0, i0 + CON_BLOCK)
+        t_i = t_hat[rows_i]
+        for j0 in range(i0, k, CON_BLOCK):
+            rows_j = slice(j0, j0 + CON_BLOCK)
+            t_j = t_hat[rows_j]
+            c = t_i @ t_j.T
+            cut = np.abs(c) > 1.0 if compute_grads else None
+            np.clip(c, -1.0, 1.0, out=c)
+            diff = c - target[rows_i, rows_j]
+            if j0 == i0:
+                np.fill_diagonal(diff, 0.0)
+                if compute_grads:
+                    H = np.sign(diff)
+                    H = H + H.T
+                    H[cut] = 0.0
+                    d_t[rows_i] += H @ t_i
+                value += float(np.abs(diff, out=diff).sum())
+                continue
+            diff_t = c.T - target[rows_j, rows_i]
+            if compute_grads:
+                H = np.sign(diff) + np.sign(diff_t).T
+                H[cut] = 0.0
+                d_t[rows_i] += H @ t_j
+                d_t[rows_j] += H.T @ t_i
+            value += float(np.abs(diff, out=diff).sum()) + float(np.abs(diff_t, out=diff_t).sum())
+    if compute_grads:
+        d_t *= gamma2
+    return value, d_t
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from(CON_SIZES),
+    ties=st.booleans(),
+    compute_grads=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_consistency_one_sided_blocks_match_two_sided_oracle(k, ties, compute_grads, seed):
+    t_hat, target = _symmetric_con_case(np.random.default_rng(seed), k, ties)
+    value, d_t = con_term(t_hat, target, 0.3, compute_grads)
+    want, want_d = _con_two_sided_oracle(t_hat, target, 0.3, compute_grads)
+    # one diagonal block is the same arithmetic; above it, a block's mirror sum is
+    # its own sum doubled, which may round differently from summing the mirror
+    assert value == want if k <= CON_BLOCK else abs(value - want) <= 1e-12 * abs(want)
+    if not compute_grads:
+        assert d_t is None and want_d is None
+        return
+    assert np.array_equal(d_t, want_d)  # 2 sign(diff) is sign(diff) + sign(diff_t).T
 
 
 def test_consistency_term_peak_memory_at_paper_scale():

@@ -301,6 +301,22 @@ def test_cosine_helpers_match_hand_loop():
             assert abs(got[i, j] - want) < 1e-14
 
 
+def test_self_cosines_are_exactly_symmetric_at_paper_scale():
+    x = np.random.default_rng(1).standard_normal((925, 16))
+    c = pairwise_cosine(x, x)
+    assert np.array_equal(c, c.T)
+    # a copy takes the general product, which differs from it by rounding only
+    assert np.abs(pairwise_cosine(x, x.copy()) - c).max() <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_self_cosines_equal_the_two_normalization_product_at_reference_shapes(seed):
+    x = np.random.default_rng(seed).standard_normal((10, 16))
+    norms = np.linalg.norm(x, axis=1)[:, None]
+    want = np.clip((x / norms) @ (x / norms).T, -1.0, 1.0)
+    assert np.array_equal(pairwise_cosine(x, x), want)
+
+
 def test_zero_norm_rows_raise():
     with pytest.raises(DegenerateVectorError):
         row_norms(np.array([[1.0, 0.0], [0.0, 0.0]]), "latent")

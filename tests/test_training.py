@@ -403,6 +403,8 @@ def test_grid_random_trials_subsamples(bundle):
         grid_search(
             grid, quick_cfg(epochs=1), bundle, quick_params(bundle), random_trials=5
         )
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        grid_search(grid, quick_cfg(epochs=1), bundle, quick_params(bundle), jobs=0)
 
 
 def test_grid_parallel_matches_serial(bundle):
