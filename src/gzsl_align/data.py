@@ -149,7 +149,7 @@ class Dataset:
         return self.labels[:, list(self.vocab.seen_ids)]
 
     def zero_label_count(self) -> int:
-        return int((self.labels.sum(axis=1) == 0).sum())
+        return int(np.count_nonzero(~self.labels.any(axis=1)))
 
 
 def check_inductive(ds: Dataset) -> None:

@@ -18,8 +18,8 @@ from .networks import ModelParams, mlp_forward, pairwise_cosine
 from .records import JsonRecord, write_json
 
 DEFAULT_KS = (2, 3)  # the top-k cut-offs reported when none are given
-AUROC_BLOCK = 64  # score columns transposed and sorted together by per_class_auroc
-TOPK_BLOCK = 512  # score rows partitioned together by _topk_mask
+AUROC_BLOCK = 64  # score columns transposed and sorted together for AUROC
+TOPK_BLOCK = 512  # score rows partitioned together for top-k
 
 
 def infer_scores(
@@ -35,33 +35,6 @@ def infer_scores(
     Z, _ = mlp_forward(params.visual_map, enc, False)
     T, _ = mlp_forward(params.semantic_map, semantics.rows, False)
     return pairwise_cosine(Z, T, "latent vector")
-
-
-def _topk_mask(S: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of each row's k best scores; ties go to the lower class index.
-
-    One partition per row finds the k-th largest score ``thr``: every score
-    above it is picked, and scores equal to it fill the remaining quota in
-    ascending column order, as a stable descending sort would. O(N*C).
-    The rows are partitioned ``TOPK_BLOCK`` at a time, so the partition's
-    copy is one block, not the whole matrix; each row's ``thr`` is the same.
-    """
-    n, c = S.shape
-    if not 1 <= k <= c:
-        raise ValueError(f"k={k} out of range for {c} classes")
-    if not np.isfinite(S).all():
-        raise ValidationError("top-k scores must be finite")
-    thr = np.empty((n, 1))
-    for i in range(0, n, TOPK_BLOCK):
-        rows = slice(i, i + TOPK_BLOCK)
-        thr[rows, 0] = np.partition(S[rows], c - k, axis=1)[:, c - k]
-    picked = S > thr
-    tied = S == thr
-    quota = k - picked.sum(axis=1)
-    over = tied.sum(axis=1) > quota  # only these rows have ties left out
-    tied[over] &= np.cumsum(tied[over], axis=1) <= quota[over, None]
-    picked |= tied
-    return picked
 
 
 @dataclass(frozen=True)
@@ -81,6 +54,87 @@ def _f1(p: float, r: float) -> float:
     return 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
 
 
+def _check_ks(ks, c: int) -> None:
+    for k in ks:
+        if not 1 <= k <= c:
+            raise ValueError(f"k={k} out of range for {c} classes")
+
+
+def _check_finite(S: np.ndarray, what: str) -> None:
+    if not np.isfinite(S).all():
+        raise ValidationError(f"{what} scores must be finite")
+
+
+def _positives(Yb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every positive, in row-major order."""
+    return np.divmod(np.flatnonzero(Yb), Yb.shape[1])
+
+
+def _ranked_candidates(B: np.ndarray, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's candidates for its top ``kmax``: their rows, columns and ranks in their row.
+
+    One partition per row finds the ``kmax``-th largest score ``thr``, and
+    every score at or above it is a candidate. Candidates are ranked by
+    descending score, then ascending column, as a stable descending sort
+    would rank them, so the top k of a row, for any k <= kmax, are its
+    candidates ranked below k. Rows and columns index ``B``.
+    """
+    c = B.shape[1]
+    thr = np.partition(B, c - kmax, axis=1)[:, [c - kmax]]
+    col = np.flatnonzero(B >= thr)
+    row = col // c
+    key = B.ravel()[col]
+    np.negative(key, out=key)
+    col = col[np.lexsort((key, row))]  # row-major candidates, so each row's stay in place
+    del key
+    np.remainder(col, c, out=col)
+    per_row = np.bincount(row)  # at least kmax in every row
+    rank = np.arange(row.size)
+    rank -= np.repeat(np.cumsum(per_row) - per_row, per_row)
+    return row, col, rank
+
+
+def _topk(S: np.ndarray, Yb: np.ndarray, ks, pos_c: np.ndarray) -> list[TopKMetrics]:
+    """Top-k metrics of checked scores for every k in ``ks``.
+
+    The rows are ranked ``TOPK_BLOCK`` at a time, once at the largest k,
+    so no copy is larger than a block and each k counts a prefix of the
+    same ranking.
+    """
+    n, c = S.shape
+    tp_c = np.zeros((len(ks), c), dtype=np.int64)
+    pred_c = np.zeros((len(ks), c), dtype=np.int64)
+    for i in range(0, n if ks else 0, TOPK_BLOCK):
+        row, col, rank = _ranked_candidates(S[i:i + TOPK_BLOCK], max(ks))
+        hit = Yb[i:i + TOPK_BLOCK][row, col]
+        for j, k in enumerate(ks):
+            pick = rank < k
+            pred_c[j] += np.bincount(col[pick], minlength=c)
+            tp_c[j] += np.bincount(col[pick & hit], minlength=c)
+        del row, col, rank, hit, pick  # free them before the next block is ranked
+
+    total_pos = int(pos_c.sum())
+    has_pos = pos_c > 0
+    out = []
+    for k, tp_k, pred_k in zip(ks, tp_c, pred_c):
+        tp = int(tp_k.sum())
+        precision = tp / (n * k)
+        recall = tp / total_pos if total_pos > 0 else 0.0
+        if has_pos.any():
+            p_c = np.divide(tp_k, pred_k, out=np.zeros(c), where=pred_k > 0)
+            r_c = np.divide(tp_k, pos_c, out=np.zeros(c), where=has_pos)
+            pr = p_c + r_c
+            f_c = np.divide(2.0 * p_c * r_c, pr, out=np.zeros(c), where=pr != 0)
+            macro_p = float(p_c[has_pos].mean())
+            macro_r = float(r_c[has_pos].mean())
+            macro_f = float(f_c[has_pos].mean())
+        else:
+            macro_p = macro_r = macro_f = 0.0
+        out.append(TopKMetrics(k, recall, precision, _f1(precision, recall),
+                               macro_r, macro_p, macro_f))
+    return out
+
+
 def topk_metrics(scores: np.ndarray, labels: np.ndarray, k: int) -> TopKMetrics:
     """Overall recall/precision/f1 of the top-k predictions per sample.
 
@@ -91,33 +145,12 @@ def topk_metrics(scores: np.ndarray, labels: np.ndarray, k: int) -> TopKMetrics:
     never predicted gets precision 0 there.
     """
     S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(labels)) > 0.5
-    if S.shape != Y.shape:
-        raise ValueError(f"scores shape {S.shape} != labels shape {Y.shape}")
-    n, c = S.shape
-    picked = _topk_mask(S, k)
-    hit = picked & Y
-
-    tp = int(np.count_nonzero(hit))
-    total_pos = int(np.count_nonzero(Y))
-    precision = tp / (n * k)
-    recall = tp / total_pos if total_pos > 0 else 0.0
-
-    tp_c = hit.sum(axis=0).astype(np.float64)
-    pred_c = picked.sum(axis=0).astype(np.float64)
-    pos_c = Y.sum(axis=0).astype(np.float64)
-    has_pos = pos_c > 0
-    if has_pos.any():
-        p_c = np.divide(tp_c, pred_c, out=np.zeros(c), where=pred_c > 0)
-        r_c = np.divide(tp_c, pos_c, out=np.zeros(c), where=has_pos)
-        f_c = np.array([_f1(p, r) for p, r in zip(p_c, r_c)])
-        macro_p = float(p_c[has_pos].mean())
-        macro_r = float(r_c[has_pos].mean())
-        macro_f = float(f_c[has_pos].mean())
-    else:
-        macro_p = macro_r = macro_f = 0.0
-
-    return TopKMetrics(k, recall, precision, _f1(precision, recall), macro_r, macro_p, macro_f)
+    Yb = np.atleast_2d(np.asarray(labels)) > 0.5
+    if S.shape != Yb.shape:
+        raise ValueError(f"scores shape {S.shape} != labels shape {Yb.shape}")
+    _check_ks((k,), S.shape[1])
+    _check_finite(S, "top-k")
+    return _topk(S, Yb, (k,), Yb.sum(axis=0))[0]
 
 
 def _midrank_auroc(sorted_scores: np.ndarray, pos_scores: np.ndarray) -> float | None:
@@ -139,6 +172,19 @@ def _midrank_auroc(sorted_scores: np.ndarray, pos_scores: np.ndarray) -> float |
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def _auroc(S: np.ndarray, rows: np.ndarray, cls: np.ndarray, pos_c: np.ndarray) -> list[float | None]:
+    """AUROC per column of checked scores, given the positives' rows and columns."""
+    order = np.argsort(cls, kind="stable")  # class-major: each class's positives are contiguous
+    pos_scores = np.split(S[rows[order], cls[order]], np.cumsum(pos_c)[:-1])
+    out = []
+    for j in range(0, S.shape[1], AUROC_BLOCK):
+        cols = slice(j, j + AUROC_BLOCK)
+        by_class = S[:, cols].T.copy()
+        by_class.sort(axis=1)
+        out += map(_midrank_auroc, by_class, pos_scores[cols])
+    return out
+
+
 def per_class_auroc(scores: np.ndarray, labels: np.ndarray) -> list[float | None]:
     """AUROC per class column; None where the column is single-class.
 
@@ -150,20 +196,9 @@ def per_class_auroc(scores: np.ndarray, labels: np.ndarray) -> list[float | None
     Y = np.atleast_2d(np.asarray(labels))
     if S.shape != Y.shape:
         raise ValueError(f"scores shape {S.shape} != labels shape {Y.shape}")
-    if not np.isfinite(S).all():
-        raise ValidationError("AUROC scores must be finite")
-    c = S.shape[1]
-    rows, cls = np.nonzero(Y > 0.5)
-    order = np.argsort(cls, kind="stable")  # class-major: each class's positives are contiguous
-    pos_scores = np.split(S[rows[order], cls[order]],
-                          np.cumsum(np.bincount(cls, minlength=c))[:-1])
-    out = []
-    for j in range(0, c, AUROC_BLOCK):
-        cols = slice(j, j + AUROC_BLOCK)
-        by_class = S[:, cols].T.copy()
-        by_class.sort(axis=1)
-        out += map(_midrank_auroc, by_class, pos_scores[cols])
-    return out
+    _check_finite(S, "AUROC")
+    rows, cls = _positives(Y > 0.5)
+    return _auroc(S, rows, cls, np.bincount(cls, minlength=S.shape[1]))
 
 
 def gzsl_summary(
@@ -222,20 +257,32 @@ def evaluate(
     semantics: SemanticMatrix,
     ks: tuple[int, ...] = DEFAULT_KS,
 ) -> MetricsReport:
-    """Score a full-width dataset and assemble the complete report."""
+    """Score a full-width dataset and assemble the complete report.
+
+    Every k is checked before any scoring. The scores are checked and the
+    labels thresholded once, and both metrics share the positives.
+    """
     if dataset.label_space is not LabelSpace.ALL_CLASSES:
         raise ValidationError("evaluation needs labels over all classes")
+    n, c = dataset.labels.shape
+    _check_ks(ks, c)
     scores = infer_scores(params, dataset.features, semantics)
-    per_class = per_class_auroc(scores, dataset.labels)
+    if scores.shape != dataset.labels.shape:
+        raise ValueError(f"scores shape {scores.shape} != labels shape {dataset.labels.shape}")
+    _check_finite(scores, "AUROC")
+    Yb = dataset.labels > 0.5
+    rows, cls = _positives(Yb)
+    pos_c = np.bincount(cls, minlength=c)
+    per_class = _auroc(scores, rows, cls, pos_c)
     s, u, h = gzsl_summary(per_class, dataset.vocab)
     return MetricsReport(
-        per_k=tuple(topk_metrics(scores, dataset.labels, k) for k in ks),
+        per_k=tuple(_topk(scores, Yb, ks, pos_c)),
         per_class_auroc=tuple(per_class),
         seen_mean=s,
         unseen_mean=u,
         harmonic=h,
-        n_samples=len(dataset),
-        n_zero_positive=dataset.zero_label_count(),
+        n_samples=n,
+        n_zero_positive=int(np.count_nonzero(np.bincount(rows, minlength=n) == 0)),
     )
 
 

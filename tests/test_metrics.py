@@ -19,7 +19,7 @@ from gzsl_align import (
     infer_scores,
     pairwise_cosine,
 )
-from gzsl_align.data import ClassVocabulary, LabelSpace
+from gzsl_align.data import ClassVocabulary, Dataset, LabelSpace
 from gzsl_align.metrics import (
     AUROC_BLOCK,
     TOPK_BLOCK,
@@ -125,6 +125,48 @@ def _topk_mask_full_partition(S, k):
     return picked
 
 
+def _topk_metrics_by_mask(scores, labels, k, topk_mask):
+    """topk_metrics as it was before the shared ranking: counts taken from a full (N, C) mask."""
+    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    Y = np.atleast_2d(np.asarray(labels)) > 0.5
+    n, c = S.shape
+    picked = topk_mask(S, k)
+    hit = picked & Y
+
+    tp = int(np.count_nonzero(hit))
+    total_pos = int(np.count_nonzero(Y))
+    precision = tp / (n * k)
+    recall = tp / total_pos if total_pos > 0 else 0.0
+
+    tp_c = hit.sum(axis=0).astype(np.float64)
+    pred_c = picked.sum(axis=0).astype(np.float64)
+    pos_c = Y.sum(axis=0).astype(np.float64)
+    has_pos = pos_c > 0
+    if has_pos.any():
+        p_c = np.divide(tp_c, pred_c, out=np.zeros(c), where=pred_c > 0)
+        r_c = np.divide(tp_c, pos_c, out=np.zeros(c), where=has_pos)
+        f_c = np.array([metrics_mod._f1(p, r) for p, r in zip(p_c, r_c)])
+        macro_p = float(p_c[has_pos].mean())
+        macro_r = float(r_c[has_pos].mean())
+        macro_f = float(f_c[has_pos].mean())
+    else:
+        macro_p = macro_r = macro_f = 0.0
+    return metrics_mod.TopKMetrics(
+        k, recall, precision, metrics_mod._f1(precision, recall), macro_r, macro_p, macro_f
+    )
+
+
+def _picked(scores, k):
+    """The (N, C) mask of the top k that the shared candidate ranking picks."""
+    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    mask = np.zeros(S.shape, dtype=bool)
+    for i in range(0, S.shape[0], metrics_mod.TOPK_BLOCK):
+        row, col, rank = metrics_mod._ranked_candidates(S[i:i + metrics_mod.TOPK_BLOCK], k)
+        pick = rank < k
+        mask[i + row[pick], col[pick]] = True
+    return mask
+
+
 def _around(block):
     return st.sampled_from((block - 1, block, block + 1))
 
@@ -147,11 +189,8 @@ def test_blocked_metrics_equal_full_matrix_oracles_exactly(auroc_block, topk_blo
     with mock.patch.multiple(metrics_mod, AUROC_BLOCK=auroc_block, TOPK_BLOCK=topk_block):
         assert per_class_auroc(scores, labels) == _per_class_auroc_full_sort(scores, labels)
         for k in ks:
-            np.testing.assert_array_equal(
-                metrics_mod._topk_mask(scores, k), _topk_mask_full_partition(scores, k)
-            )
-            with mock.patch.object(metrics_mod, "_topk_mask", _topk_mask_full_partition):
-                want = topk_metrics(scores, labels, k)
+            np.testing.assert_array_equal(_picked(scores, k), _topk_mask_full_partition(scores, k))
+            want = _topk_metrics_by_mask(scores, labels, k, _topk_mask_full_partition)
             assert topk_metrics(scores, labels, k) == want
 
 
@@ -183,6 +222,73 @@ def test_evaluate_peaks_below_one_and_a_half_score_matrices():
     assert peak < 1.5 * score_bytes
 
 
+def test_topk_on_all_tied_scores_peaks_below_one_and_a_half_score_matrices():
+    """Every score is a candidate when all tie, and the ranking still holds one block at a time."""
+    scores = np.zeros((3000, 600))
+    labels = (np.random.default_rng(0).random(scores.shape) < 0.01).astype(np.int8)
+    tracemalloc.start()
+    try:
+        got = topk_metrics(scores, labels, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * scores.nbytes
+    assert got == _topk_metrics_by_mask(scores, labels, 3, _topk_mask_full_partition)
+
+
+@pytest.mark.parametrize("auroc_block, topk_block", [(AUROC_BLOCK, TOPK_BLOCK), (3, 2)],
+                         ids=["module blocks", "tiny blocks"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evaluate_equals_per_metric_oracles_exactly(auroc_block, topk_block, data):
+    """ks out of order and repeated, k at C - 1 and C, N at a block size and one either side."""
+    n = data.draw(_around(topk_block), label="n")
+    c = data.draw(st.integers(3, 8), label="c")
+    n_seen = data.draw(st.integers(2, c - 1), label="n_seen")
+    extra = data.draw(st.lists(st.integers(1, c), max_size=3), label="extra ks")
+    ks = tuple(data.draw(st.permutations([c, c, c - 1, 1, *extra]), label="ks"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    levels = data.draw(st.integers(1, 4), label="levels")
+    scores = rng.integers(0, levels, size=(n, c)).astype(np.float64) / levels
+    labels = (rng.random((n, c)) < rng.random()).astype(np.int8)
+    labels[rng.random(n) < 0.2] = 0  # samples without positives
+    vocab = ClassVocabulary(names=tuple(f"c{j}" for j in range(c)),
+                            seen_ids=tuple(range(n_seen)), unseen_ids=tuple(range(n_seen, c)))
+    test = Dataset(features=np.zeros((n, 1)), labels=labels,
+                   label_space=LabelSpace.ALL_CLASSES, vocab=vocab)
+
+    per_class = _rankdata_auroc_oracle(scores, labels)
+    with mock.patch.multiple(metrics_mod, AUROC_BLOCK=auroc_block, TOPK_BLOCK=topk_block,
+                             infer_scores=lambda params, features, semantics: scores):
+        try:
+            s, u, h = gzsl_summary(per_class, vocab)
+        except UndefinedAurocError:
+            with pytest.raises(UndefinedAurocError):
+                evaluate(None, test, None, ks=ks)
+            return
+        got = evaluate(None, test, None, ks=ks)
+    want = MetricsReport(
+        per_k=tuple(_topk_metrics_by_mask(scores, labels, k, _topk_mask_oracle) for k in ks),
+        per_class_auroc=tuple(per_class),
+        seen_mean=s,
+        unseen_mean=u,
+        harmonic=h,
+        n_samples=n,
+        n_zero_positive=int((labels.sum(axis=1) == 0).sum()),
+    )
+    assert got == want
+    assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("ks", [(0,), (4,), (2, -1), (1, 2, 4)])
+def test_evaluate_rejects_a_bad_k_before_scoring(ks):
+    bundle = hand_bundle()  # three classes
+    with mock.patch.object(metrics_mod, "infer_scores", side_effect=AssertionError) as scored:
+        with pytest.raises(ValueError, match="out of range for 3 classes"):
+            evaluate(None, bundle.test, bundle.semantics, ks=ks)
+    scored.assert_not_called()
+
+
 @settings(max_examples=200, deadline=None)
 @given(_tie_heavy_case())
 def test_per_class_auroc_equals_rankdata_oracle_exactly(case):
@@ -198,11 +304,8 @@ def test_per_class_auroc_equals_rankdata_oracle_exactly(case):
 def test_topk_equals_stable_argsort_oracle_exactly(case):
     scores, labels = case
     for k in range(1, scores.shape[1] + 1):
-        np.testing.assert_array_equal(
-            metrics_mod._topk_mask(scores, k), _topk_mask_oracle(scores, k)
-        )
-        with mock.patch.object(metrics_mod, "_topk_mask", _topk_mask_oracle):
-            want = topk_metrics(scores, labels, k)
+        np.testing.assert_array_equal(_picked(scores, k), _topk_mask_oracle(scores, k))
+        want = _topk_metrics_by_mask(scores, labels, k, _topk_mask_oracle)
         assert topk_metrics(scores, labels, k) == want
 
 
@@ -287,7 +390,7 @@ def test_topk_perfect_model_on_exactly_k_positives():
 
 
 def test_topk_ties_break_toward_lower_class_index():
-    got = metrics_mod._topk_mask(np.array([[0.5, 0.7, 0.5, 0.5]]), k=3)
+    got = _picked(np.array([[0.5, 0.7, 0.5, 0.5]]), k=3)
     np.testing.assert_array_equal(got, [[True, True, True, False]])
 
 
