@@ -194,10 +194,10 @@ def _cmd_grid(args) -> int:
         gamma_candidates=_parse_floats(args.gammas) if args.gammas else GridSpec().gamma_candidates,
         lr_candidates=_parse_floats(args.lrs) if args.lrs else GridSpec().lr_candidates,
     )
-    grid.check_random_trials(args.random_trials)  # before anything is written
     if args.jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {args.jobs}")
     cfg, bundle, params0 = _resolve_run(args)
+    configs = grid.configs(cfg, args.random_trials)  # raises before anything is written
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(
@@ -210,10 +210,7 @@ def _cmd_grid(args) -> int:
             "random_trials": args.random_trials,
         },
     )
-    result = grid_search(
-        grid, cfg, bundle, params0,
-        out_dir=out, jobs=args.jobs, random_trials=args.random_trials,
-    )
+    result = grid_search(configs, bundle, params0, out_dir=out, jobs=args.jobs)
     write_json(
         out / "grid_summary.json",
         {
@@ -238,10 +235,12 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    ks = DEFAULT_KS if args.k is None else _parse_ints(args.k)
+    if not ks or len(set(ks)) != len(ks):  # metrics.json keys per_k by k
+        raise ValidationError(f"--k must list one or more distinct values, got {args.k!r}")
     ckpt = load_checkpoint(args.checkpoint)
     bundle = load_manifest(args.manifest)
     ds = bundle.split(args.split)
-    ks = _parse_ints(args.k) if args.k else DEFAULT_KS
     report = evaluate(ckpt.params, ds, bundle.semantics, ks)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -99,14 +99,14 @@ class SemanticMatrix:
 class Dataset:
     """Immutable feature/label arrays bound to a vocabulary.
 
-    ``features`` is (N, v) float64 and ``labels`` (N, K) int8 where K is
-    S or C depending on ``label_space``. Every label must be exactly 0 or
-    1; any other value raises ValueError naming its row and column.
+    ``features`` is (N, v) float64 and ``labels`` (N, K) int8, where the
+    width K sets ``label_space``: S is seen-only, C all classes (a
+    vocabulary without unseen classes reads as seen-only). Any other
+    width, or any label that is not exactly 0 or 1, raises ValueError.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    label_space: LabelSpace
     vocab: ClassVocabulary
 
     def __post_init__(self):
@@ -114,6 +114,11 @@ class Dataset:
         raw = np.asarray(self.labels)
         if feats.ndim != 2 or raw.ndim != 2:
             raise ValueError("features and labels must be 2-D arrays")
+        if raw.shape[1] not in (self.vocab.n_seen, self.vocab.n_classes):
+            raise ValueError(
+                f"labels have {raw.shape[1]} columns; expected "
+                f"{self.vocab.n_seen} (seen only) or {self.vocab.n_classes} (all classes)"
+            )
         for i in range(0, raw.shape[0], LABEL_BLOCK):  # no temporary beyond one block
             block = raw[i : i + LABEL_BLOCK]
             binary = block == 0
@@ -126,17 +131,18 @@ class Dataset:
             raise ValueError(
                 f"{feats.shape[0]} feature rows vs {labels.shape[0]} label rows"
             )
-        want = self.vocab.n_seen if self.label_space is LabelSpace.SEEN_ONLY else self.vocab.n_classes
-        if labels.shape[1] != want:
-            raise ValueError(
-                f"label width {labels.shape[1]} does not match "
-                f"{self.label_space.value} width {want}"
-            )
         object.__setattr__(self, "features", _frozen(feats))
         object.__setattr__(self, "labels", _frozen(labels))
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def label_space(self) -> LabelSpace:
+        """SEEN_ONLY when the labels are S wide, else ALL_CLASSES."""
+        if self.labels.shape[1] == self.vocab.n_seen:
+            return LabelSpace.SEEN_ONLY
+        return LabelSpace.ALL_CLASSES
 
     @property
     def feature_dim(self) -> int:
@@ -340,17 +346,8 @@ def load_manifest(path) -> DataBundle:
         labels = _read_canonical_labels(path)
         if labels is None:
             labels = _read_csv(path, what)
-        if labels.shape[1] == vocab.n_seen:
-            space = LabelSpace.SEEN_ONLY
-        elif labels.shape[1] == vocab.n_classes:
-            space = LabelSpace.ALL_CLASSES
-        else:
-            raise ManifestError(
-                f"{split} labels have {labels.shape[1]} columns; expected "
-                f"{vocab.n_seen} (seen only) or {vocab.n_classes} (all classes)"
-            )
         try:
-            splits[split] = Dataset(feats, labels, space, vocab)
+            splits[split] = Dataset(feats, labels, vocab)
         except ValueError as exc:
             raise ManifestError(f"{split}: {exc}") from None
 

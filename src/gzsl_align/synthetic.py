@@ -182,14 +182,9 @@ def generate(spec: SynthSpec) -> DataBundle:
     f_va, y_va = _draw_split(spec.n_val, everyone, spec.n_classes, rows, lift, spec.noise_sigma, m, rng_val)
     f_te, y_te = _draw_split(spec.n_test, everyone, spec.n_classes, rows, lift, spec.noise_sigma, m, rng_test)
 
-    train = Dataset(
-        features=f_tr,
-        labels=y_tr[:, : spec.n_seen],
-        label_space=LabelSpace.SEEN_ONLY,
-        vocab=vocab,
-    )
-    val = Dataset(features=f_va, labels=y_va, label_space=LabelSpace.ALL_CLASSES, vocab=vocab)
-    test = Dataset(features=f_te, labels=y_te, label_space=LabelSpace.ALL_CLASSES, vocab=vocab)
+    train = Dataset(features=f_tr, labels=y_tr[:, : spec.n_seen], vocab=vocab)
+    val = Dataset(features=f_va, labels=y_va, vocab=vocab)
+    test = Dataset(features=f_te, labels=y_te, vocab=vocab)
     return DataBundle(vocab=vocab, semantics=semantics, train=train, val=val, test=test)
 
 

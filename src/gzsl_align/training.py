@@ -41,23 +41,19 @@ class EncoderMode(Enum):
         raise ValueError(f"unknown encoder mode {value!r} (use end-to-end or frozen)")
 
 
-def default_model_specs(
-    feature_dim: int,
-    semantic_dim: int,
-    with_encoder: bool = True,
-) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
+def default_model_specs(feature_dim: int, semantic_dim: int) -> tuple[MlpSpec, MlpSpec, MlpSpec]:
     """Mapping-net shapes scaled to the data dims.
 
     The latent width is 128 capped by the smaller input; hidden
     widths are 4x and 2x the latent, which reproduces the
     [1024, 512, 256, 128] / [d, 512, 256, 128] pyramids at full scale and
-    shrinks proportionally at benchmark scale. The optional feature encoder is
+    shrinks proportionally at benchmark scale. The feature encoder is
     one hidden ReLU layer of the feature width.
     """
     latent_dim = min(128, max(4, min(feature_dim, semantic_dim)))
     visual = MlpSpec((feature_dim, 4 * latent_dim, 2 * latent_dim, latent_dim))
     semantic = MlpSpec((semantic_dim, 4 * latent_dim, 2 * latent_dim, latent_dim))
-    encoder = MlpSpec((feature_dim, feature_dim, feature_dim)) if with_encoder else None
+    encoder = MlpSpec((feature_dim, feature_dim, feature_dim))
     return visual, semantic, encoder
 
 
@@ -329,21 +325,26 @@ class GridSpec:
     def __post_init__(self):
         if not self.gamma_candidates or not self.lr_candidates:
             raise ValueError("candidate sets must be non-empty")
-        if not np.isfinite([*self.gamma_candidates, *self.lr_candidates]).all():
-            raise ValueError("candidates must be finite")
-        if any(g < 0 for g in self.gamma_candidates):
-            raise ValueError("gamma candidates must be >= 0")
-        if any(lr <= 0 for lr in self.lr_candidates):
-            raise ValueError("lr candidates must be > 0")
 
-    def combos(self) -> list[tuple[float, float]]:
-        return [(g, lr) for g in self.gamma_candidates for lr in self.lr_candidates]
+    def configs(self, base_cfg: TrainConfig, random_trials: int | None = None) -> list[TrainConfig]:
+        """``base_cfg`` at each (gamma, lr) combo, gamma-major.
 
-    def check_random_trials(self, random_trials: int | None) -> None:
-        """Raise unless ``random_trials`` is None or a count of combos to draw."""
-        n = len(self.combos())
-        if random_trials is not None and not 1 <= random_trials <= n:
-            raise ValueError(f"random_trials must be in [1, {n}], got {random_trials}")
+        Each candidate is checked as the ``LossConfig`` and ``TrainConfig``
+        it becomes. ``random_trials`` keeps that many combos, drawn without
+        replacement (seeded by ``base_cfg.seed``) and kept in grid order.
+        """
+        configs = [
+            replace(base_cfg, lr=lr, loss=replace(base_cfg.loss, gamma1=g, gamma2=g))
+            for g in self.gamma_candidates
+            for lr in self.lr_candidates
+        ]
+        if random_trials is None:
+            return configs
+        if not 1 <= random_trials <= len(configs):
+            raise ValueError(f"random_trials must be in [1, {len(configs)}], got {random_trials}")
+        rng = np.random.default_rng(np.random.SeedSequence(base_cfg.seed))
+        chosen = rng.choice(len(configs), size=random_trials, replace=False)
+        return [configs[i] for i in sorted(chosen)]
 
 
 @dataclass
@@ -353,77 +354,58 @@ class GridResult:
     failures: list[dict]
 
 
-def _combo_config(base_cfg: TrainConfig, gamma: float, lr: float) -> TrainConfig:
-    return replace(base_cfg, lr=lr, loss=replace(base_cfg.loss, gamma1=gamma, gamma2=gamma))
-
-
-def _combo_dir(out_dir, gamma: float, lr: float):
-    if out_dir is None:
-        return None
-    return str(Path(out_dir) / f"gamma{gamma:g}_lr{lr:g}")
-
-
-def _selection_key(gamma: float, lr: float, rec: RunRecord):
+def _selection_key(rec: RunRecord):
     h = rec.best_value if np.isfinite(rec.best_value) else -np.inf
     u = rec.best_report.unseen_mean if rec.best_report else -np.inf
-    return (-h, -u, lr, gamma)
+    return (-h, -u, rec.config.lr, rec.config.loss.gamma1)
 
 
 def grid_search(
-    grid: GridSpec,
-    base_cfg: TrainConfig,
+    configs: list[TrainConfig],
     data: DataBundle,
     params0: ModelParams,
     out_dir=None,
     jobs: int = 1,
-    random_trials: int | None = None,
 ) -> GridResult:
-    """Train one run per (gamma, lr) combination and pick the winner.
+    """Train one run per config and pick the winner.
 
     Selection maximizes the value each run selected its best epoch on
     (``RunRecord.best_value``: validation harmonic AUROC, or mean seen
     AUROC on a seen-only val split); ties break by higher unseen AUROC,
-    then lower lr, then lower gamma. All runs share the
-    base config's seed and initial parameters so combos differ only in
-    hyperparameters. ``random_trials`` subsamples the grid without
-    replacement (seeded by the base config); ``jobs`` > 1 runs combos in
-    parallel worker processes.
+    then lower lr, then lower gamma (``loss.gamma1``). All runs start
+    from ``params0``, so configs from ``GridSpec.configs`` differ only in
+    gamma and lr. With ``out_dir`` set, each run writes under
+    ``gamma{gamma:g}_lr{lr:g}``; ``jobs`` > 1 runs configs in parallel
+    worker processes.
     """
-    combos = grid.combos()
-    grid.check_random_trials(random_trials)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if random_trials is not None:
-        rng = np.random.default_rng(np.random.SeedSequence(base_cfg.seed))
-        chosen = rng.choice(len(combos), size=random_trials, replace=False)
-        combos = [combos[i] for i in sorted(chosen)]
-
-    tasks = [(base_cfg, data, params0, out_dir, g, lr) for g, lr in combos]
+    tasks = [(cfg, data, params0, out_dir) for cfg in configs]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_grid_worker_safe, tasks))
     else:
         results = list(map(_grid_worker_safe, tasks))
-    outcomes = [(g, lr, rec, err) for (g, lr), (rec, err) in zip(combos, results)]
 
-    failures = [{"gamma": g, "lr": lr, "error": err} for g, lr, rec, err in outcomes if rec is None]
-    ranked = sorted(
-        ((g, lr, rec) for g, lr, rec, _ in outcomes if rec is not None),
-        key=lambda run: _selection_key(*run),
-    )
+    failures = [
+        {"gamma": cfg.loss.gamma1, "lr": cfg.lr, "error": err}
+        for cfg, (rec, err) in zip(configs, results)
+        if rec is None
+    ]
+    ranked = sorted((rec for rec, _ in results if rec is not None), key=_selection_key)
     if not ranked:
         raise GzslError(f"every grid run failed: {failures}")
     leaderboard = [
         {
-            "gamma": g,
-            "lr": lr,
+            "gamma": rec.config.loss.gamma1,
+            "lr": rec.config.lr,
             **_leaderboard_means(rec),
             "best_epoch": rec.best_epoch,
             "out_dir": rec.out_dir,
         }
-        for g, lr, rec in ranked
+        for rec in ranked
     ]
-    return GridResult(best=ranked[0][2], leaderboard=leaderboard, failures=failures)
+    return GridResult(best=ranked[0], leaderboard=leaderboard, failures=failures)
 
 
 def _leaderboard_means(rec: RunRecord) -> dict:
@@ -436,10 +418,10 @@ def _leaderboard_means(rec: RunRecord) -> dict:
 
 
 def _grid_worker_safe(args) -> tuple[RunRecord | None, str | None]:
-    """Train one combo; a ``GzslError`` becomes the failure text instead of the record."""
-    base_cfg, data, params0, out_dir, gamma, lr = args
+    """Train one config; a ``GzslError`` becomes the failure text instead of the record."""
+    cfg, data, params0, out_dir = args
+    run_dir = None if out_dir is None else Path(out_dir) / f"gamma{cfg.loss.gamma1:g}_lr{cfg.lr:g}"
     try:
-        cfg = _combo_config(base_cfg, gamma, lr)
-        return train(cfg, data, params0, _combo_dir(out_dir, gamma, lr)), None
+        return train(cfg, data, params0, run_dir), None
     except GzslError as exc:
         return None, f"{type(exc).__name__}: {exc}"

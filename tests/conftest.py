@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gzsl_align import DataBundle, SynthSpec, generate
-from gzsl_align.data import ClassVocabulary, Dataset, LabelSpace, SemanticMatrix
+from gzsl_align.data import ClassVocabulary, Dataset, SemanticMatrix
 from gzsl_align.synthetic import SemanticGeometry
 
 
@@ -58,13 +58,13 @@ def hand_bundle() -> DataBundle:
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=np.int8
     )
     train = Dataset(
-        features=feats["train"], labels=y_train, label_space=LabelSpace.SEEN_ONLY, vocab=vocab
+        features=feats["train"], labels=y_train, vocab=vocab
     )
     val = Dataset(
-        features=feats["val"], labels=y_eval, label_space=LabelSpace.ALL_CLASSES, vocab=vocab
+        features=feats["val"], labels=y_eval, vocab=vocab
     )
     test = Dataset(
-        features=feats["test"], labels=y_eval, label_space=LabelSpace.ALL_CLASSES, vocab=vocab
+        features=feats["test"], labels=y_eval, vocab=vocab
     )
     return DataBundle(vocab=vocab, semantics=semantics, train=train, val=val, test=test)
 

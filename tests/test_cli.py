@@ -268,6 +268,15 @@ def test_eval_rejects_seen_only_split(bench, run_dir, tmp_path, capsys):
     assert "all classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ks", ["2,2", ","], ids=["repeated", "empty"])
+def test_eval_repeated_or_empty_k_is_input_error(bench, run_dir, tmp_path, capsys, ks):
+    out = tmp_path / "eval"
+    argv = ["eval", "--checkpoint", str(run_dir / "checkpoints" / "best.ckpt"),
+            "--manifest", str(bench), "--out-dir", str(out), "--k", ks]
+    err = _assert_input_error_writes_nothing(argv, out, capsys)
+    assert "--k" in err and err.count("\n") == 1, err
+
+
 def test_eval_degenerate_model_is_runtime_error(bench, run_dir, tmp_path, capsys):
     ckpt = load_checkpoint(run_dir / "checkpoints" / "best.ckpt")
     dead = ckpt.params.copy()

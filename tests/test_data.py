@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import shutil
 import tempfile
 import tracemalloc
@@ -71,7 +72,6 @@ def test_train_labels_accept_both_widths():
     ds = Dataset(
         features=b.train.features,
         labels=wide,
-        label_space=LabelSpace.ALL_CLASSES,
         vocab=b.vocab,
     )
     check_inductive(ds)  # full width, but no unseen positive
@@ -84,7 +84,6 @@ def test_inductive_violation_names_sample_and_class():
     ds = Dataset(
         features=np.zeros((3, 4)),
         labels=labels,
-        label_space=LabelSpace.ALL_CLASSES,
         vocab=b.vocab,
     )
     with pytest.raises(InductiveViolationError) as exc_info:
@@ -98,9 +97,9 @@ def test_unseen_class_name_with_quote_is_reported_whole(tmp_path, capsys):
     vocab = ClassVocabulary(names=("a", "b", "o'brien"), seen_ids=(0, 1), unseen_ids=(2,))
     labels = np.hstack([b.train.labels, np.zeros((5, 1), dtype=np.int8)])
     labels[3, 2] = 1
-    poisoned = Dataset(b.train.features, labels, LabelSpace.ALL_CLASSES, vocab)
-    val = Dataset(b.val.features, b.val.labels, LabelSpace.ALL_CLASSES, vocab)
-    test = Dataset(b.test.features, b.test.labels, LabelSpace.ALL_CLASSES, vocab)
+    poisoned = Dataset(b.train.features, labels, vocab)
+    val = Dataset(b.val.features, b.val.labels, vocab)
+    test = Dataset(b.test.features, b.test.labels, vocab)
     data = DataBundle(vocab, b.semantics, poisoned, val, test)
     params0 = init_model_params(MlpSpec((4, 3)), MlpSpec((3, 3)), None, seed=1)
     with pytest.raises(InductiveViolationError) as exc_info:
@@ -120,9 +119,7 @@ def test_zero_label_rows_are_counted_not_rejected():
     b = hand_bundle()
     labels = b.train.labels.copy()
     labels[0, :] = 0
-    ds = Dataset(
-        features=b.train.features, labels=labels, label_space=LabelSpace.SEEN_ONLY, vocab=b.vocab
-    )
+    ds = Dataset(features=b.train.features, labels=labels, vocab=b.vocab)
     assert ds.zero_label_count() == 1
 
 
@@ -134,7 +131,7 @@ def test_non_binary_label_is_rejected_with_its_cell(bad, shown):
     labels = b.train.labels.astype(np.array(bad).dtype)
     labels[3, 1] = bad
     with pytest.raises(ValueError, match=f"labels row 3 column 1: non-binary value {shown}$"):
-        Dataset(b.train.features, labels, LabelSpace.SEEN_ONLY, b.vocab)
+        Dataset(b.train.features, labels, b.vocab)
 
 
 def test_non_binary_label_past_the_first_block_is_named_with_its_row():
@@ -143,7 +140,7 @@ def test_non_binary_label_past_the_first_block_is_named_with_its_row():
     labels[LABEL_BLOCK + 1, 1] = 3
     features = np.zeros((len(labels), 4))
     with pytest.raises(ValueError, match=f"labels row {LABEL_BLOCK + 1} column 1: non-binary value 3$"):
-        Dataset(features, labels, LabelSpace.SEEN_ONLY, b.vocab)
+        Dataset(features, labels, b.vocab)
 
 
 def test_dataset_label_check_peaks_near_the_label_bytes():
@@ -154,7 +151,7 @@ def test_dataset_label_check_peaks_near_the_label_bytes():
     features = np.zeros((n, 1))
     tracemalloc.start()
     try:
-        Dataset(features, labels, LabelSpace.ALL_CLASSES, vocab)
+        Dataset(features, labels, vocab)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -389,6 +386,27 @@ def test_non_binary_label_cell_is_named_with_its_split(tmp_path):
     manifest = save_manifest(generate(TOY_SPEC), tmp_path)
     _edit_csv("val_labels.csv", lambda b: b"1.5" + b[1:])(manifest)
     with pytest.raises(ManifestError, match="^val: labels row 0 column 0: non-binary value 1.5$"):
+        load_manifest(manifest)
+
+
+@pytest.mark.parametrize("seen_ids, unseen_ids, width, space", [
+    ((0, 1), (2,), 2, LabelSpace.SEEN_ONLY),
+    ((0, 1), (2,), 3, LabelSpace.ALL_CLASSES),
+    ((0, 1, 2), (), 3, LabelSpace.SEEN_ONLY),
+], ids=["width S", "width C", "no unseen class"])
+def test_label_width_sets_the_label_space(seen_ids, unseen_ids, width, space):
+    vocab = ClassVocabulary(("a", "b", "c"), seen_ids, unseen_ids)
+    assert Dataset(np.zeros((4, 6)), np.zeros((4, width), dtype=np.int8), vocab).label_space is space
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_label_width_other_than_seen_or_all_classes_is_rejected(tmp_path, width):
+    message = re.escape(f"labels have {width} columns; expected 2 (seen only) or 3 (all classes)")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dataset(np.zeros((4, 6)), np.zeros((4, width), dtype=np.int8), hand_bundle().vocab)
+    manifest = save_manifest(generate(TOY_SPEC), tmp_path)
+    (tmp_path / "val_labels.csv").write_text((",".join("0" * width) + "\n") * 4)
+    with pytest.raises(ManifestError, match=f"^val: {message}$"):
         load_manifest(manifest)
 
 

@@ -19,7 +19,7 @@ from gzsl_align import (
     infer_scores,
     pairwise_cosine,
 )
-from gzsl_align.data import ClassVocabulary, Dataset, LabelSpace
+from gzsl_align.data import ClassVocabulary, Dataset
 from gzsl_align.metrics import (
     AUROC_BLOCK,
     TOPK_BLOCK,
@@ -254,8 +254,7 @@ def test_evaluate_equals_per_metric_oracles_exactly(auroc_block, topk_block, dat
     labels[rng.random(n) < 0.2] = 0  # samples without positives
     vocab = ClassVocabulary(names=tuple(f"c{j}" for j in range(c)),
                             seen_ids=tuple(range(n_seen)), unseen_ids=tuple(range(n_seen, c)))
-    test = Dataset(features=np.zeros((n, 1)), labels=labels,
-                   label_space=LabelSpace.ALL_CLASSES, vocab=vocab)
+    test = Dataset(features=np.zeros((n, 1)), labels=labels, vocab=vocab)
 
     per_class = _rankdata_auroc_oracle(scores, labels)
     with mock.patch.multiple(metrics_mod, AUROC_BLOCK=auroc_block, TOPK_BLOCK=topk_block,

@@ -10,6 +10,7 @@ import pytest
 
 from gzsl_align import (
     EncoderMode,
+    GzslError,
     InductiveViolationError,
     LossConfig,
     NonFiniteGradientError,
@@ -22,7 +23,7 @@ from gzsl_align import (
     reference_train_config,
     train,
 )
-from gzsl_align.data import Dataset, LabelSpace
+from gzsl_align.data import Dataset
 from gzsl_align.networks import init_model_params
 from gzsl_align.training import GridSpec, default_model_specs, grid_search
 import gzsl_align.training as training_module
@@ -44,10 +45,8 @@ def quick_cfg(epochs=3, **overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def quick_params(bundle, seed=0, with_encoder=True):
-    visual, semantic, encoder = default_model_specs(
-        bundle.train.feature_dim, bundle.semantics.dim, with_encoder
-    )
+def quick_params(bundle, seed=0):
+    visual, semantic, encoder = default_model_specs(bundle.train.feature_dim, bundle.semantics.dim)
     return init_model_params(visual, semantic, encoder, seed)
 
 
@@ -65,8 +64,6 @@ def test_default_model_specs_scale_to_dims():
     assert visual.layer_dims == (12, 32, 16, 8)
     assert semantic.layer_dims == (8, 32, 16, 8)
     assert encoder.layer_dims == (12, 12, 12)
-    _, _, none_enc = default_model_specs(12, 8, with_encoder=False)
-    assert none_enc is None
     # large dims reproduce the full-scale pyramid widths
     visual, semantic, _ = default_model_specs(1024, 300)
     assert visual.layer_dims == (1024, 512, 256, 128)
@@ -139,8 +136,9 @@ def test_frozen_mode_without_encoder_is_rejected_before_any_work(bundle, tmp_pat
 
     monkeypatch.setattr(training_module, "total_loss", no_work)
     cfg = quick_cfg(epochs=1, encoder_mode=EncoderMode.FROZEN)
+    specs = (*default_model_specs(bundle.train.feature_dim, bundle.semantics.dim)[:2], None)
     with pytest.raises(ValueError, match="frozen needs a model with an encoder"):
-        train(cfg, bundle, quick_params(bundle, with_encoder=False), out_dir=tmp_path / "run")
+        train(cfg, bundle, init_model_params(*specs, 0), out_dir=tmp_path / "run")
     assert not (tmp_path / "run").exists()
 
 
@@ -276,7 +274,6 @@ def _with_seen_only_val(bundle) -> DataBundle:
     val = Dataset(
         features=bundle.val.features,
         labels=bundle.val.labels[:, seen_cols],
-        label_space=LabelSpace.SEEN_ONLY,
         vocab=bundle.vocab,
     )
     return DataBundle(
@@ -304,7 +301,6 @@ def test_rejects_unseen_positive_in_train_split(bundle):
     poisoned = Dataset(
         features=bundle.train.features,
         labels=wide,
-        label_space=LabelSpace.ALL_CLASSES,
         vocab=bundle.vocab,
     )
     data = DataBundle(
@@ -326,7 +322,6 @@ def test_nonfinite_loss_names_epoch_and_batch(bundle):
     blown = Dataset(
         features=np.full_like(bundle.train.features, np.nan),
         labels=bundle.train.labels,
-        label_space=bundle.train.label_space,
         vocab=bundle.vocab,
     )
     data = DataBundle(
@@ -353,7 +348,7 @@ def test_grid_single_combo_matches_direct_train(bundle):
     base = quick_cfg(epochs=2)
     params = quick_params(bundle)
     grid = GridSpec(gamma_candidates=(0.1,), lr_candidates=(1e-3,))
-    result = grid_search(grid, base, bundle, params)
+    result = grid_search(grid.configs(base), bundle, params)
     direct = train(
         replace(base, lr=1e-3, loss=replace(base.loss, gamma1=0.1, gamma2=0.1)),
         bundle,
@@ -367,7 +362,7 @@ def test_grid_single_combo_matches_direct_train(bundle):
 
 def test_grid_winner_tops_leaderboard(bundle):
     grid = GridSpec(gamma_candidates=(0.1, 0.0), lr_candidates=(1e-3, 1e-5))
-    result = grid_search(grid, quick_cfg(epochs=2), bundle, quick_params(bundle))
+    result = grid_search(grid.configs(quick_cfg(epochs=2)), bundle, quick_params(bundle))
     assert len(result.leaderboard) == 4
     harmonics = [row["harmonic"] for row in result.leaderboard]
     assert harmonics == sorted(harmonics, reverse=True)
@@ -381,7 +376,7 @@ def test_grid_ranks_seen_only_runs_by_their_selection_value(bundle):
     # no run has a harmonic here, so ranking by it would tie them all and pick the lowest lr
     data = _with_seen_only_val(bundle)
     cfg, params = quick_cfg(epochs=2), quick_params(bundle)
-    result = grid_search(GridSpec((0.1,), (1e-6, 1e-2)), cfg, data, params)
+    result = grid_search(GridSpec((0.1,), (1e-6, 1e-2)).configs(cfg), data, params)
     by_lr = {lr: train(replace(cfg, lr=lr), data, params).best_value for lr in (1e-6, 1e-2)}
     assert by_lr[1e-2] > by_lr[1e-6]
     assert result.best.config.lr == 1e-2
@@ -395,24 +390,21 @@ def test_grid_ranks_seen_only_runs_by_their_selection_value(bundle):
 
 def test_grid_random_trials_subsamples(bundle):
     grid = GridSpec(gamma_candidates=(0.1, 0.0), lr_candidates=(1e-3, 1e-5))
-    result = grid_search(
-        grid, quick_cfg(epochs=1), bundle, quick_params(bundle), random_trials=2
-    )
+    configs = grid.configs(quick_cfg(epochs=1), random_trials=2)
+    result = grid_search(configs, bundle, quick_params(bundle))
     assert len(result.leaderboard) + len(result.failures) == 2
     with pytest.raises(ValueError, match="random_trials"):
-        grid_search(
-            grid, quick_cfg(epochs=1), bundle, quick_params(bundle), random_trials=5
-        )
+        grid.configs(quick_cfg(epochs=1), random_trials=5)
     with pytest.raises(ValueError, match="jobs must be >= 1"):
-        grid_search(grid, quick_cfg(epochs=1), bundle, quick_params(bundle), jobs=0)
+        grid_search(configs, bundle, quick_params(bundle), jobs=0)
 
 
 def test_grid_parallel_matches_serial(bundle):
     grid = GridSpec(gamma_candidates=(0.1,), lr_candidates=(1e-3, 1e-5))
-    cfg = quick_cfg(epochs=1)
+    configs = grid.configs(quick_cfg(epochs=1))
     params = quick_params(bundle)
-    serial = grid_search(grid, cfg, bundle, params, jobs=1)
-    parallel = grid_search(grid, cfg, bundle, params, jobs=2)
+    serial = grid_search(configs, bundle, params, jobs=1)
+    parallel = grid_search(configs, bundle, params, jobs=2)
     assert [r["harmonic"] for r in serial.leaderboard] == [
         r["harmonic"] for r in parallel.leaderboard
     ]
@@ -421,13 +413,31 @@ def test_grid_parallel_matches_serial(bundle):
 
 def test_grid_writes_per_combo_dirs(bundle, tmp_path):
     grid = GridSpec(gamma_candidates=(0.1,), lr_candidates=(1e-3,))
-    result = grid_search(
-        grid, quick_cfg(epochs=1), bundle, quick_params(bundle), out_dir=tmp_path
-    )
+    result = grid_search(grid.configs(quick_cfg(epochs=1)), bundle, quick_params(bundle),
+                         out_dir=tmp_path)
     combo = tmp_path / "gamma0.1_lr0.001"
     assert (combo / "config.json").is_file()
     assert (combo / "checkpoints" / "best.ckpt").is_file()
     assert result.best.out_dir == str(combo)
+
+
+def test_grid_failure_rows_come_from_each_failed_run_config(bundle, monkeypatch):
+    real_train = training_module.train
+
+    def fail_low_lr(cfg, data, params0, out_dir=None):
+        if cfg.lr == 1e-5:
+            raise GzslError(f"diverged at gamma {cfg.loss.gamma1:g}")
+        return real_train(cfg, data, params0, out_dir)
+
+    monkeypatch.setattr(training_module, "train", fail_low_lr)
+    grid = GridSpec(gamma_candidates=(0.05, 0.0), lr_candidates=(1e-3, 1e-5))
+    result = grid_search(grid.configs(quick_cfg(epochs=1)), bundle, quick_params(bundle))
+    assert result.failures == [
+        {"gamma": 0.05, "lr": 1e-5, "error": "GzslError: diverged at gamma 0.05"},
+        {"gamma": 0.0, "lr": 1e-5, "error": "GzslError: diverged at gamma 0"},
+    ]
+    assert sorted(row["gamma"] for row in result.leaderboard) == [0.0, 0.05]
+    assert all(row["lr"] == 1e-3 for row in result.leaderboard)
 
 
 def test_encoder_mode_parse():
@@ -447,7 +457,7 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="candidate"):
         GridSpec(gamma_candidates=(), lr_candidates=(1e-3,))
     with pytest.raises(ValueError, match="lr"):
-        GridSpec(gamma_candidates=(0.1,), lr_candidates=(0.0,))
+        GridSpec(gamma_candidates=(0.1,), lr_candidates=(0.0,)).configs(quick_cfg())
 
 
 # Artifacts of 3-epoch reference runs at seed 1, per encoder mode. The
