@@ -21,7 +21,7 @@ from .checkpoints import load_checkpoint
 from .data import SPLIT_NAMES, DataBundle, load_manifest, save_manifest
 from .exceptions import GzslError, ValidationError
 from .gradcheck import run_gradient_check
-from .losses import TERM_NAMES
+from .losses import TERM_NAMES, LossConfig
 from .metrics import (
     DEFAULT_KS,
     MetricsReport,
@@ -34,7 +34,6 @@ from .networks import ModelParams, init_model_params, read_model_spec
 from .records import to_json, write_json
 from .synthetic import SemanticGeometry, SynthSpec, generate
 from .training import (
-    EncoderMode,
     GridSpec,
     TrainConfig,
     check_run,
@@ -54,18 +53,12 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind: type, noun: str) -> tuple:
+    """The non-blank items of a comma list as ``kind``; ``noun`` names them in the error."""
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
+        return tuple(kind(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ValidationError(f"expected comma-separated {noun}, got {text!r}") from exc
 
 
 def _parse_terms(text: str) -> tuple[str, ...]:
@@ -96,6 +89,17 @@ def _overlay(base: dict, layer, where: str = "train config") -> dict:
     return merged
 
 
+# train's and grid's setting flags and the field each one sets; an unset flag sets nothing
+_TRAIN_FLAGS = {
+    "--epochs": "epochs",
+    "--batch-size": "batch_size",
+    "--lr": "lr",
+    "--seed": "seed",
+    "--encoder-mode": "encoder_mode",
+}
+_LOSS_FLAGS = {"--gamma1": "gamma1", "--gamma2": "gamma2", "--delta": "delta"}
+
+
 def _resolve_run(args) -> tuple[TrainConfig, DataBundle, ModelParams]:
     """The config, data and initial model of a ``train`` or ``grid`` run.
 
@@ -112,19 +116,13 @@ def _resolve_run(args) -> tuple[TrainConfig, DataBundle, ModelParams]:
         # a run's config.json nests the train section; a flat file is one
         section = {k: v for k, v in file_cfg.items() if k != "model"}
         layers.append(section["train"] if set(section) == {"train"} else section)
-    loss = {"gamma1": args.gamma1, "gamma2": args.gamma2, "delta": args.delta}
+    loss = {f: getattr(args, f) for f in _LOSS_FLAGS.values()}
     if args.term_mask is not None:
         terms = _parse_terms(args.term_mask)
         loss.update({f"use_{t}": t in terms for t in TERM_NAMES})
-    flags = {
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "seed": args.seed,
-        "encoder_mode": args.encoder_mode,
-        "ks": None if args.k is None else _parse_ints(args.k),
-        "loss": {k: v for k, v in loss.items() if v is not None},
-    }
+    flags = {f: getattr(args, f) for f in _TRAIN_FLAGS.values()}
+    flags["ks"] = None if args.k is None else _parse_list(args.k, int, "integers")
+    flags["loss"] = {k: v for k, v in loss.items() if v is not None}
     layers.append(to_json({k: v for k, v in flags.items() if v is not None}))
     try:
         cfg = TrainConfig.from_dict(functools.reduce(_overlay, layers))
@@ -190,10 +188,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    grid = GridSpec(
-        gamma_candidates=_parse_floats(args.gammas) if args.gammas else GridSpec().gamma_candidates,
-        lr_candidates=_parse_floats(args.lrs) if args.lrs else GridSpec().lr_candidates,
-    )
+    # an unset list keeps GridSpec's default candidates
+    lists = {"gamma_candidates": args.gammas, "lr_candidates": args.lrs}
+    grid = GridSpec(**{f: _parse_list(text, float, "numbers") for f, text in lists.items() if text})
     if args.jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {args.jobs}")
     cfg, bundle, params0 = _resolve_run(args)
@@ -211,31 +208,22 @@ def _cmd_grid(args) -> int:
         },
     )
     result = grid_search(configs, bundle, params0, out_dir=out, jobs=args.jobs)
+    best = result.leaderboard[0]
     write_json(
         out / "grid_summary.json",
         {
             "leaderboard": result.leaderboard,
             "failures": result.failures,
-            "best": {
-                "gamma": result.best.config.loss.gamma1,
-                "lr": result.best.config.lr,
-                "out_dir": result.best.out_dir,
-                "best_epoch": result.best.best_epoch,
-                "harmonic": result.best.best_report.harmonic if result.best.best_report else None,
-            },
+            "best": {k: best[k] for k in ("gamma", "lr", "out_dir", "best_epoch", "harmonic")},
         },
     )
-    best = result.best
-    h = best.best_report.harmonic if best.best_report else float("nan")
-    print(
-        f"best: gamma={best.config.loss.gamma1:g} lr={best.config.lr:g} "
-        f"harmonic={h:.4f} ({best.out_dir})"
-    )
+    h = float("nan") if best["harmonic"] is None else best["harmonic"]
+    print(f"best: gamma={best['gamma']:g} lr={best['lr']:g} harmonic={h:.4f} ({best['out_dir']})")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    ks = DEFAULT_KS if args.k is None else _parse_ints(args.k)
+    ks = DEFAULT_KS if args.k is None else _parse_list(args.k, int, "integers")
     if not ks or len(set(ks)) != len(ks):  # metrics.json keys per_k by k
         raise ValidationError(f"--k must list one or more distinct values, got {args.k!r}")
     ckpt = load_checkpoint(args.checkpoint)
@@ -315,14 +303,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--out-dir", required=True, help="run artifact directory")
     p.add_argument("--config", help="JSON config file (overridden by flags)")
-    p.add_argument("--seed", type=int, help="training seed")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--encoder-mode", type=EncoderMode, help="end-to-end or frozen")
+    for flags, record in ((_TRAIN_FLAGS, TrainConfig()), (_LOSS_FLAGS, LossConfig())):
+        for flag, name in flags.items():
+            p.add_argument(flag, dest=name, type=type(getattr(record, name)))
     p.add_argument("--term-mask", help="comma list from {rank,align,con}")
     p.add_argument("--k", help="comma list of top-k values, e.g. 2,3")
 

@@ -259,8 +259,9 @@ def evaluate(
 ) -> MetricsReport:
     """Score a full-width dataset and assemble the complete report.
 
-    Every k is checked before any scoring. The scores are checked and the
-    labels thresholded once, and both metrics share the positives.
+    Every k is checked before any scoring, and both metrics share the
+    positives. ``pairwise_cosine`` makes the scores finite and a ``Dataset``
+    makes the labels 0 or 1, so neither is checked again.
     """
     if dataset.label_space is not LabelSpace.ALL_CLASSES:
         raise ValidationError("evaluation needs labels over all classes")
@@ -269,8 +270,7 @@ def evaluate(
     scores = infer_scores(params, dataset.features, semantics)
     if scores.shape != dataset.labels.shape:
         raise ValueError(f"scores shape {scores.shape} != labels shape {dataset.labels.shape}")
-    _check_finite(scores, "AUROC")
-    Yb = dataset.labels > 0.5
+    Yb = dataset.labels.view(np.bool_)
     rows, cls = _positives(Yb)
     pos_c = np.bincount(cls, minlength=c)
     per_class = _auroc(scores, rows, cls, pos_c)

@@ -74,7 +74,8 @@ class PlateauScheduler:
     Once the counter reaches ``patience`` the lr is reduced and the counter
     resets. The current lr is always ``initial_lr * factor **
     num_reductions``, computed from the power so repeated reductions stay
-    exact.
+    exact. The four settings are not checked here: ``train`` takes them
+    from a ``TrainConfig``, which checks their ranges.
     """
 
     initial_lr: float
@@ -85,16 +86,6 @@ class PlateauScheduler:
     num_bad: int = field(default=0, init=False)
     num_reductions: int = field(default=0, init=False)
     n_observed: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        if self.initial_lr <= 0:
-            raise ValueError(f"initial_lr must be > 0, got {self.initial_lr}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not 0.0 < self.factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {self.factor}")
-        if self.min_delta < 0:
-            raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
 
     @property
     def lr(self) -> float:

@@ -89,8 +89,10 @@ class TrainConfig(JsonRecord):
             raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ValueError(f"ks must be positive, got {self.ks}")
+        if not self.ks:
+            raise ValueError("ks must not be empty")
+        if any(k < 1 for k in self.ks) or len(set(self.ks)) != len(self.ks):
+            raise ValueError(f"ks must be positive and distinct, got {self.ks}")
 
 
 @dataclass(frozen=True)
@@ -330,14 +332,17 @@ class GridSpec:
         """``base_cfg`` at each (gamma, lr) combo, gamma-major.
 
         Each candidate is checked as the ``LossConfig`` and ``TrainConfig``
-        it becomes. ``random_trials`` keeps that many combos, drawn without
-        replacement (seeded by ``base_cfg.seed``) and kept in grid order.
+        it becomes, and two that would share a run directory raise
+        ``ValueError``. ``random_trials`` keeps that many combos, drawn
+        without replacement (seeded by ``base_cfg.seed``) and kept in grid
+        order.
         """
         configs = [
             replace(base_cfg, lr=lr, loss=replace(base_cfg.loss, gamma1=g, gamma2=g))
             for g in self.gamma_candidates
             for lr in self.lr_candidates
         ]
+        _check_run_names(configs)
         if random_trials is None:
             return configs
         if not 1 <= random_trials <= len(configs):
@@ -345,6 +350,21 @@ class GridSpec:
         rng = np.random.default_rng(np.random.SeedSequence(base_cfg.seed))
         chosen = rng.choice(len(configs), size=random_trials, replace=False)
         return [configs[i] for i in sorted(chosen)]
+
+
+def _run_name(cfg: TrainConfig) -> str:
+    """The directory a grid run of ``cfg`` writes to, under the grid's ``out_dir``."""
+    return f"gamma{cfg.loss.gamma1:g}_lr{cfg.lr:g}"
+
+
+def _check_run_names(configs: list[TrainConfig]) -> None:
+    """Raise ``ValueError`` when two configs would write to one run directory."""
+    names = set()
+    for cfg in configs:
+        name = _run_name(cfg)
+        if name in names:
+            raise ValueError(f"two grid candidates share the run directory {name}")
+        names.add(name)
 
 
 @dataclass
@@ -375,11 +395,13 @@ def grid_search(
     then lower lr, then lower gamma (``loss.gamma1``). All runs start
     from ``params0``, so configs from ``GridSpec.configs`` differ only in
     gamma and lr. With ``out_dir`` set, each run writes under
-    ``gamma{gamma:g}_lr{lr:g}``; ``jobs`` > 1 runs configs in parallel
-    worker processes.
+    ``gamma{gamma:g}_lr{lr:g}``; configs that would share that name raise
+    ``ValueError`` before any run trains. ``jobs`` > 1 runs configs in
+    parallel worker processes.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_run_names(configs)
     tasks = [(cfg, data, params0, out_dir) for cfg in configs]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -420,7 +442,7 @@ def _leaderboard_means(rec: RunRecord) -> dict:
 def _grid_worker_safe(args) -> tuple[RunRecord | None, str | None]:
     """Train one config; a ``GzslError`` becomes the failure text instead of the record."""
     cfg, data, params0, out_dir = args
-    run_dir = None if out_dir is None else Path(out_dir) / f"gamma{cfg.loss.gamma1:g}_lr{cfg.lr:g}"
+    run_dir = None if out_dir is None else Path(out_dir) / _run_name(cfg)
     try:
         return train(cfg, data, params0, run_dir), None
     except GzslError as exc:

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gzsl_align import CheckpointError, load_checkpoint, save_checkpoint
-from gzsl_align.cli import main
+from gzsl_align import CheckpointError, LossConfig, TrainConfig, load_checkpoint, save_checkpoint
+from gzsl_align.cli import _LOSS_FLAGS, _TRAIN_FLAGS, _build_parser, _resolve_run, main
+from gzsl_align.records import to_json
 
 from conftest import rewrite_checkpoint_header
 
@@ -376,8 +377,66 @@ def test_grid_summary_and_winner(bench, tmp_path, capsys):
     assert len(summary["leaderboard"]) == 2
     assert summary["failures"] == []
     assert summary["best"]["harmonic"] == summary["leaderboard"][0]["harmonic"]
+    top = summary["leaderboard"][0]
+    assert summary["best"] == {k: top[k] for k in ("gamma", "lr", "out_dir", "best_epoch",
+                                                   "harmonic")}
     assert (Path(summary["best"]["out_dir"]) / "checkpoints" / "best.ckpt").is_file()
     assert (out / "grid_config.json").is_file()
+
+
+@pytest.mark.parametrize("gammas", ["0.1,0.1", "0.1,0.1000001"], ids=["repeated", "print-alike"])
+def test_grid_candidates_sharing_a_run_dir_are_input_error(bench, tmp_path, capsys, gammas):
+    out = tmp_path / "grid"
+    argv = ["grid", "--manifest", str(bench), "--out-dir", str(out), "--epochs", "1",
+            "--gammas", gammas, "--lrs", "1e-3"]
+    err = _assert_input_error_writes_nothing(argv, out, capsys)
+    assert "gamma0.1_lr0.001" in err and err.count("\n") == 1, err
+
+
+# a valid value, other than the default, for each train and grid setting flag
+SETTING_VALUES = {
+    "--epochs": "3", "--batch-size": "7", "--lr": "0.002", "--seed": "5",
+    "--encoder-mode": "frozen", "--gamma1": "0.3", "--gamma2": "0.4", "--delta": "0.7",
+}
+
+
+@pytest.mark.parametrize("flag, field", [*_TRAIN_FLAGS.items(), *_LOSS_FLAGS.items()])
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_setting_flag_sets_its_field_and_unset_keeps_the_config_file(bench, tmp_path, command,
+                                                                    flag, field):
+    in_loss = flag in _LOSS_FLAGS
+    default = getattr(LossConfig() if in_loss else TrainConfig(), field)
+    want = type(default)(SETTING_VALUES[flag])
+    assert want != default
+
+    def resolve(*argv):
+        args = _build_parser().parse_args(
+            [command, "--manifest", str(bench), "--out-dir", str(tmp_path / "out"), *argv]
+        )
+        cfg = _resolve_run(args)[0]
+        return args, getattr(cfg.loss if in_loss else cfg, field)
+
+    args, got = resolve(flag, SETTING_VALUES[flag])
+    assert type(getattr(args, field)) is type(default)
+    assert got == want
+    # unset, it leaves the file's value, whatever the other flags set
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"loss": {field: to_json(want)}} if in_loss
+                                 else {field: to_json(want)}))
+    others = [x for f, v in SETTING_VALUES.items() if f != flag for x in (f, v)]
+    args, got = resolve("--config", str(config), *others)
+    assert getattr(args, field) is None
+    assert got == want
+
+
+@pytest.mark.parametrize("ks, message", [("2,2", "distinct"), (",", "must not be empty")],
+                         ids=["repeated", "empty"])
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_train_repeated_or_empty_k_is_input_error(bench, tmp_path, capsys, command, ks, message):
+    out = tmp_path / "out"
+    argv = [command, "--manifest", str(bench), "--out-dir", str(out), *FAST_TRAIN, "--k", ks]
+    err = _assert_input_error_writes_nothing(argv, out, capsys)
+    assert "ks" in err and message in err and err.count("\n") == 1, err
 
 
 def test_grid_rejects_unparseable_candidates(bench, tmp_path, capsys):

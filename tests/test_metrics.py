@@ -12,6 +12,7 @@ from scipy.stats import rankdata
 
 import gzsl_align.metrics as metrics_mod
 from gzsl_align import (
+    DegenerateVectorError,
     MetricsReport,
     UndefinedAurocError,
     ValidationError,
@@ -34,6 +35,7 @@ from gzsl_align.networks import MlpSpec, init_model_params, mlp_forward, row_nor
 from conftest import hand_bundle, small_spec
 
 from gzsl_align import SynthSpec, generate, reference_model_params
+from gzsl_align.training import default_model_specs
 
 
 def _column_auroc(scores, labels):
@@ -454,6 +456,23 @@ def test_infer_scores_matches_training_path_on_seen_columns():
     vis, _ = mlp_forward(params.visual_map, enc_out)
     sem, _ = mlp_forward(params.semantic_map, bundle.semantics.seen_rows(bundle.vocab))
     np.testing.assert_array_equal(scores[:, : spec.n_seen], pairwise_cosine(vis, sem))
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.floats(-160.0, 160.0), seed=st.integers(0, 2**16))
+def test_infer_scores_are_cosines_or_raise_at_any_scale(e, seed):
+    """What evaluate relies on to skip its finite check: at any weight and feature
+    scale, infer_scores gives finite scores in [-1, 1] or raises DegenerateVectorError."""
+    bundle = hand_bundle()
+    params = init_model_params(*default_model_specs(4, 3), seed)
+    params.flat *= 10.0**e
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # values are checked, not warnings
+            scores = infer_scores(params, bundle.test.features * 10.0**e, bundle.semantics)
+    except DegenerateVectorError:
+        return
+    assert np.isfinite(scores).all()
+    assert np.abs(scores).max() <= 1.0
 
 
 def test_report_json_round_trip_is_exact(tmp_path):

@@ -440,6 +440,29 @@ def test_grid_failure_rows_come_from_each_failed_run_config(bundle, monkeypatch)
     assert all(row["lr"] == 1e-3 for row in result.leaderboard)
 
 
+def test_grid_candidates_sharing_a_run_dir_raise_before_any_run(bundle, monkeypatch):
+    def no_train(*args):
+        raise AssertionError("a run trained")
+
+    monkeypatch.setattr(training_module, "train", no_train)
+    cfg = quick_cfg(epochs=1)
+    for gammas in [(0.1, 0.1), (0.1, 0.1000001)]:
+        with pytest.raises(ValueError, match="gamma0.1_lr0.001"):
+            GridSpec(gammas, (1e-3,)).configs(cfg)
+    twin = replace(cfg, lr=1e-3)
+    with pytest.raises(ValueError, match="gamma0.1_lr0.001"):
+        grid_search([twin, twin], bundle, quick_params(bundle))
+
+
+@pytest.mark.parametrize(
+    "ks, message",
+    [((), "must not be empty"), ((2, 2), "distinct"), ((3, 2, 3), "distinct"), ((0,), "positive")],
+)
+def test_train_config_rejects_empty_repeated_or_non_positive_ks(ks, message):
+    with pytest.raises(ValueError, match=message):
+        quick_cfg(ks=ks)
+
+
 def test_encoder_mode_parse():
     assert EncoderMode("end-to-end") is EncoderMode.END_TO_END
     assert EncoderMode("FROZEN") is EncoderMode.FROZEN
