@@ -95,6 +95,9 @@ def rank_term(
     first on ties) puts a positive's active negatives exactly after it
     and a negative's active positives exactly before it, so cumulative
     sums give every count in O(S log S) time and O(S) memory per image.
+    Rows are argsorted by key; those with a positive ahead of an equal key
+    are re-sorted by (key, label). Items sharing a key and a label add equal
+    values and counts, so their order cannot change a bit of the result.
     """
     P = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(labels))
@@ -106,9 +109,16 @@ def rank_term(
     pos = Y > 0.5
     keys = np.where(pos, P, delta + P)
     # each row's sort order as indices into the flattened (n, s) matrix
-    order = np.lexsort((pos, keys), axis=-1) + np.arange(n)[:, None] * s
+    order = np.argsort(keys, axis=-1) + np.arange(n)[:, None] * s
     k_sorted = keys.take(order)
     p_sorted = pos.take(order)
+    # rows where a positive sits just ahead of a negative whose key is not above its own
+    rising = k_sorted[:, 1:] > k_sorted[:, :-1]
+    rows = np.flatnonzero((p_sorted[:, :-1] > (p_sorted[:, 1:] | rising)).any(axis=1))
+    if rows.size:  # re-sort them with negatives first on equal keys
+        order[rows] = np.lexsort((pos[rows], keys[rows]), axis=-1) + rows[:, None] * s
+        k_sorted[rows] = keys.take(order[rows])
+        p_sorted[rows] = pos.take(order[rows])
     neg_sorted = ~p_sorted
     # suffix sums over negatives: at a positive, the negatives ranked after it
     negs_after = np.cumsum(neg_sorted[:, ::-1], axis=1)[:, ::-1]

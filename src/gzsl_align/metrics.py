@@ -31,9 +31,10 @@ def infer_scores(
     columns to the seen classes reproduces training-time relevance exactly.
     """
     F = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    enc = mlp_forward(params.encoder, F, False)[0] if params.encoder is not None else F
-    Z, _ = mlp_forward(params.visual_map, enc, False)
-    T, _ = mlp_forward(params.semantic_map, semantics.rows, False)
+    with np.errstate(over="ignore", invalid="ignore"):  # pairwise_cosine names a bad row
+        enc = mlp_forward(params.encoder, F, False)[0] if params.encoder is not None else F
+        Z, _ = mlp_forward(params.visual_map, enc, False)
+        T, _ = mlp_forward(params.semantic_map, semantics.rows, False)
     return pairwise_cosine(Z, T, "latent vector")
 
 

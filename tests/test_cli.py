@@ -1,8 +1,11 @@
-"""End-to-end CLI tests, all in-process through main(argv)."""
+"""End-to-end CLI tests, in-process through main(argv) unless a test needs a fresh interpreter."""
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from gzsl_align.cli import _LOSS_FLAGS, _TRAIN_FLAGS, _build_parser, _resolve_ru
 from gzsl_align.records import to_json
 
 from conftest import rewrite_checkpoint_header
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GEN_FLAGS = [
     "--classes", "6", "--seen", "4", "--d", "8", "--v", "12",
@@ -293,6 +298,25 @@ def test_eval_degenerate_model_is_runtime_error(bench, run_dir, tmp_path, capsys
     )
     assert code == 2
     assert "zero" in capsys.readouterr().err
+
+
+def test_eval_overflowing_model_prints_only_its_error(bench, run_dir, tmp_path):
+    """Run as a user runs it, with numpy's default warning filters, not the suite's."""
+    ckpt = load_checkpoint(run_dir / "checkpoints" / "best.ckpt")
+    huge = ckpt.params.copy()
+    huge.flat *= 1e100
+    huge_path = tmp_path / "huge.ckpt"
+    save_checkpoint(huge_path, huge, seed=0, epoch=1, config_hash=None)
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "gzsl_align.cli", "eval", "--checkpoint", str(huge_path),
+            "--manifest", str(bench), "--out-dir", str(tmp_path / "eval"),
+        ],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 def test_eval_truncated_checkpoint_is_input_error(bench, run_dir, tmp_path, capsys):

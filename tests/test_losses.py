@@ -211,6 +211,127 @@ def test_ranking_without_grads_gives_the_same_loss_bits(n, s, decimals, pair_nor
     assert value_only.hex() == loss.hex()
 
 
+def _rank_lexsort_oracle(scores, labels, delta, pair_normalize, compute_grads=True):
+    """The former sort form: one stable lexsort of every row, negatives first on ties."""
+    P = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    Y = np.atleast_2d(np.asarray(labels))
+    n, s = P.shape
+    pos = Y > 0.5
+    keys = np.where(pos, P, delta + P)
+    order = np.lexsort((pos, keys), axis=-1) + np.arange(n)[:, None] * s
+    k_sorted = keys.take(order)
+    p_sorted = pos.take(order)
+    neg_sorted = ~p_sorted
+    negs_after = np.cumsum(neg_sorted[:, ::-1], axis=1)[:, ::-1]
+    keys_after = np.cumsum(np.where(neg_sorted, k_sorted, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    if pair_normalize:
+        n_pos = pos.sum(axis=1)
+        n_pairs = n_pos * (s - n_pos)
+        scale = np.divide(1.0, n_pairs, out=np.zeros(n, dtype=np.float64), where=n_pairs > 0)
+    else:
+        scale = np.full(n, 1.0 / s)
+    hinge = np.where(p_sorted, keys_after - negs_after * k_sorted, 0.0)
+    per_image = hinge.sum(axis=1) * scale
+    loss = float(per_image.sum() / n)
+    if not compute_grads:
+        return loss, None
+    pos_before = np.cumsum(p_sorted, axis=1)
+    counts = np.empty_like(pos_before)
+    counts.put(order, np.where(p_sorted, -negs_after, pos_before))
+    d_scores = counts * (scale / n)[:, None]
+    return loss, d_scores
+
+
+def _tie_heavy_case(rng, n, s, decimals, delta):
+    """Rounded scores in [-1, 1] with mixed ties fl(delta + s_q) == s_p forced into every row."""
+    scores = np.clip(np.round(rng.uniform(-1.2, 1.2, size=(n, s)), decimals), -1.0, 1.0)
+    labels = (rng.uniform(size=(n, s)) < rng.uniform(0.02, 0.98)).astype(np.int8)
+    for r in range(n):
+        for _ in range(int(rng.integers(1, 6))):
+            q, p = rng.choice(s, size=2, replace=False)
+            labels[r, q], labels[r, p] = 0, 1
+            scores[r, p] = delta + scores[r, q]
+    return scores, labels
+
+
+def _assert_same_bits(got, want):
+    assert got[0].hex() == want[0].hex()
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    s=st.integers(2, 1100),
+    decimals=st.integers(0, 3),
+    delta=st.sampled_from([0.0, 0.2, 0.5]),
+    pair_normalize=st.booleans(),
+    compute_grads=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ranking_matches_lexsort_oracle_bit_for_bit(
+    n, s, decimals, delta, pair_normalize, compute_grads, seed
+):
+    """Up to sizes where numpy's SIMD argsort changes algorithm, with ties in every row."""
+    scores, labels = _tie_heavy_case(np.random.default_rng(seed), n, s, decimals, delta)
+    _assert_same_bits(
+        rank_term(scores, labels, delta, pair_normalize, compute_grads),
+        _rank_lexsort_oracle(scores, labels, delta, pair_normalize, compute_grads),
+    )
+
+
+@pytest.mark.parametrize("compute_grads", [True, False])
+def test_ranking_repairs_every_tied_row_and_no_other(monkeypatch, compute_grads):
+    repaired = []  # rows handed to the lexsort repair, per call
+    lexsort = np.lexsort
+
+    def counted(keys, axis=-1):
+        repaired.append(len(keys[0]))
+        return lexsort(keys, axis=axis)
+
+    monkeypatch.setattr(losses.np, "lexsort", counted)
+    s = 1000
+    # every key equal, labels alternating: a positive lands ahead of a negative
+    tied_scores = np.tile(np.where(np.arange(s) % 2, 0.5, 0.0), (6, 1))
+    tied_labels = np.tile(np.arange(s) % 2, (6, 1)).astype(np.int8)
+    got = rank_term(tied_scores, tied_labels, 0.5, False, compute_grads)
+    assert repaired == [6]
+    _assert_same_bits(got, _rank_lexsort_oracle(tied_scores, tied_labels, 0.5, False, compute_grads))
+
+    repaired.clear()
+    # scores on a 1/s grid and a margin half a step off it: classes interleave, no key is shared
+    rng = np.random.default_rng(4)
+    grid = np.stack([rng.permutation(s) for _ in range(6)]) / s - 0.5
+    labels = (rng.uniform(size=grid.shape) < 0.3).astype(np.int8)
+    delta = 0.25 + 0.5 / s
+    got = rank_term(grid, labels, delta, True, compute_grads)
+    assert repaired == []
+    _assert_same_bits(got, _rank_lexsort_oracle(grid, labels, delta, True, compute_grads))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    s=st.integers(2, 300),
+    decimals=st.integers(0, 2),
+    delta=st.sampled_from([0.0, 0.5]),
+    pair_normalize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ranking_is_blind_to_column_order(n, s, decimals, delta, pair_normalize, seed):
+    """No tie order, the sort's or the input's, reaches a bit of the result."""
+    rng = np.random.default_rng(seed)
+    scores, labels = _tie_heavy_case(rng, n, s, decimals, delta)
+    perm = rng.permutation(s)
+    loss, grad = rank_term(scores, labels, delta, pair_normalize)
+    p_loss, p_grad = rank_term(scores[:, perm], labels[:, perm], delta, pair_normalize)
+    assert p_loss.hex() == loss.hex()
+    assert p_grad.tobytes() == grad[:, perm].tobytes()
+
+
 def test_ranking_rejects_empty_batch_and_shape_mismatch():
     with pytest.raises(ValueError, match="at least one image"):
         rank_term(np.zeros((0, 3)), np.zeros((0, 3)), 0.5, False)
