@@ -1,9 +1,13 @@
 """Class vocabulary, semantic embeddings, labeled datasets, and file I/O.
 
-On-disk layout is a JSON manifest binding plain CSV files: one row per
-vector, ``.`` decimal separator, no header. Label files hold 0/1 rows of
-width S (seen classes only, in seen order) or width C (all classes, in
-vocabulary order). All objects are immutable after construction.
+On-disk layout is a JSON manifest binding one 2-D array file per
+embedding matrix, feature matrix and label matrix: ``.npy`` files
+(``<f8`` for embeddings and features, int8 for labels) as
+``save_manifest`` writes them, or plain CSV text (one row per vector,
+``.`` decimal separator, no header) for any other suffix. Label files
+hold 0/1 rows of width S (seen classes only, in seen order) or width C
+(all classes, in vocabulary order). All objects are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from .exceptions import InductiveViolationError, ManifestError
 from .networks import row_norms
 from .records import write_json
 
-LABEL_BLOCK = 1024  # label rows checked together, in a Dataset and in a label file
+LABEL_BLOCK = 1024  # label rows a Dataset checks together
+_NPY_FLOAT = np.dtype("<f8")  # .npy embeddings and features
+_NPY_LABEL = np.dtype("i1")  # .npy labels
 
 
 class LabelSpace(enum.Enum):
@@ -80,7 +86,10 @@ class SemanticMatrix:
         if not np.isfinite(rows).all():
             bad = np.argwhere(~np.isfinite(rows))[0]
             raise ValueError(f"semantic row {bad[0]} component {bad[1]} is not finite")
-        row_norms(rows, "semantic row")
+        with np.errstate(over="ignore"):  # an overflowing norm is reported by row below
+            bad = ~np.isfinite(row_norms(rows, "semantic row"))
+        if bad.any():
+            raise ValueError(f"semantic row {int(np.argmax(bad))} has a non-finite norm")
         object.__setattr__(self, "rows", _frozen(rows))
 
     @property
@@ -192,26 +201,6 @@ class DataBundle:
 SPLIT_NAMES = ("train", "val", "test")
 
 
-def _write_floats(path: Path, matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in matrix.tolist())
-
-
-def _write_labels(path: Path, labels: np.ndarray) -> None:
-    """Write 0/1 label rows as one byte buffer: a digit and ``,`` per cell.
-
-    Byte-identical to formatting each cell with ``str`` and joining with
-    ``,``; it relies on every label being 0 or 1, which ``Dataset`` enforces.
-    This is the canonical form that ``_read_canonical_labels`` reads.
-    """
-    buf = np.full((labels.shape[0], 2 * labels.shape[1]), ord(","), dtype=np.uint8)
-    buf[:, ::2] = labels
-    buf[:, ::2] += ord("0")
-    buf[:, -1] = ord("\n")
-    with open(path, "wb") as fh:
-        fh.write(buf)
-
-
 def _member(obj, key: str, what: str):
     """``obj[key]`` of a parsed manifest object; ManifestError if it is absent."""
     if not isinstance(obj, dict):
@@ -219,30 +208,6 @@ def _member(obj, key: str, what: str):
     if key not in obj:
         raise ManifestError(f"{what} missing key '{key}'")
     return obj[key]
-
-
-def _read_canonical_labels(path: Path) -> np.ndarray | None:
-    """Int8 labels of a file exactly as ``_write_labels`` writes it, else None.
-
-    That form has rows of one length, ``0`` or ``1`` in the even byte
-    columns, ``,`` in the odd ones and ``\n`` ending each row, so it is
-    read straight from its bytes, ``LABEL_BLOCK`` rows at a time. Any other
-    file, though ``_read_csv`` may accept it, gives None.
-    """
-    data = path.read_bytes()
-    width = data.find(b"\n") + 1
-    if width < 2 or width % 2 or len(data) % width:
-        return None
-    cells = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-    labels = np.empty((cells.shape[0], width // 2), dtype=np.uint8)
-    for i in range(0, cells.shape[0], LABEL_BLOCK):
-        rows = slice(i, i + LABEL_BLOCK)
-        block = cells[rows]
-        digits = np.subtract(block[:, ::2], ord("0"), out=labels[rows])  # other bytes wrap past 1
-        if ((digits > 1).any() or (block[:, 1:-1:2] != ord(",")).any()
-                or (block[:, -1] != ord("\n")).any()):
-            return None
-    return labels.view(np.int8)
 
 
 def _data_path(base: Path, name, what: str) -> Path:
@@ -264,6 +229,30 @@ def _read_csv(path: Path, what: str) -> np.ndarray:
             )
     except ValueError as exc:  # bad cell, ragged row, or not UTF-8
         raise ManifestError(f"{what} file {path}: {exc}") from None
+    if mat.size == 0:
+        raise ManifestError(f"{what} file is empty: {path}")
+    return mat
+
+
+def _read_array(path: Path, what: str, dtype: np.dtype) -> np.ndarray:
+    """A data file's 2-D array: a ``.npy`` file of exactly ``dtype``, else CSV text."""
+    if path.suffix != ".npy":
+        return _read_csv(path, what)
+    try:
+        with open(path, "rb") as fh:
+            mat = np.load(fh, allow_pickle=False)
+            single = isinstance(mat, np.ndarray) and not fh.read(1)  # not .npz, no bytes after
+    # np.load raises more than ValueError/OSError/EOFError on a damaged
+    # file: a cut header gives tokenize.TokenError, a garbled one SyntaxError
+    except Exception as exc:
+        raise ManifestError(f"{what} file {path}: {exc}") from None
+    if not single:
+        raise ManifestError(f"{what} file {path}: not exactly one .npy array")
+    if mat.dtype != dtype or mat.ndim != 2:
+        raise ManifestError(
+            f"{what} file {path}: {mat.dtype.str} array of shape {mat.shape}, "
+            f"expected a 2-D {dtype.str} array"
+        )
     if mat.size == 0:
         raise ManifestError(f"{what} file is empty: {path}")
     return mat
@@ -316,7 +305,8 @@ def load_manifest(path) -> DataBundle:
     except ValueError as exc:
         raise ManifestError(str(exc)) from None
 
-    raw_emb = _read_csv(_data_path(base, doc["embeddings"], "embeddings"), "embeddings")
+    raw_emb = _read_array(_data_path(base, doc["embeddings"], "embeddings"), "embeddings",
+                          _NPY_FLOAT)
     _require_finite(raw_emb, "embeddings")
     if raw_emb.shape[1] != d:
         raise ManifestError(f"embeddings have {raw_emb.shape[1]} columns, manifest declares d={d}")
@@ -335,7 +325,8 @@ def load_manifest(path) -> DataBundle:
     for split in SPLIT_NAMES:
         ref = _member(doc["splits"], split, "manifest splits")
         what = f"{split} features"
-        feats = _read_csv(_data_path(base, _member(ref, "features", f"{split} split"), what), what)
+        path = _data_path(base, _member(ref, "features", f"{split} split"), what)
+        feats = _read_array(path, what, _NPY_FLOAT)
         _require_finite(feats, f"{split} features")
         if feats.shape[1] != v:
             raise ManifestError(
@@ -343,9 +334,7 @@ def load_manifest(path) -> DataBundle:
             )
         what = f"{split} labels"
         path = _data_path(base, _member(ref, "labels", f"{split} split"), what)
-        labels = _read_canonical_labels(path)
-        if labels is None:
-            labels = _read_csv(path, what)
+        labels = _read_array(path, what, _NPY_LABEL)
         try:
             splits[split] = Dataset(feats, labels, vocab)
         except ValueError as exc:
@@ -356,14 +345,15 @@ def load_manifest(path) -> DataBundle:
 
 
 def save_manifest(bundle: DataBundle, out_dir) -> Path:
-    """Write a bundle as manifest.json plus CSV files; returns the manifest path.
+    """Write a bundle as manifest.json plus ``.npy`` files; returns the manifest path.
 
+    Embeddings and features are written as ``<f8``, labels as int8.
     Writing then loading reproduces the bundle exactly, and a second save
     of the loaded bundle is byte-identical.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_floats(out / "embeddings.csv", bundle.semantics.rows)
+    np.save(out / "embeddings.npy", bundle.semantics.rows.astype(_NPY_FLOAT, copy=False))
     seen = set(bundle.vocab.seen_ids)
     doc = {
         "classes": [
@@ -372,14 +362,14 @@ def save_manifest(bundle: DataBundle, out_dir) -> Path:
         ],
         "d": bundle.semantics.dim,
         "v": bundle.train.feature_dim,
-        "embeddings": "embeddings.csv",
+        "embeddings": "embeddings.npy",
         "splits": {},
     }
     for split in SPLIT_NAMES:
         ds = bundle.split(split)
-        f_name, l_name = f"{split}_features.csv", f"{split}_labels.csv"
-        _write_floats(out / f_name, ds.features)
-        _write_labels(out / l_name, ds.labels)
+        f_name, l_name = f"{split}_features.npy", f"{split}_labels.npy"
+        np.save(out / f_name, ds.features.astype(_NPY_FLOAT, copy=False))
+        np.save(out / l_name, ds.labels.astype(_NPY_LABEL, copy=False))
         doc["splits"][split] = {"features": f_name, "labels": l_name}
     manifest = out / "manifest.json"
     write_json(manifest, doc)

@@ -281,13 +281,11 @@ def test_criterion_10_inductive_guard(tmp_path, capsys):
     )
     assert code == 0
     # widen the train labels to full class width with one unseen positive
-    labels_path = bench / "train_labels.csv"
-    lines = labels_path.read_text().splitlines()
-    wide = [line + ",0,0" for line in lines]
-    cells = wide[3].split(",")
-    cells[5] = "1"
-    wide[3] = ",".join(cells)
-    labels_path.write_text("\n".join(wide) + "\n")
+    labels_path = bench / "train_labels.npy"
+    labels = np.load(labels_path)
+    wide = np.hstack([labels, np.zeros((len(labels), 2), dtype=np.int8)])
+    wide[3, 5] = 1
+    np.save(labels_path, wide)
     capsys.readouterr()
     code = main(
         [

@@ -9,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,10 +54,10 @@ def test_generate_writes_benchmark(tmp_path, capsys):
     printed = capsys.readouterr().out.strip()
     assert printed == str(out / "manifest.json")
     for name in [
-        "manifest.json", "synth_spec.json", "embeddings.csv",
-        "train_features.csv", "train_labels.csv",
-        "val_features.csv", "val_labels.csv",
-        "test_features.csv", "test_labels.csv",
+        "manifest.json", "synth_spec.json", "embeddings.npy",
+        "train_features.npy", "train_labels.npy",
+        "val_features.npy", "val_labels.npy",
+        "test_features.npy", "test_labels.npy",
     ]:
         assert (out / name).is_file(), name
     spec = json.loads((out / "synth_spec.json").read_text())
@@ -225,12 +226,10 @@ def test_train_refuses_unseen_positive(bench, tmp_path, capsys):
     poisoned.mkdir()
     for name in Path(bench).parent.iterdir():
         (poisoned / name.name).write_bytes(name.read_bytes())
-    lines = (poisoned / "train_labels.csv").read_text().splitlines()
-    wide = [line + ",0,0" for line in lines]
-    cells = wide[2].split(",")
-    cells[4] = "1"
-    wide[2] = ",".join(cells)
-    (poisoned / "train_labels.csv").write_text("\n".join(wide) + "\n")
+    labels = np.load(poisoned / "train_labels.npy")
+    wide = np.hstack([labels, np.zeros((len(labels), 2), dtype=np.int8)])
+    wide[2, 4] = 1
+    np.save(poisoned / "train_labels.npy", wide)
     code = main(
         [
             "train", "--manifest", str(poisoned / "manifest.json"),

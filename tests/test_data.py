@@ -7,14 +7,14 @@ import json
 import re
 import shutil
 import tempfile
+import tokenize
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 from gzsl_align import (
     DataBundle,
@@ -32,8 +32,7 @@ from gzsl_align.data import (
     ClassVocabulary,
     Dataset,
     LabelSpace,
-    _read_canonical_labels,
-    _write_labels,
+    SemanticMatrix,
     check_inductive,
 )
 from gzsl_align.networks import MlpSpec, init_model_params
@@ -47,6 +46,22 @@ TOY_SPEC = SynthSpec(n_classes=3, n_seen=2, d=4, v=6, n_train=4, n_val=4, n_test
                      geometry=SemanticGeometry(parents_min=2, parents_max=2))
 DATA_CSVS = tuple(f"{split}_{part}.csv" for split in ("train", "val", "test")
                   for part in ("features", "labels"))
+
+
+def _save_csv_manifest(bundle: DataBundle, out: Path) -> Path:
+    """``save_manifest`` with each array as CSV text, the layout older versions wrote.
+
+    A float cell is the ``repr`` of its value and a label cell its one
+    digit, cells joined by ``,``, one row per line.
+    """
+    manifest = save_manifest(bundle, out)
+    for npy in out.glob("*.npy"):
+        rows = np.load(npy).tolist()
+        npy.with_suffix(".csv").write_bytes(
+            "".join(",".join(map(repr, row)) + "\n" for row in rows).encode())
+        npy.unlink()
+    manifest.write_text(manifest.read_text().replace(".npy", ".csv"))
+    return manifest
 
 
 def test_vocabulary_partition_counts():
@@ -158,48 +173,6 @@ def test_dataset_label_check_peaks_near_the_label_bytes():
     assert peak - features.nbytes <= 1.25 * labels.nbytes
 
 
-def _per_cell_labels_csv(labels: np.ndarray) -> bytes:
-    """Reference label CSV: ``str`` of each cell, joined by commas."""
-    return "".join(",".join(map(str, row)) + "\n" for row in labels.tolist()).encode()
-
-
-LABEL_SHAPES = {
-    "no rows": np.zeros((0, 5), dtype=np.int8),
-    "one column": np.array([[0], [1], [1], [0]], dtype=np.int8),
-    "all zero": np.zeros((3, 7), dtype=np.int8),
-    "all one": np.ones((3, 7), dtype=np.int8),
-    "random 300x1006": (np.random.default_rng(12).random((300, 1006)) < 0.1).astype(np.int8),
-}
-
-
-@pytest.mark.parametrize("labels", LABEL_SHAPES.values(), ids=LABEL_SHAPES.keys())
-def test_label_writer_matches_per_cell_formula(tmp_path, labels):
-    _write_labels(tmp_path / "labels.csv", labels)
-    assert (tmp_path / "labels.csv").read_bytes() == _per_cell_labels_csv(labels)
-
-
-def _loadtxt_labels(path: Path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, comments=None, ndmin=2,
-                      encoding="utf-8")
-
-
-@settings(max_examples=100, deadline=None)
-@given(arrays(np.int8, array_shapes(min_dims=2, max_dims=2, max_side=40), elements=st.integers(0, 1)))
-@example(np.ones((1, 1), dtype=np.int8))
-@example(np.array([[0, 1, 1, 0, 1]], dtype=np.int8))
-@example(np.array([[1], [0], [0]], dtype=np.int8))
-@example(np.eye(LABEL_BLOCK + 1, 3, dtype=np.int8))
-def test_canonical_label_reader_matches_loadtxt(labels):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "labels.csv"
-        _write_labels(path, labels)
-        got = _read_canonical_labels(path)
-        want = _loadtxt_labels(path)
-    assert got.dtype == np.int8
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got, labels)
-
-
 def _blank_line_after_first_row(blob: bytes) -> bytes:
     cut = blob.index(b"\n") + 1
     return blob[:cut] + b"\n" + blob[cut:]
@@ -219,20 +192,20 @@ NON_CANONICAL_LABELS = {
 @pytest.mark.parametrize("edit", NON_CANONICAL_LABELS.values(), ids=NON_CANONICAL_LABELS.keys())
 def test_non_canonical_label_spellings_load_to_the_same_labels(tmp_path, edit):
     bundle = generate(TOY_SPEC)
-    manifest = save_manifest(bundle, tmp_path)
+    manifest = _save_csv_manifest(bundle, tmp_path)
     for split in ("train", "test"):
         path = tmp_path / f"{split}_labels.csv"
         blob = path.read_bytes()
         assert b"1" in blob
         path.write_bytes(edit(blob))
-        assert _read_canonical_labels(path) is None
+        assert path.read_bytes() != blob
     loaded = load_manifest(manifest)
     for split in ("train", "test"):
         np.testing.assert_array_equal(loaded.split(split).labels, bundle.split(split).labels)
 
 
 def test_canonical_manifest_reads_no_label_file_with_loadtxt(tmp_path, monkeypatch):
-    """A canonical label file is read from its bytes; loadtxt is left for the floats."""
+    """A manifest as save_manifest writes it is all .npy: loadtxt reads no file of it."""
     bundle = generate(TOY_SPEC)
     manifest = save_manifest(bundle, tmp_path)
     parsed = []
@@ -244,16 +217,29 @@ def test_canonical_manifest_reads_no_label_file_with_loadtxt(tmp_path, monkeypat
 
     monkeypatch.setattr(np, "loadtxt", spy)
     loaded = load_manifest(manifest)
-    assert sorted(parsed) == ["embeddings.csv", "test_features.csv", "train_features.csv",
-                              "val_features.csv"]
+    assert parsed == []
     for split in ("train", "val", "test"):
         assert loaded.split(split).labels.dtype == np.int8
         np.testing.assert_array_equal(loaded.split(split).labels, bundle.split(split).labels)
 
 
 # sha256 of every file save_manifest writes for generate(TOY_SPEC): any byte
-# drift in a CSV or in manifest.json fails.
+# drift in a .npy file or in manifest.json fails.
 TOY_MANIFEST_SHA256 = {
+    "embeddings.npy": "a713aae8f888e70b6dfe41e9b8ebde6f890630793b0ad776fdb7e305a89df4de",
+    "manifest.json": "e9ca068fc19d0dba6facc9c0ef152bcb2a053cd4423d8ab8f98ee43e62ebce15",
+    "test_features.npy": "a7478a4bda467c49711b23f54ef4e719866470a30738d8defbf9e8fac7431f55",
+    "test_labels.npy": "5bd7dc2e3cb91cd528efb3e7ce69943fdd759dbe5252b66f85b089d9b66ef567",
+    "train_features.npy": "47d49a7a8a805fcee32c5fcf31964c5074752ed6e48635d18238e41670e55fd5",
+    "train_labels.npy": "ead78e41867bd73a27b27d2b08cbbc9e15e74598a09c9f6309bf9b53e23fd3a5",
+    "val_features.npy": "c6a80d7274073684111a06115c82bf75fef2486e129410494ee8a25a2a5a3792",
+    "val_labels.npy": "dd5de13f3911072b955b42f09378fd0fdaa26914d5bbebd8e0cc5758627b5ac4",
+}
+
+# the same bundle in the CSV layout, pinned to the bytes that save_manifest
+# wrote before it switched to .npy, so the CSV reader keeps being tested on
+# exactly what older versions wrote
+CSV_MANIFEST_SHA256 = {
     "embeddings.csv": "9ad17b15526a67ccf4d3e940d03b2f76cff2eb686c9c15986cf92bf6ed2aff03",
     "manifest.json": "43b431297869d1e4d0287b26242c42c5835340fd3731534bbbc8fa995cbc82cd",
     "test_features.csv": "a913f687c2062d323c5b049115a77b3d1aa8b7feb502cb133b4d88be0742aebf",
@@ -265,10 +251,35 @@ TOY_MANIFEST_SHA256 = {
 }
 
 
+def _digests(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 def test_toy_manifest_files_are_pinned(tmp_path):
     save_manifest(generate(TOY_SPEC), tmp_path)
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert digests == TOY_MANIFEST_SHA256
+    assert _digests(tmp_path) == TOY_MANIFEST_SHA256
+
+
+def test_csv_layout_is_the_one_older_versions_wrote(tmp_path):
+    _save_csv_manifest(generate(TOY_SPEC), tmp_path)
+    assert _digests(tmp_path) == CSV_MANIFEST_SHA256
+
+
+def _assert_bit_equal(got: DataBundle, want: DataBundle) -> None:
+    """Same vocabulary, and every array of the same dtype, shape and bytes."""
+    assert got.vocab == want.vocab
+    pairs = [(got.semantics.rows, want.semantics.rows)]
+    for split in ("train", "val", "test"):
+        pairs += [(got.split(split).features, want.split(split).features),
+                  (got.split(split).labels, want.split(split).labels)]
+    for a, b in pairs:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_csv_manifest_loads_bit_equal_to_the_npy_manifest(tmp_path):
+    bundle = generate(TOY_SPEC)
+    from_npy = load_manifest(save_manifest(bundle, tmp_path / "npy"))
+    _assert_bit_equal(load_manifest(_save_csv_manifest(bundle, tmp_path / "csv")), from_npy)
 
 
 def test_manifest_round_trips_byte_identically(tmp_path):
@@ -289,6 +300,9 @@ def test_manifest_round_trips_byte_identically(tmp_path):
     second = tmp_path / "second"
     manifest = save_manifest(bundle, first)
     reloaded = load_manifest(manifest)
+    _assert_bit_equal(reloaded, bundle)
+    for name, dtype in (("embeddings", "<f8"), ("train_features", "<f8"), ("val_labels", "|i1")):
+        assert np.load(first / f"{name}.npy").dtype.str == dtype
     save_manifest(reloaded, second)
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in second.iterdir())
@@ -312,8 +326,8 @@ def test_manifest_missing_file_is_reported(tmp_path):
                                 max_labels_per_sample=2,
                                 geometry=SemanticGeometry(parents_min=2, parents_max=2)))
     manifest = save_manifest(bundle, tmp_path)
-    (tmp_path / "test_features.csv").unlink()
-    with pytest.raises(ManifestError):
+    (tmp_path / "test_features.npy").unlink()
+    with pytest.raises(ManifestError, match="test features file not found"):
         load_manifest(manifest)
 
 
@@ -326,12 +340,22 @@ def test_loading_train_split_with_unseen_positive_raises(tmp_path):
     wide = np.zeros((4, 3), dtype=np.int8)
     wide[:, :2] = bundle.train.labels
     wide[2, 2] = 1
-    lines = [",".join(str(v) for v in row) for row in wide]
-    (tmp_path / "train_labels.csv").write_text("\n".join(lines) + "\n")
+    np.save(tmp_path / "train_labels.npy", wide)
     with pytest.raises(InductiveViolationError) as exc_info:
         load_manifest(manifest)
     assert exc_info.value.sample_index == 2
     assert "class02" in str(exc_info.value)
+
+
+# Each case lays the toy bundle out in a directory, damages it, and returns
+# the manifest path.
+
+def _edit_manifest(edit):
+    def build(bundle: DataBundle, out: Path) -> Path:
+        manifest = save_manifest(bundle, out)
+        edit(manifest)
+        return manifest
+    return build
 
 
 def _edit_doc(edit):
@@ -339,14 +363,39 @@ def _edit_doc(edit):
         doc = json.loads(manifest.read_text())
         edit(doc)
         manifest.write_text(json.dumps(doc))
-    return apply
+    return _edit_manifest(apply)
 
 
-def _edit_csv(name, edit):
+def _edit_bytes(name, edit):
+    """Edit the bytes of one data file; a ``.csv`` name lays the bundle out as CSV."""
+    def build(bundle: DataBundle, out: Path) -> Path:
+        save = _save_csv_manifest if name.endswith(".csv") else save_manifest
+        manifest = save(bundle, out)
+        path = out / name
+        path.write_bytes(edit(path.read_bytes()))
+        return manifest
+    return build
+
+
+def _edit_npy(name, edit):
+    """Replace the array of one ``.npy`` data file with ``edit(array)``."""
     def apply(manifest: Path) -> None:
         path = manifest.parent / name
-        path.write_bytes(edit(path.read_bytes()))
-    return apply
+        np.save(path, edit(np.load(path)))
+    return _edit_manifest(apply)
+
+
+def _npz_archive(_: bytes) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, labels=np.zeros((4, 2), dtype=np.int8))
+    return buf.getvalue()
+
+
+def _set_cell(value):
+    def edit(arr: np.ndarray) -> np.ndarray:
+        arr[0, 0] = value
+        return arr
+    return edit
 
 
 MALFORMED_MANIFESTS = {
@@ -359,34 +408,69 @@ MALFORMED_MANIFESTS = {
     "seen not a boolean": _edit_doc(lambda d: d["classes"][0].update(seen="no")),
     "name not a string": _edit_doc(lambda d: d["classes"][1].update(name=[1])),
     "file name not a string": _edit_doc(lambda d: d.update(embeddings=5)),
-    "manifest not an object": lambda m: m.write_text("[1, 2]"),
-    "manifest not UTF-8": lambda m: m.write_bytes(b'{"d": "\xff"}'),
-    "CSV not UTF-8": _edit_csv("val_features.csv", lambda b: b"\xff" + b[1:]),
-    "empty CSV": _edit_csv("test_labels.csv", lambda b: b""),
-    "CSV of blank lines": _edit_csv("test_labels.csv", lambda b: b"\n\n"),
-    "digit underscore": _edit_csv("embeddings.csv", lambda b: b"1_0" + b[b.index(b","):]),
-    "whitespace-only line": _edit_csv("train_features.csv", lambda b: b"  \n" + b),
-    "comment line": _edit_csv("train_labels.csv", lambda b: b"# labels\n" + b),
-    "ragged row": _edit_csv("val_labels.csv", lambda b: b[: b.rindex(b",")] + b"\n"),
-    "non-binary label": _edit_csv("train_labels.csv", lambda b: b"2" + b[1:]),
-    "non-finite feature": _edit_csv("val_features.csv", lambda b: b"nan" + b[b.index(b","):]),
+    "manifest not an object": _edit_manifest(lambda m: m.write_text("[1, 2]")),
+    "manifest not UTF-8": _edit_manifest(lambda m: m.write_bytes(b'{"d": "\xff"}')),
+    "CSV not UTF-8": _edit_bytes("val_features.csv", lambda b: b"\xff" + b[1:]),
+    "empty CSV": _edit_bytes("test_labels.csv", lambda b: b""),
+    "CSV of blank lines": _edit_bytes("test_labels.csv", lambda b: b"\n\n"),
+    "digit underscore": _edit_bytes("embeddings.csv", lambda b: b"1_0" + b[b.index(b","):]),
+    "whitespace-only line": _edit_bytes("train_features.csv", lambda b: b"  \n" + b),
+    "comment line": _edit_bytes("train_labels.csv", lambda b: b"# labels\n" + b),
+    "ragged row": _edit_bytes("val_labels.csv", lambda b: b[: b.rindex(b",")] + b"\n"),
+    "non-binary label": _edit_bytes("train_labels.csv", lambda b: b"2" + b[1:]),
+    "non-finite feature": _edit_bytes("val_features.csv", lambda b: b"nan" + b[b.index(b","):]),
+    "embedding norm overflows": _edit_bytes("embeddings.csv", lambda b: b"1e200" + b[b.index(b","):]),
+    "npy non-finite feature": _edit_npy("val_features.npy", _set_cell(np.inf)),
+    "npy non-binary label": _edit_npy("train_labels.npy", _set_cell(2)),
+    "npy embedding norm overflows": _edit_npy("embeddings.npy", _set_cell(1e200)),
+    "npy features not float64": _edit_npy("test_features.npy", lambda a: a.astype(np.float32)),
+    "npy labels not int8": _edit_npy("test_labels.npy", lambda a: a.astype(np.float64)),
+    "npy archive": _edit_bytes("val_labels.npy", _npz_archive),
+    "npy bytes after the array": _edit_bytes("val_labels.npy", lambda b: b + b"\0"),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("edit", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS.keys())
 def test_malformed_manifest_raises_manifest_error(tmp_path, edit):
-    manifest = save_manifest(generate(TOY_SPEC), tmp_path)
-    edit(manifest)
+    manifest = edit(generate(TOY_SPEC), tmp_path)
     with pytest.raises(ManifestError):
         load_manifest(manifest)
 
 
 def test_non_binary_label_cell_is_named_with_its_split(tmp_path):
-    manifest = save_manifest(generate(TOY_SPEC), tmp_path)
-    _edit_csv("val_labels.csv", lambda b: b"1.5" + b[1:])(manifest)
-    with pytest.raises(ManifestError, match="^val: labels row 0 column 0: non-binary value 1.5$"):
+    manifest = _edit_npy("val_labels.npy", _set_cell(5))(generate(TOY_SPEC), tmp_path)
+    with pytest.raises(ManifestError, match="^val: labels row 0 column 0: non-binary value 5$"):
         load_manifest(manifest)
+
+
+def test_finite_embedding_whose_norm_overflows_is_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="^semantic row 1 has a non-finite norm$"):
+        SemanticMatrix(np.array([[1.0, 0.0], [1e200, 1e200]]))
+    manifest = _edit_npy("embeddings.npy", _set_cell(1e200))(generate(TOY_SPEC), tmp_path)
+    assert main(["validate", "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err == "error: semantic row 0 has a non-finite norm\n"
+
+
+NPY_OF_WRONG_KIND = {
+    ">f8": np.zeros((4, 6), dtype=">f8"),
+    "float32": np.zeros((4, 6), dtype=np.float32),
+    "object": np.full((4, 6), None, dtype=object),
+    "1-D": np.zeros(24),
+    "3-D": np.zeros((4, 6, 1)),
+    "0-D": np.zeros(()),
+    "zero size": np.zeros((0, 6)),
+}
+
+
+@pytest.mark.parametrize("arr", NPY_OF_WRONG_KIND.values(), ids=NPY_OF_WRONG_KIND.keys())
+def test_npy_of_wrong_dtype_or_shape_is_named(tmp_path, arr):
+    manifest = save_manifest(generate(TOY_SPEC), tmp_path)
+    path = tmp_path / "val_features.npy"
+    np.save(path, arr, allow_pickle=True)
+    with pytest.raises(ManifestError, match="^val features file ") as exc_info:
+        load_manifest(manifest)
+    assert str(path) in str(exc_info.value)
 
 
 @pytest.mark.parametrize("seen_ids, unseen_ids, width, space", [
@@ -405,7 +489,7 @@ def test_label_width_other_than_seen_or_all_classes_is_rejected(tmp_path, width)
     with pytest.raises(ValueError, match=f"^{message}$"):
         Dataset(np.zeros((4, 6)), np.zeros((4, width), dtype=np.int8), hand_bundle().vocab)
     manifest = save_manifest(generate(TOY_SPEC), tmp_path)
-    (tmp_path / "val_labels.csv").write_text((",".join("0" * width) + "\n") * 4)
+    np.save(tmp_path / "val_labels.npy", np.zeros((4, width), dtype=np.int8))
     with pytest.raises(ManifestError, match=f"^val: {message}$"):
         load_manifest(manifest)
 
@@ -413,7 +497,7 @@ def test_label_width_other_than_seen_or_all_classes_is_rejected(tmp_path, width)
 @pytest.fixture(scope="module")
 def toy_manifest_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("toy")
-    save_manifest(generate(TOY_SPEC), out)
+    _save_csv_manifest(generate(TOY_SPEC), out)
     return out
 
 
@@ -449,3 +533,46 @@ def test_corrupted_csv_raises_only_typed_errors(toy_manifest_dir, name, where, f
         assert code == 0 and out.getvalue().endswith("OK\n")
     else:
         assert code == 1 and err.getvalue().startswith("error:")
+
+
+def _damaged(blob: bytes):
+    """Every cut of a ``.npy`` file, every one-bit flip of its header, every body byte inverted."""
+    header = blob.index(b"\n") + 1
+    for cut in range(len(blob)):
+        yield blob[:cut]
+    for at in range(len(blob)):
+        for mask in [1 << bit for bit in range(8)] if at < header else [0xFF]:
+            flipped = bytearray(blob)
+            flipped[at] ^= mask
+            yield bytes(flipped)
+
+
+def test_damaged_npy_raises_only_manifest_error(tmp_path):
+    """A damaged .npy file loads through every check or raises ManifestError.
+
+    np.load raises tokenize.TokenError for most cut headers and SyntaxError
+    for some flipped ones; neither may reach the caller raw. ``validate``
+    runs once per outcome: a load, or a ManifestError raised over each
+    type of error that np.load or a later check gave.
+    """
+    manifest = save_manifest(generate(TOY_SPEC), tmp_path)
+    path = tmp_path / "embeddings.npy"
+    outcomes = set()
+    for blob in _damaged(path.read_bytes()):
+        path.write_bytes(blob)
+        try:
+            load_manifest(manifest)
+            outcome = None
+        except ManifestError as exc:
+            outcome = type(exc.__context__)
+        if outcome in outcomes:
+            continue
+        outcomes.add(outcome)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "--manifest", str(manifest)])
+        if outcome is None:
+            assert code == 0 and out.getvalue().endswith("OK\n"), blob
+        else:
+            assert code == 1 and err.getvalue().startswith("error:"), blob
+    assert {tokenize.TokenError, SyntaxError, type(None)} < outcomes
