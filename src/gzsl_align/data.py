@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import InductiveViolationError, ManifestError
+from .exceptions import DegenerateVectorError, InductiveViolationError, ManifestError
 from .networks import row_norms
 from .records import write_json
 
@@ -86,8 +86,11 @@ class SemanticMatrix:
         if not np.isfinite(rows).all():
             bad = np.argwhere(~np.isfinite(rows))[0]
             raise ValueError(f"semantic row {bad[0]} component {bad[1]} is not finite")
-        with np.errstate(over="ignore"):  # an overflowing norm is reported by row below
-            bad = ~np.isfinite(row_norms(rows, "semantic row"))
+        try:
+            with np.errstate(over="ignore"):  # an overflowing norm is reported by row below
+                bad = ~np.isfinite(row_norms(rows, "semantic row"))
+        except DegenerateVectorError as exc:  # a zero row is bad input like any other
+            raise ValueError(str(exc)) from None
         if bad.any():
             raise ValueError(f"semantic row {int(np.argmax(bad))} has a non-finite norm")
         object.__setattr__(self, "rows", _frozen(rows))

@@ -8,6 +8,9 @@ widens from the seen classes to all of them.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,8 @@ from .records import JsonRecord, write_json
 
 DEFAULT_KS = (2, 3)  # the top-k cut-offs reported when none are given
 AUROC_BLOCK = 64  # score columns transposed and sorted together for AUROC
+TILE_ROWS = 512  # score rows copied into an AUROC block at a time
+PARALLEL_MIN_SCORES = 2**20  # AUROC blocks are filled and sorted on threads from this size
 TOPK_BLOCK = 512  # score rows partitioned together for top-k
 
 
@@ -173,25 +178,63 @@ def _midrank_auroc(sorted_scores: np.ndarray, pos_scores: np.ndarray) -> float |
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_sorted(out: np.ndarray, cols: np.ndarray) -> None:
+    """Copy score columns ``cols`` into the rows of ``out``, then sort each row in place.
+
+    The copy goes ``TILE_ROWS`` score rows at a time, so each tile's rows
+    are read once while they sit in cache. Nothing is allocated.
+    """
+    for r in range(0, cols.shape[0], TILE_ROWS):
+        out[:, r:r + TILE_ROWS] = cols[r:r + TILE_ROWS].T
+    out.sort(axis=1)
+
+
 def _auroc(S: np.ndarray, rows: np.ndarray, cls: np.ndarray, pos_c: np.ndarray) -> list[float | None]:
-    """AUROC per column of checked scores, given the positives' rows and columns."""
+    """AUROC per column of checked scores, given the positives' rows and columns.
+
+    One ``(AUROC_BLOCK, N)`` buffer serves every block of columns: each
+    class's scores become one contiguous row, filled from row tiles and
+    sorted, and each class's positives are then ranked in its row. From
+    ``PARALLEL_MIN_SCORES`` scores on, and with more than one usable CPU,
+    the block's rows are split into one contiguous slice per CPU and a
+    thread pool, which lives only as long as this call, fills and sorts
+    the slices (numpy releases the GIL for both). The copies are exact and
+    each sort sees the same values, so the result is the same bits for any
+    tile size or number of threads.
+    """
     order = np.argsort(cls, kind="stable")  # class-major: each class's positives are contiguous
     pos_scores = np.split(S[rows[order], cls[order]], np.cumsum(pos_c)[:-1])
+    n, c = S.shape
+    buf = np.empty((min(AUROC_BLOCK, c), n))
+    workers = _usable_cpus() if S.size >= PARALLEL_MIN_SCORES else 1
     out = []
-    for j in range(0, S.shape[1], AUROC_BLOCK):
-        cols = slice(j, j + AUROC_BLOCK)
-        by_class = S[:, cols].T.copy()
-        by_class.sort(axis=1)
-        out += map(_midrank_auroc, by_class, pos_scores[cols])
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        for j in range(0, c, AUROC_BLOCK):
+            w = min(AUROC_BLOCK, c - j)
+            cuts = [w * i // workers for i in range(workers + 1)]
+            parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+            block = S[:, j:j + w]
+            # list() waits for every slice and re-raises a worker's error
+            list(run(_fill_sorted, [buf[p] for p in parts], [block[:, p] for p in parts]))
+            out += map(_midrank_auroc, buf[:w], pos_scores[j:j + w])
     return out
 
 
 def per_class_auroc(scores: np.ndarray, labels: np.ndarray) -> list[float | None]:
     """AUROC per class column; None where the column is single-class.
 
-    The score matrix is transposed and sorted ``AUROC_BLOCK`` columns at a
-    time, one contiguous row per class, and each class's positives are
-    ranked in its row; no full-size copy of the scores is made.
+    The scores are transposed into one reused buffer ``AUROC_BLOCK``
+    columns at a time, from row tiles, on several threads for a large
+    matrix (see ``_auroc``); no full-size copy of the scores is made, and
+    the result does not depend on the number of CPUs.
     """
     S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(labels))

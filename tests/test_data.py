@@ -35,7 +35,9 @@ from gzsl_align.data import (
     SemanticMatrix,
     check_inductive,
 )
+from gzsl_align.checkpoints import save_checkpoint
 from gzsl_align.networks import MlpSpec, init_model_params
+from gzsl_align.training import default_model_specs
 from gzsl_align.synthetic import SemanticGeometry
 from gzsl_align.cli import main
 
@@ -450,6 +452,24 @@ def test_finite_embedding_whose_norm_overflows_is_rejected(tmp_path, capsys):
     manifest = _edit_npy("embeddings.npy", _set_cell(1e200))(generate(TOY_SPEC), tmp_path)
     assert main(["validate", "--manifest", str(manifest)]) == 1
     assert capsys.readouterr().err == "error: semantic row 0 has a non-finite norm\n"
+
+
+def test_zero_embedding_row_exits_1_from_every_command_that_loads_it(tmp_path, capsys):
+    with pytest.raises(ValueError, match="^semantic row 1 has zero norm$"):
+        SemanticMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def zero_row_1(arr: np.ndarray) -> np.ndarray:
+        arr[1] = 0.0
+        return arr
+
+    manifest = _edit_npy("embeddings.npy", zero_row_1)(generate(TOY_SPEC), tmp_path)
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(ckpt, init_model_params(*default_model_specs(TOY_SPEC.v, TOY_SPEC.d), 0),
+                    seed=0, epoch=0)
+    for argv in (["validate"], ["train", "--out-dir", str(tmp_path / "run")],
+                 ["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "eval")]):
+        assert main([*argv, "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == "error: semantic row 1 has zero norm\n"
 
 
 NPY_OF_WRONG_KIND = {

@@ -1,6 +1,10 @@
 """AUROC vs a pairwise oracle, top-k hand counts, report round-trips."""
 
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -173,6 +177,19 @@ def _around(block):
     return st.sampled_from((block - 1, block, block + 1))
 
 
+def _auroc_threads(data, n):
+    """Patches for a drawn tile size (1, 2 or about N) and 1 to 3 AUROC threads at any size."""
+    tile = data.draw(st.sampled_from((1, 2, max(n - 1, 1), n, n + 1)), label="tile rows")
+    workers = data.draw(st.integers(1, 3), label="workers")
+    return (mock.patch.multiple(metrics_mod, TILE_ROWS=tile, PARALLEL_MIN_SCORES=0),
+            mock.patch.object(metrics_mod, "_usable_cpus", return_value=workers))
+
+
+def _pool_spy():
+    """Stands in for the metrics module's ThreadPoolExecutor and records its calls."""
+    return mock.patch.object(metrics_mod, "ThreadPoolExecutor", wraps=ThreadPoolExecutor)
+
+
 @pytest.mark.parametrize("auroc_block, topk_block", [(AUROC_BLOCK, TOPK_BLOCK), (3, 2)],
                          ids=["module blocks", "tiny blocks"])
 @settings(max_examples=25, deadline=None)
@@ -188,7 +205,9 @@ def test_blocked_metrics_equal_full_matrix_oracles_exactly(auroc_block, topk_blo
     labels[:, rng.random(c) < 0.1] = 0  # columns without positives
     labels[:, rng.random(c) < 0.1] = 1  # columns without negatives
     ks = sorted({1, 2, c // 2, c - 1, c} - {0})
-    with mock.patch.multiple(metrics_mod, AUROC_BLOCK=auroc_block, TOPK_BLOCK=topk_block):
+    tiles, threads = _auroc_threads(data, n)
+    with mock.patch.multiple(metrics_mod, AUROC_BLOCK=auroc_block, TOPK_BLOCK=topk_block), \
+            tiles, threads:
         assert per_class_auroc(scores, labels) == _per_class_auroc_full_sort(scores, labels)
         for k in ks:
             np.testing.assert_array_equal(_picked(scores, k), _topk_mask_full_partition(scores, k))
@@ -215,13 +234,16 @@ def test_evaluate_peaks_below_one_and_a_half_score_matrices():
     bundle = generate(spec)
     params = reference_model_params(spec, seed=2)
     score_bytes = len(bundle.test) * spec.n_classes * 8
-    tracemalloc.start()
-    try:
-        evaluate(params, bundle.test, bundle.semantics, ks=(1, 2, 3, 5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert score_bytes // 8 >= metrics_mod.PARALLEL_MIN_SCORES
+    with mock.patch.object(metrics_mod, "_usable_cpus", return_value=2), _pool_spy() as pool:
+        tracemalloc.start()
+        try:
+            evaluate(params, bundle.test, bundle.semantics, ks=(1, 2, 3, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < 1.5 * score_bytes
+    assert pool.call_args_list == [mock.call(2)]  # the AUROC blocks were filled on threads
 
 
 def test_topk_on_all_tied_scores_peaks_below_one_and_a_half_score_matrices():
@@ -259,8 +281,10 @@ def test_evaluate_equals_per_metric_oracles_exactly(auroc_block, topk_block, dat
     test = Dataset(features=np.zeros((n, 1)), labels=labels, vocab=vocab)
 
     per_class = _rankdata_auroc_oracle(scores, labels)
+    tiles, threads = _auroc_threads(data, n)
     with mock.patch.multiple(metrics_mod, AUROC_BLOCK=auroc_block, TOPK_BLOCK=topk_block,
-                             infer_scores=lambda params, features, semantics: scores):
+                             infer_scores=lambda params, features, semantics: scores), \
+            tiles, threads:
         try:
             s, u, h = gzsl_summary(per_class, vocab)
         except UndefinedAurocError:
@@ -279,6 +303,80 @@ def test_evaluate_equals_per_metric_oracles_exactly(auroc_block, topk_block, dat
     )
     assert got == want
     assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("workers, c, block", [(3, 4, 3), (3, 2, 64), (2, 65, 64), (3, 7, 2)])
+def test_auroc_threads_with_short_blocks_and_idle_workers(workers, c, block):
+    """A last block narrower than the worker count, and workers left without rows.
+
+    Threads switch as often as the interpreter allows, so a slice written
+    twice or not at all would show against the oracle.
+    """
+    rng = np.random.default_rng(c)
+    scores = rng.integers(0, 3, size=(40, c)) / 3.0
+    labels = (rng.random((40, c)) < 0.3).astype(np.int8)
+    fill = metrics_mod._fill_sorted
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.multiple(metrics_mod, AUROC_BLOCK=block, TILE_ROWS=7,
+                                 PARALLEL_MIN_SCORES=0), \
+                mock.patch.object(metrics_mod, "_usable_cpus", return_value=workers), \
+                mock.patch.object(metrics_mod, "_fill_sorted", wraps=fill) as spy:
+            got = per_class_auroc(scores, labels)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == _per_class_auroc_full_sort(scores, labels)
+    widths = [call.args[0].shape[0] for call in spy.call_args_list]
+    assert len(widths) == workers * -(-c // block) and sum(widths) == c
+    assert 0 in widths
+
+
+def _tied_scores_above_the_threshold(seed):
+    """A (1100, 1000) score matrix of few levels, over PARALLEL_MIN_SCORES, and a dataset for it."""
+    n, c = 1100, 1000
+    assert n * c >= metrics_mod.PARALLEL_MIN_SCORES
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.uniform(-1.0, 1.0, (n, c)), 2)
+    labels = (rng.random((n, c)) < 0.02).astype(np.int8)
+    vocab = ClassVocabulary(names=tuple(f"c{j}" for j in range(c)),
+                            seen_ids=tuple(range(900)), unseen_ids=tuple(range(900, c)))
+    return scores, Dataset(features=np.zeros((n, 1)), labels=labels, vocab=vocab)
+
+
+def test_report_bytes_do_not_depend_on_the_auroc_thread_count(tmp_path):
+    scores, test = _tied_scores_above_the_threshold(4)
+    written = []
+    for workers in (1, 2):
+        path = tmp_path / f"report{workers}.json"
+        with mock.patch.object(metrics_mod, "infer_scores", return_value=scores), \
+                mock.patch.object(metrics_mod, "_usable_cpus", return_value=workers), \
+                _pool_spy() as pool:
+            write_report_json(evaluate(None, test, None), path)
+        assert pool.call_count == (workers > 1)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_evaluate_leaves_no_thread_behind_and_opens_no_pool_below_the_threshold():
+    """grid forks its workers, so no AUROC pool may outlive the call that opened it."""
+    scores, test = _tied_scores_above_the_threshold(5)
+    bundle = hand_bundle()
+    params = init_model_params(*default_model_specs(4, 3), 1)
+    before = threading.active_count()
+    with mock.patch.object(metrics_mod, "_usable_cpus", return_value=2), _pool_spy() as pool:
+        with mock.patch.object(metrics_mod, "infer_scores", return_value=scores):
+            evaluate(None, test, None)
+        assert pool.call_count == 1
+        assert threading.active_count() == before
+        evaluate(params, bundle.test, bundle.semantics)  # far under PARALLEL_MIN_SCORES
+        assert pool.call_count == 1
+    assert threading.active_count() == before
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert metrics_mod._usable_cpus() == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("ks", [(0,), (4,), (2, -1), (1, 2, 4)])
