@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 validation failure (bad inputs, bad config,
 inductive violations), 2 runtime error. Config precedence for training
 commands is flags > config file > defaults, and the fully resolved
-config is written next to the outputs. GZSL_ALIGN_LOG=debug|info|...
-controls verbosity.
+config is written next to the outputs. With GZSL_ALIGN_LOG=info,
+generate logs the directory it wrote; no other command logs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .checkpoints import load_checkpoint
 from .data import SPLIT_NAMES, DataBundle, load_manifest, save_manifest
 from .exceptions import GzslError, ValidationError
 from .gradcheck import run_gradient_check
-from .losses import TERM_NAMES, LossConfig
+from .losses import LossConfig, term_switches
 from .metrics import (
     DEFAULT_KS,
     MetricsReport,
@@ -59,16 +59,6 @@ def _parse_list(text: str, kind: type, noun: str) -> tuple:
         return tuple(kind(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise ValidationError(f"expected comma-separated {noun}, got {text!r}") from exc
-
-
-def _parse_terms(text: str) -> tuple[str, ...]:
-    terms = tuple(t.strip() for t in text.split(",") if t.strip())
-    unknown = set(terms) - set(TERM_NAMES)
-    if unknown:
-        raise ValidationError(
-            f"unknown loss terms {sorted(unknown)}; valid: {', '.join(TERM_NAMES)}"
-        )
-    return terms
 
 
 def _load_config_file(path) -> dict:
@@ -118,8 +108,7 @@ def _resolve_run(args) -> tuple[TrainConfig, DataBundle, ModelParams]:
         layers.append(section["train"] if set(section) == {"train"} else section)
     loss = {f: getattr(args, f) for f in _LOSS_FLAGS.values()}
     if args.term_mask is not None:
-        terms = _parse_terms(args.term_mask)
-        loss.update({f"use_{t}": t in terms for t in TERM_NAMES})
+        loss.update(term_switches(_parse_list(args.term_mask, str.strip, "loss terms")))
     flags = {f: getattr(args, f) for f in _TRAIN_FLAGS.values()}
     flags["ks"] = None if args.k is None else _parse_list(args.k, int, "integers")
     flags["loss"] = {k: v for k, v in loss.items() if v is not None}
@@ -190,7 +179,7 @@ def _cmd_train(args) -> int:
 def _cmd_grid(args) -> int:
     # an unset list keeps GridSpec's default candidates
     lists = {"gamma_candidates": args.gammas, "lr_candidates": args.lrs}
-    grid = GridSpec(**{f: _parse_list(text, float, "numbers") for f, text in lists.items() if text})
+    grid = GridSpec(**{f: _parse_list(t, float, "numbers") for f, t in lists.items() if t is not None})
     if args.jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {args.jobs}")
     cfg, bundle, params0 = _resolve_run(args)

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DegenerateVectorError, InductiveViolationError, ManifestError
-from .networks import row_norms
-from .records import write_json
+from .networks import usable_row_norms
+from .records import is_int, write_json
 
 LABEL_BLOCK = 1024  # label rows a Dataset checks together
 _NPY_FLOAT = np.dtype("<f8")  # .npy embeddings and features
@@ -87,12 +87,9 @@ class SemanticMatrix:
             bad = np.argwhere(~np.isfinite(rows))[0]
             raise ValueError(f"semantic row {bad[0]} component {bad[1]} is not finite")
         try:
-            with np.errstate(over="ignore"):  # an overflowing norm is reported by row below
-                bad = ~np.isfinite(row_norms(rows, "semantic row"))
-        except DegenerateVectorError as exc:  # a zero row is bad input like any other
+            usable_row_norms(rows, "semantic row")
+        except DegenerateVectorError as exc:  # an unusable row is bad input like any other
             raise ValueError(str(exc)) from None
-        if bad.any():
-            raise ValueError(f"semantic row {int(np.argmax(bad))} has a non-finite norm")
         object.__setattr__(self, "rows", _frozen(rows))
 
     @property
@@ -285,16 +282,16 @@ def load_manifest(path) -> DataBundle:
         _member(doc, key, "manifest")
 
     base = path.parent
-    try:
-        d, v = int(doc["d"]), int(doc["v"])
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"manifest d and v must be integers: {exc}") from None
+    d, v = doc["d"], doc["v"]
+    for key, value in (("d", d), ("v", v)):
+        if not is_int(value):
+            raise ManifestError(f"manifest {key} must be a JSON integer, got {value!r}")
     entries = doc["classes"]
     try:
         names = tuple(e["name"] for e in entries)
         seen = tuple(e["seen"] for e in entries)
-        emb_rows = [int(e["embedding_row"]) for e in entries]
-    except (KeyError, TypeError, ValueError) as exc:
+        emb_rows = [e["embedding_row"] for e in entries]
+    except (KeyError, TypeError) as exc:
         raise ManifestError(f"malformed class entry: {exc}") from None
     for i, (name, flag) in enumerate(zip(names, seen)):
         if not isinstance(name, str):
@@ -313,7 +310,7 @@ def load_manifest(path) -> DataBundle:
     _require_finite(raw_emb, "embeddings")
     if raw_emb.shape[1] != d:
         raise ManifestError(f"embeddings have {raw_emb.shape[1]} columns, manifest declares d={d}")
-    if sorted(emb_rows) != list(range(vocab.n_classes)):
+    if not all(map(is_int, emb_rows)) or sorted(emb_rows) != list(range(vocab.n_classes)):
         raise ManifestError("embedding_row values must be a permutation of 0..C-1")
     if raw_emb.shape[0] != vocab.n_classes:
         raise ManifestError(

@@ -53,16 +53,16 @@ class LossConfig(JsonRecord):
 
     def with_terms(self, terms) -> "LossConfig":
         """Config with exactly the named terms of {rank, align, con} enabled."""
-        terms = set(terms)
-        unknown = terms - set(TERM_NAMES)
-        if unknown:
-            raise ValueError(f"unknown loss terms: {sorted(unknown)}")
-        return replace(
-            self,
-            use_rank="rank" in terms,
-            use_align="align" in terms,
-            use_con="con" in terms,
-        )
+        return replace(self, **term_switches(terms))
+
+
+def term_switches(terms) -> dict[str, bool]:
+    """The ``use_*`` fields that enable exactly the named terms; ValueError on an unknown name."""
+    terms = set(terms)
+    unknown = terms - set(TERM_NAMES)
+    if unknown:
+        raise ValueError(f"unknown loss terms {sorted(unknown)}; valid: {', '.join(TERM_NAMES)}")
+    return {f"use_{t}": t in terms for t in TERM_NAMES}
 
 
 @dataclass(frozen=True)

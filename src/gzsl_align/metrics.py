@@ -66,9 +66,18 @@ def _check_ks(ks, c: int) -> None:
             raise ValueError(f"k={k} out of range for {c} classes")
 
 
-def _check_finite(S: np.ndarray, what: str) -> None:
+def _checked_inputs(scores, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """A caller's scores as a float64 matrix and its labels as a positive mask (label > 0.5).
+
+    ValueError on unequal shapes; ValidationError, naming ``what``, on a non-finite score.
+    """
+    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    Yb = np.atleast_2d(np.asarray(labels)) > 0.5
+    if S.shape != Yb.shape:
+        raise ValueError(f"scores shape {S.shape} != labels shape {Yb.shape}")
     if not np.isfinite(S).all():
         raise ValidationError(f"{what} scores must be finite")
+    return S, Yb
 
 
 def _positives(Yb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,12 +159,8 @@ def topk_metrics(scores: np.ndarray, labels: np.ndarray, k: int) -> TopKMetrics:
     per-class rates over classes that have at least one positive; a class
     never predicted gets precision 0 there.
     """
-    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    Yb = np.atleast_2d(np.asarray(labels)) > 0.5
-    if S.shape != Yb.shape:
-        raise ValueError(f"scores shape {S.shape} != labels shape {Yb.shape}")
+    S, Yb = _checked_inputs(scores, labels, "top-k")
     _check_ks((k,), S.shape[1])
-    _check_finite(S, "top-k")
     return _topk(S, Yb, (k,), Yb.sum(axis=0))[0]
 
 
@@ -236,12 +241,8 @@ def per_class_auroc(scores: np.ndarray, labels: np.ndarray) -> list[float | None
     matrix (see ``_auroc``); no full-size copy of the scores is made, and
     the result does not depend on the number of CPUs.
     """
-    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(labels))
-    if S.shape != Y.shape:
-        raise ValueError(f"scores shape {S.shape} != labels shape {Y.shape}")
-    _check_finite(S, "AUROC")
-    rows, cls = _positives(Y > 0.5)
+    S, Yb = _checked_inputs(scores, labels, "AUROC")
+    rows, cls = _positives(Yb)
     return _auroc(S, rows, cls, np.bincount(cls, minlength=S.shape[1]))
 
 
@@ -262,8 +263,7 @@ def gzsl_summary(
             raise UndefinedAurocError(f"no defined AUROC in the {name} partition")
         means.append(float(np.mean(vals)))
     s, u = means
-    h = 0.0 if s + u == 0 else 2.0 * s * u / (s + u)
-    return s, u, h
+    return s, u, _f1(s, u)
 
 
 @dataclass(frozen=True)

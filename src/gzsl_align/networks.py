@@ -150,23 +150,27 @@ def row_norms(m: np.ndarray, what: str = "vector") -> np.ndarray:
     return norms
 
 
+def usable_row_norms(m: np.ndarray, what: str = "row") -> np.ndarray:
+    """Row norms of ``m``; DegenerateVectorError on a zero, NaN, inf or overflowing one."""
+    with np.errstate(over="ignore"):  # an overflowing norm is reported by row below
+        norms = row_norms(m, what)
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        raise DegenerateVectorError(f"{what} {int(np.argmax(bad))} has a non-finite norm")
+    return norms
+
+
 def pairwise_cosine(a: np.ndarray, b: np.ndarray, what: str = "row") -> np.ndarray:
     """Cosine similarities between all rows of ``a`` and all rows of ``b``.
 
     When ``b is a``, the rows are normalized once and numpy computes
     ``u @ u.T`` as one symmetric update, so the result is exactly symmetric.
-    Raises :class:`DegenerateVectorError` on a row whose norm is zero or
-    not finite (a NaN, an inf, or a square sum beyond float64 range).
+    Raises as :func:`usable_row_norms` does on an unusable row.
     """
 
     def unit_rows(x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        with np.errstate(over="ignore"):  # an overflowing norm is reported by row below
-            norms = row_norms(x, what)
-        bad = ~np.isfinite(norms)
-        if bad.any():
-            raise DegenerateVectorError(f"{what} {int(np.argmax(bad))} has a non-finite norm")
-        return x / norms[:, None]
+        return x / usable_row_norms(x, what)[:, None]
 
     u = unit_rows(a)
     cos = u @ (u if b is a else unit_rows(b)).T

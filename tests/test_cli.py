@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,8 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gzsl_align import CheckpointError, LossConfig, TrainConfig, load_checkpoint, save_checkpoint
+from gzsl_align import (
+    CheckpointError,
+    LossConfig,
+    TrainConfig,
+    ValidationError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from gzsl_align.cli import _LOSS_FLAGS, _TRAIN_FLAGS, _build_parser, _resolve_run, main
+from gzsl_align.losses import TERM_NAMES
 from gzsl_align.records import to_json
 
 from conftest import rewrite_checkpoint_header
@@ -185,7 +194,30 @@ def test_train_bad_term_mask(bench, tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert "unknown loss terms" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown loss terms" in err
+    with pytest.raises(ValueError) as exc_info:
+        LossConfig().with_terms(("rank", "bogus"))
+    assert err == f"error: {exc_info.value}\n" == (
+        "error: unknown loss terms ['bogus']; valid: rank, align, con\n"
+    )
+
+
+@pytest.mark.parametrize("r", range(len(TERM_NAMES) + 1))
+def test_term_mask_sets_what_with_terms_sets(bench, tmp_path, r):
+    """Every subset of the term names, in a mask with blank items and spaces around names."""
+    for terms in itertools.combinations(TERM_NAMES, r):
+        mask = " , ".join(("", *terms, " "))
+        args = _build_parser().parse_args(
+            ["train", "--manifest", str(bench), "--out-dir", str(tmp_path), "--term-mask", mask]
+        )
+        if not terms:  # neither side builds a config without a term, for the same reason
+            with pytest.raises(ValueError) as want:
+                LossConfig().with_terms(terms)
+            with pytest.raises(ValidationError, match=f"^invalid training config: {want.value}$"):
+                _resolve_run(args)
+            continue
+        assert _resolve_run(args)[0].loss == LossConfig().with_terms(terms), mask
 
 
 @pytest.mark.parametrize(
@@ -460,6 +492,15 @@ def test_train_repeated_or_empty_k_is_input_error(bench, tmp_path, capsys, comma
     argv = [command, "--manifest", str(bench), "--out-dir", str(out), *FAST_TRAIN, "--k", ks]
     err = _assert_input_error_writes_nothing(argv, out, capsys)
     assert "ks" in err and message in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text", ["", ","], ids=["empty", "comma"])
+@pytest.mark.parametrize("flag", ["--gammas", "--lrs"])
+def test_grid_empty_candidate_list_is_input_error(bench, tmp_path, capsys, flag, text):
+    out = tmp_path / "out"
+    argv = ["grid", "--manifest", str(bench), "--out-dir", str(out), *FAST_TRAIN, flag, text]
+    err = _assert_input_error_writes_nothing(argv, out, capsys)
+    assert err == "error: candidate sets must be non-empty\n", err
 
 
 def test_grid_rejects_unparseable_candidates(bench, tmp_path, capsys):

@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 
 from gzsl_align import (
     DataBundle,
+    DegenerateVectorError,
     InductiveViolationError,
     ManifestError,
     SynthSpec,
     TrainConfig,
     generate,
     load_manifest,
+    pairwise_cosine,
     save_manifest,
     train,
 )
@@ -400,13 +402,27 @@ def _set_cell(value):
     return edit
 
 
+def _declare_one_column_d_true(manifest: Path) -> None:
+    """Cut the embeddings to one column and declare ``"d": true``, which ``int`` reads as 1."""
+    path = manifest.parent / "embeddings.npy"
+    np.save(path, np.load(path)[:, :1])
+    doc = json.loads(manifest.read_text())
+    doc["d"] = True
+    manifest.write_text(json.dumps(doc))
+
+
 MALFORMED_MANIFESTS = {
     "split without features": _edit_doc(lambda d: d["splits"]["val"].pop("features")),
     "split without labels": _edit_doc(lambda d: d["splits"]["test"].pop("labels")),
     "null split": _edit_doc(lambda d: d["splits"].update(val=None)),
     "splits not an object": _edit_doc(lambda d: d.update(splits=["train", "val", "test"])),
     "non-integer d": _edit_doc(lambda d: d.update(d="x")),
+    "fractional d": _edit_doc(lambda d: d.update(d=d["d"] + 0.7)),
+    "integral float v": _edit_doc(lambda d: d.update(v=float(d["v"]))),
+    "numeric string d": _edit_doc(lambda d: d.update(d=str(d["d"]))),
+    "boolean d": _edit_manifest(_declare_one_column_d_true),
     "non-integer embedding_row": _edit_doc(lambda d: d["classes"][0].update(embedding_row="x")),
+    "fractional embedding_row": _edit_doc(lambda d: d["classes"][1].update(embedding_row=1.5)),
     "seen not a boolean": _edit_doc(lambda d: d["classes"][0].update(seen="no")),
     "name not a string": _edit_doc(lambda d: d["classes"][1].update(name=[1])),
     "file name not a string": _edit_doc(lambda d: d.update(embeddings=5)),
@@ -446,9 +462,21 @@ def test_non_binary_label_cell_is_named_with_its_split(tmp_path):
         load_manifest(manifest)
 
 
+def _same_message_as_pairwise_cosine(rows: np.ndarray) -> str:
+    """SemanticMatrix's ValueError on ``rows``, checked equal to pairwise_cosine's message."""
+    with pytest.raises(DegenerateVectorError) as want:
+        pairwise_cosine(rows, rows, "semantic row")
+    with pytest.raises(ValueError) as got:
+        SemanticMatrix(rows)
+    assert type(got.value) is ValueError and str(got.value) == str(want.value)
+    return str(got.value)
+
+
 def test_finite_embedding_whose_norm_overflows_is_rejected(tmp_path, capsys):
     with pytest.raises(ValueError, match="^semantic row 1 has a non-finite norm$"):
         SemanticMatrix(np.array([[1.0, 0.0], [1e200, 1e200]]))
+    rows = np.array([[1.0, 0.0], [1e200, 1e200]])
+    assert _same_message_as_pairwise_cosine(rows) == "semantic row 1 has a non-finite norm"
     manifest = _edit_npy("embeddings.npy", _set_cell(1e200))(generate(TOY_SPEC), tmp_path)
     assert main(["validate", "--manifest", str(manifest)]) == 1
     assert capsys.readouterr().err == "error: semantic row 0 has a non-finite norm\n"
@@ -457,6 +485,8 @@ def test_finite_embedding_whose_norm_overflows_is_rejected(tmp_path, capsys):
 def test_zero_embedding_row_exits_1_from_every_command_that_loads_it(tmp_path, capsys):
     with pytest.raises(ValueError, match="^semantic row 1 has zero norm$"):
         SemanticMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    rows = np.array([[1.0, 0.0], [0.0, 0.0]])
+    assert _same_message_as_pairwise_cosine(rows) == "semantic row 1 has zero norm"
 
     def zero_row_1(arr: np.ndarray) -> np.ndarray:
         arr[1] = 0.0

@@ -421,6 +421,11 @@ def test_metrics_reject_non_finite_scores_and_bad_k():
     for k in (0, 3, -1):
         with pytest.raises(ValueError):
             topk_metrics(scores, labels, k)
+    for metric in (per_class_auroc, lambda s, y: topk_metrics(s, y, 1)):
+        for bad_scores, bad_labels in ((scores, labels[:2]), (scores[:, :1], labels)):
+            with pytest.raises(ValueError, match=r"^scores shape \(\d, \d\) != labels shape ") as exc:
+                metric(bad_scores, bad_labels)
+            assert exc.type is ValueError
 
 
 def test_auroc_fixture_is_three_quarters():
