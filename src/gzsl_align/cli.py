@@ -25,6 +25,7 @@ from .losses import LossConfig, term_switches
 from .metrics import (
     DEFAULT_KS,
     MetricsReport,
+    _check_distinct_ks,
     evaluate,
     read_report_json,
     write_report_csv,
@@ -213,8 +214,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_eval(args) -> int:
     ks = DEFAULT_KS if args.k is None else _parse_list(args.k, int, "integers")
-    if not ks or len(set(ks)) != len(ks):  # metrics.json keys per_k by k
-        raise ValidationError(f"--k must list one or more distinct values, got {args.k!r}")
+    _check_distinct_ks(ks, "--k")
     ckpt = load_checkpoint(args.checkpoint)
     bundle = load_manifest(args.manifest)
     ds = bundle.split(args.split)

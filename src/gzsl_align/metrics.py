@@ -66,6 +66,14 @@ def _check_ks(ks, c: int) -> None:
             raise ValueError(f"k={k} out of range for {c} classes")
 
 
+def _check_distinct_ks(ks, name: str) -> None:
+    """A run's or a command's ks are non-empty, positive and distinct; ValueError names ``name``."""
+    if not ks:
+        raise ValueError(f"{name} must not be empty")
+    if any(k < 1 for k in ks) or len(set(ks)) != len(ks):
+        raise ValueError(f"{name} must be positive and distinct, got {ks}")
+
+
 def _checked_inputs(scores, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
     """A caller's scores as a float64 matrix and its labels as a positive mask (label > 0.5).
 
@@ -303,17 +311,17 @@ def evaluate(
 ) -> MetricsReport:
     """Score a full-width dataset and assemble the complete report.
 
-    Every k is checked before any scoring, and both metrics share the
-    positives. ``pairwise_cosine`` makes the scores finite and a ``Dataset``
+    Every k and the class count of ``semantics`` are checked before any
+    scoring. ``pairwise_cosine`` makes the scores finite and a ``Dataset``
     makes the labels 0 or 1, so neither is checked again.
     """
     if dataset.label_space is not LabelSpace.ALL_CLASSES:
         raise ValidationError("evaluation needs labels over all classes")
     n, c = dataset.labels.shape
     _check_ks(ks, c)
+    if len(semantics.rows) != c:
+        raise ValueError(f"semantics has {len(semantics.rows)} classes, the dataset {c}")
     scores = infer_scores(params, dataset.features, semantics)
-    if scores.shape != dataset.labels.shape:
-        raise ValueError(f"scores shape {scores.shape} != labels shape {dataset.labels.shape}")
     Yb = dataset.labels.view(np.bool_)
     rows, cls = _positives(Yb)
     pos_c = np.bincount(cls, minlength=c)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -21,9 +21,16 @@ from .exceptions import (
     UndefinedAurocError,
 )
 from .losses import LossBreakdown, LossConfig, total_loss
-from .metrics import DEFAULT_KS, MetricsReport, evaluate, infer_scores, per_class_auroc
+from .metrics import (
+    DEFAULT_KS,
+    MetricsReport,
+    _check_distinct_ks,
+    evaluate,
+    infer_scores,
+    per_class_auroc,
+)
 from .networks import MlpSpec, ModelParams, model_spec_dict, pairwise_cosine
-from .optimizers import ADAM_HPARAMS, PlateauScheduler, adam_step, init_adam
+from .optimizers import ADAM_HPARAMS, AdamState, PlateauScheduler, adam_step, init_adam
 from .records import JsonRecord, check_finite, write_json
 
 
@@ -89,10 +96,7 @@ class TrainConfig(JsonRecord):
             raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.ks:
-            raise ValueError("ks must not be empty")
-        if any(k < 1 for k in self.ks) or len(set(self.ks)) != len(self.ks):
-            raise ValueError(f"ks must be positive and distinct, got {self.ks}")
+        _check_distinct_ks(self.ks, "ks")
 
 
 @dataclass(frozen=True)
@@ -129,46 +133,27 @@ def run_config_dict(cfg: TrainConfig, params: ModelParams) -> dict:
 
 
 _CSV_COLUMNS = (
-    "epoch",
-    "lr",
-    "train_rank",
-    "train_align",
-    "train_con",
-    "train_total",
-    "val_rank",
-    "val_align",
-    "val_con",
-    "val_total",
-    "val_seen_auroc",
-    "val_unseen_auroc",
-    "val_harmonic",
+    "epoch", "lr",
+    *(f"{split}_{f.name}" for split in ("train", "val") for f in fields(LossBreakdown)),
+    "val_seen_auroc", "val_unseen_auroc", "val_harmonic",
 )
 
 
 def _metrics_rows(records: list[EpochRecord]) -> list[str]:
     lines = [",".join(_CSV_COLUMNS)]
     for r in records:
-        cells = [str(r.epoch), repr(float(r.lr))]
-        for bd in (r.train_loss, r.val_loss):
-            cells += [repr(float(x)) for x in (bd.rank, bd.align, bd.con, bd.total)]
-        if r.val_report is not None:
-            cells += [
-                repr(float(r.val_report.seen_mean)),
-                repr(float(r.val_report.unseen_mean)),
-                repr(float(r.val_report.harmonic)),
-            ]
-        else:
-            cells += ["", "", ""]
-        lines.append(",".join(cells))
+        values = [r.lr, *astuple(r.train_loss), *astuple(r.val_loss)]
+        if r.val_report is not None:  # a seen-only val split leaves the AUROC cells empty
+            values += [r.val_report.seen_mean, r.val_report.unseen_mean, r.val_report.harmonic]
+        cells = [str(r.epoch), *(repr(float(x)) for x in values)]
+        lines.append(",".join(cells + [""] * (len(_CSV_COLUMNS) - len(cells))))
     return lines
 
 
 def _seen_only_selection_value(params: ModelParams, data: DataBundle) -> float:
     """Mean seen-class AUROC when the val split lacks unseen labels."""
-    val = data.val
-    scores = infer_scores(params, val.features, data.semantics)
-    seen_cols = list(data.vocab.seen_ids)
-    per_class = per_class_auroc(scores[:, seen_cols], val.labels)
+    scores = infer_scores(params, data.val.features, data.semantics)
+    per_class = per_class_auroc(scores[:, list(data.vocab.seen_ids)], data.val.labels)
     vals = [x for x in per_class if x is not None]
     return float(np.mean(vals)) if vals else float("nan")
 
@@ -191,6 +176,117 @@ def check_run(cfg: TrainConfig, data: DataBundle, params0: ModelParams) -> None:
         raise ValueError(f"top-k {max(cfg.ks)} exceeds the {data.vocab.n_classes} classes")
 
 
+@dataclass
+class _RunState:
+    """A run between epochs: ``_start`` builds it and ``_run_epoch`` advances it."""
+
+    cfg: TrainConfig
+    data: DataBundle
+    params: ModelParams
+    adam: AdamState
+    sched: PlateauScheduler
+    rng: np.random.Generator
+    grads: ModelParams  # refilled by every batch's total_loss
+    W_seen: np.ndarray
+    c_seen: np.ndarray | None  # the consistency target depends only on the fixed semantics
+    records: list[EpochRecord] = field(default_factory=list)
+    best_epoch: int = 0
+    best_value: float = -np.inf
+    best_params: ModelParams | None = None
+    best_report: MetricsReport | None = None
+
+    def record(self, out_dir, best_checkpoint: str | None, wall_time: float) -> RunRecord:
+        return RunRecord(
+            config=self.cfg, epochs=self.records, best_epoch=self.best_epoch,
+            best_value=self.best_value, best_params=self.best_params,
+            best_report=self.best_report, final_params=self.params,
+            out_dir=None if out_dir is None else str(out_dir),
+            best_checkpoint=best_checkpoint, wall_time=wall_time,
+        )
+
+
+def _start(cfg: TrainConfig, data: DataBundle, params0: ModelParams) -> _RunState:
+    """Check the inputs, then build a run's state at epoch 0 and its per-run constants."""
+    check_run(cfg, data, params0)
+    params = params0.copy()
+    W_seen = data.semantics.seen_rows(data.vocab)
+    return _RunState(
+        cfg, data, params, init_adam([params.flat]),
+        PlateauScheduler(cfg.lr, cfg.patience, cfg.lr_factor, cfg.min_delta),
+        np.random.default_rng(np.random.SeedSequence(cfg.seed)),
+        grads=params.zeros_like(),
+        W_seen=W_seen,
+        c_seen=pairwise_cosine(W_seen, W_seen, "semantic row") if cfg.loss.use_con else None,
+    )
+
+
+def _run_epoch(st: _RunState) -> None:
+    """One epoch: minibatch Adam steps, the no-gradient train and val passes,
+    model selection, then the scheduler. With no finite selection value by
+    the last epoch, the last epoch is the best.
+    """
+    cfg, data, params, grads, adam = st.cfg, st.data, st.params, st.grads, st.adam
+    W_seen, c_seen, epoch, lr_now = st.W_seen, st.c_seen, len(st.records) + 1, st.sched.lr
+    X, Y = data.train.features, data.train.seen_label_view()
+    # a frozen encoder leads flat; its zero gradient and moments make its update exactly 0.0
+    n_frozen = params.encoder.spec.n_params if cfg.encoder_mode is EncoderMode.FROZEN else 0
+    n = len(data.train)
+    order = st.rng.permutation(n) if cfg.shuffle else np.arange(n)
+    for b, start in enumerate(range(0, n, cfg.batch_size)):
+        idx = order[start : start + cfg.batch_size]
+        breakdown, _ = total_loss(
+            X[idx], Y[idx], W_seen, params, cfg.loss, semantic_cosines=c_seen, grads=grads
+        )
+        if not np.isfinite(breakdown.total):
+            raise NonFiniteLossError(epoch=epoch, batch_index=b, value=breakdown.total)
+        grads.flat[:n_frozen] = 0.0
+        try:
+            adam_step([params.flat], [grads.flat], adam, lr=lr_now)
+        except NonFiniteGradientError:
+            bad = grads.array_name(int(np.flatnonzero(~np.isfinite(grads.flat))[0]))
+            raise NonFiniteGradientError(f"non-finite gradient in {bad}") from None
+
+    train_eval, val_eval = (
+        total_loss(F, L, W_seen, params, cfg.loss, compute_grads=False, semantic_cosines=c_seen)[0]
+        for F, L in ((X, Y), (data.val.features, data.val.seen_label_view()))
+    )
+    report: MetricsReport | None = None
+    if data.val.label_space is LabelSpace.ALL_CLASSES:
+        try:
+            report = evaluate(params, data.val, data.semantics, cfg.ks)
+            value = report.harmonic
+        except UndefinedAurocError:
+            value = float("nan")
+    else:
+        value = _seen_only_selection_value(params, data)
+
+    reduced = st.sched.observe(val_eval.total)
+    st.records.append(EpochRecord(epoch, train_eval, val_eval, report, lr_now, reduced))
+    # a nan value never wins, and it comes with no report
+    if value > st.best_value or (st.best_epoch == 0 and epoch == cfg.epochs):
+        st.best_epoch, st.best_value, st.best_report = epoch, value, report
+        st.best_params = params.copy()
+
+
+def _write_run(st: _RunState, out: Path) -> str:
+    """Write config.json, metrics.csv and checkpoints/{best,last}.ckpt; return best.ckpt's path."""
+    cfg, frozen = st.cfg, st.cfg.encoder_mode is EncoderMode.FROZEN
+    (out / "checkpoints").mkdir(parents=True, exist_ok=True)
+    config = run_config_dict(cfg, st.params)
+    digest = config_digest(config)
+    write_json(out / "config.json", config)
+    with open(out / "metrics.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(_metrics_rows(st.records)) + "\n")
+    best = str(out / "checkpoints" / "best.ckpt")
+    save_checkpoint(best, st.best_params, seed=cfg.seed, epoch=st.best_epoch, config_hash=digest)
+    save_checkpoint(
+        str(out / "checkpoints" / "last.ckpt"), st.params, seed=cfg.seed,
+        epoch=len(st.records), config_hash=digest, adam=st.adam,
+        adam_hparams={**ADAM_HPARAMS, "lr": st.sched.lr, "frozen_encoder": frozen},
+    )
+    return best
+
+
 def train(
     cfg: TrainConfig,
     data: DataBundle,
@@ -204,117 +300,11 @@ def train(
     config.json, metrics.csv, and checkpoints/{best,last}.ckpt.
     """
     t0 = time.perf_counter()
-    check_run(cfg, data, params0)
-    frozen = cfg.encoder_mode is EncoderMode.FROZEN
-    params = params0.copy()
-    adam = init_adam([params.flat])
-    grads = params.zeros_like()  # refilled by every batch's total_loss
-    n_frozen = params.encoder.spec.n_params if frozen else 0  # the encoder leads flat
-    sched = PlateauScheduler(
-        initial_lr=cfg.lr, patience=cfg.patience, factor=cfg.lr_factor, min_delta=cfg.min_delta
-    )
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-
-    W_seen = data.semantics.seen_rows(data.vocab)
-    # the consistency target depends only on the fixed semantics
-    c_seen = pairwise_cosine(W_seen, W_seen, "semantic row") if cfg.loss.use_con else None
-    X = data.train.features
-    Y = data.train.seen_label_view()
-    Xv = data.val.features
-    Yv = data.val.seen_label_view()
-    n = len(data.train)
-
-    records: list[EpochRecord] = []
-    best_value = -np.inf
-    best_epoch = 0
-    best_params = params.copy()
-    best_report: MetricsReport | None = None
-
-    for epoch in range(1, cfg.epochs + 1):
-        lr_now = sched.lr
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-        for b, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            breakdown, _ = total_loss(
-                X[idx], Y[idx], W_seen, params, cfg.loss, semantic_cosines=c_seen, grads=grads
-            )
-            if not np.isfinite(breakdown.total):
-                raise NonFiniteLossError(epoch=epoch, batch_index=b, value=breakdown.total)
-            # a frozen encoder's zero gradient and zero moments make its update exactly 0.0
-            grads.flat[:n_frozen] = 0.0
-            try:
-                adam_step([params.flat], [grads.flat], adam, lr=lr_now)
-            except NonFiniteGradientError:
-                bad = int(np.flatnonzero(~np.isfinite(grads.flat))[0])
-                raise NonFiniteGradientError(
-                    f"non-finite gradient in {grads.array_name(bad)}"
-                ) from None
-
-        train_eval, _ = total_loss(
-            X, Y, W_seen, params, cfg.loss, compute_grads=False, semantic_cosines=c_seen
-        )
-        val_eval, _ = total_loss(
-            Xv, Yv, W_seen, params, cfg.loss, compute_grads=False, semantic_cosines=c_seen
-        )
-
-        report: MetricsReport | None = None
-        if data.val.label_space is LabelSpace.ALL_CLASSES:
-            try:
-                report = evaluate(params, data.val, data.semantics, cfg.ks)
-                value = report.harmonic
-            except UndefinedAurocError:
-                value = float("nan")
-        else:
-            value = _seen_only_selection_value(params, data)
-
-        reduced = sched.observe(val_eval.total)
-        records.append(EpochRecord(epoch, train_eval, val_eval, report, lr_now, reduced))
-        if np.isfinite(value) and value > best_value:
-            best_value = value
-            best_epoch = epoch
-            best_params = params.copy()
-            best_report = report
-
-    if best_epoch == 0:
-        best_epoch = cfg.epochs
-        best_params = params.copy()
-        best_value = float("nan")
-
-    best_ckpt_path = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        (out / "checkpoints").mkdir(parents=True, exist_ok=True)
-        config = run_config_dict(cfg, params)
-        digest = config_digest(config)
-        write_json(out / "config.json", config)
-        with open(out / "metrics.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(_metrics_rows(records)) + "\n")
-        best_ckpt_path = str(out / "checkpoints" / "best.ckpt")
-        save_checkpoint(
-            best_ckpt_path, best_params, seed=cfg.seed, epoch=best_epoch, config_hash=digest
-        )
-        save_checkpoint(
-            str(out / "checkpoints" / "last.ckpt"),
-            params,
-            seed=cfg.seed,
-            epoch=cfg.epochs,
-            config_hash=digest,
-            adam=adam,
-            adam_hparams={**ADAM_HPARAMS, "lr": sched.lr, "frozen_encoder": frozen},
-        )
-
-    return RunRecord(
-        config=cfg,
-        epochs=records,
-        best_epoch=best_epoch,
-        best_value=best_value,
-        best_params=best_params,
-        best_report=best_report,
-        final_params=params,
-        out_dir=None if out_dir is None else str(out_dir),
-        best_checkpoint=best_ckpt_path,
-        wall_time=time.perf_counter() - t0,
-    )
+    st = _start(cfg, data, params0)
+    for _ in range(cfg.epochs):
+        _run_epoch(st)
+    best_checkpoint = None if out_dir is None else _write_run(st, Path(out_dir))
+    return st.record(out_dir, best_checkpoint, time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from gzsl_align import (
     infer_scores,
     pairwise_cosine,
 )
-from gzsl_align.data import ClassVocabulary, Dataset
+from gzsl_align.data import ClassVocabulary, Dataset, SemanticMatrix
 from gzsl_align.metrics import (
     AUROC_BLOCK,
     TOPK_BLOCK,
@@ -190,6 +190,11 @@ def _pool_spy():
     return mock.patch.object(metrics_mod, "ThreadPoolExecutor", wraps=ThreadPoolExecutor)
 
 
+def _stub_semantics(c: int) -> SemanticMatrix:
+    """A ``c``-class matrix for ``evaluate`` while ``infer_scores`` is stubbed."""
+    return SemanticMatrix(np.ones((c, 1)))
+
+
 @pytest.mark.parametrize("auroc_block, topk_block", [(AUROC_BLOCK, TOPK_BLOCK), (3, 2)],
                          ids=["module blocks", "tiny blocks"])
 @settings(max_examples=25, deadline=None)
@@ -280,6 +285,7 @@ def test_evaluate_equals_per_metric_oracles_exactly(auroc_block, topk_block, dat
                             seen_ids=tuple(range(n_seen)), unseen_ids=tuple(range(n_seen, c)))
     test = Dataset(features=np.zeros((n, 1)), labels=labels, vocab=vocab)
 
+    semantics = _stub_semantics(c)
     per_class = _rankdata_auroc_oracle(scores, labels)
     tiles, threads = _auroc_threads(data, n)
     with mock.patch.multiple(metrics_mod, AUROC_BLOCK=auroc_block, TOPK_BLOCK=topk_block,
@@ -289,9 +295,9 @@ def test_evaluate_equals_per_metric_oracles_exactly(auroc_block, topk_block, dat
             s, u, h = gzsl_summary(per_class, vocab)
         except UndefinedAurocError:
             with pytest.raises(UndefinedAurocError):
-                evaluate(None, test, None, ks=ks)
+                evaluate(None, test, semantics, ks=ks)
             return
-        got = evaluate(None, test, None, ks=ks)
+        got = evaluate(None, test, semantics, ks=ks)
     want = MetricsReport(
         per_k=tuple(_topk_metrics_by_mask(scores, labels, k, _topk_mask_oracle) for k in ks),
         per_class_auroc=tuple(per_class),
@@ -352,7 +358,7 @@ def test_report_bytes_do_not_depend_on_the_auroc_thread_count(tmp_path):
         with mock.patch.object(metrics_mod, "infer_scores", return_value=scores), \
                 mock.patch.object(metrics_mod, "_usable_cpus", return_value=workers), \
                 _pool_spy() as pool:
-            write_report_json(evaluate(None, test, None), path)
+            write_report_json(evaluate(None, test, _stub_semantics(1000)), path)
         assert pool.call_count == (workers > 1)
         written.append(path.read_bytes())
     assert written[0] == written[1]
@@ -366,7 +372,7 @@ def test_evaluate_leaves_no_thread_behind_and_opens_no_pool_below_the_threshold(
     before = threading.active_count()
     with mock.patch.object(metrics_mod, "_usable_cpus", return_value=2), _pool_spy() as pool:
         with mock.patch.object(metrics_mod, "infer_scores", return_value=scores):
-            evaluate(None, test, None)
+            evaluate(None, test, _stub_semantics(1000))
         assert pool.call_count == 1
         assert threading.active_count() == before
         evaluate(params, bundle.test, bundle.semantics)  # far under PARALLEL_MIN_SCORES
@@ -385,6 +391,15 @@ def test_evaluate_rejects_a_bad_k_before_scoring(ks):
     with mock.patch.object(metrics_mod, "infer_scores", side_effect=AssertionError) as scored:
         with pytest.raises(ValueError, match="out of range for 3 classes"):
             evaluate(None, bundle.test, bundle.semantics, ks=ks)
+    scored.assert_not_called()
+
+
+def test_evaluate_rejects_semantics_of_another_class_count_before_scoring():
+    bundle = hand_bundle()  # three classes
+    short = SemanticMatrix(bundle.semantics.rows[:2])
+    with mock.patch.object(metrics_mod, "infer_scores", side_effect=AssertionError) as scored:
+        with pytest.raises(ValueError, match="semantics has 2 classes, the dataset 3"):
+            evaluate(None, bundle.test, short)
     scored.assert_not_called()
 
 

@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ from gzsl_align import (
     LossConfig,
     NonFiniteGradientError,
     NonFiniteLossError,
+    RunRecord,
     TrainConfig,
     evaluate,
     load_checkpoint,
@@ -255,6 +256,63 @@ def test_non_finite_gradient_stops_before_any_update(bundle, monkeypatch, mode, 
     assert adam.step_count == 0
     assert adam.m.shape == adam.v.shape == seen["params"].flat.shape
     assert not adam.m.any() and not adam.v.any()
+
+
+@pytest.mark.parametrize("mode", list(EncoderMode), ids=lambda mode: mode.value)
+def test_state_advanced_epoch_by_epoch_records_what_train_returns(bundle, tmp_path, mode):
+    cfg, params0 = quick_cfg(epochs=3, encoder_mode=mode), quick_params(bundle)
+    st = training_module._start(cfg, bundle, params0)
+    for _ in range(cfg.epochs):
+        training_module._run_epoch(st)
+    got = st.record(tmp_path / "a", training_module._write_run(st, tmp_path / "a"), 0.0)
+    want = train(cfg, bundle, params0, out_dir=tmp_path / "b")
+    for f in fields(RunRecord):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if f.name.endswith("_params"):
+            assert arrays_equal(g, w), f.name
+        elif f.name in ("out_dir", "best_checkpoint"):
+            assert Path(g).relative_to(tmp_path / "a") == Path(w).relative_to(tmp_path / "b")
+        elif f.name != "wall_time":
+            assert g == w, f.name
+    for name in ["config.json", "metrics.csv", "checkpoints/best.ckpt", "checkpoints/last.ckpt"]:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("use_con", [True, False], ids=["con", "no-con"])
+def test_one_run_calls_each_layer_per_step_and_builds_its_constants_once(
+    bundle, monkeypatch, use_con
+):
+    calls = dict.fromkeys(["total_loss", "evaluate", "pairwise_cosine"], 0)
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(training_module, name, counted(name, getattr(training_module, name)))
+    loss = LossConfig(gamma1=0.1, gamma2=0.1, use_con=use_con)
+    cfg = quick_cfg(epochs=3, batch_size=16, loss=loss)
+    train(cfg, bundle, quick_params(bundle))
+    n_batches = -(-len(bundle.train) // cfg.batch_size)
+    assert n_batches > 1
+    assert calls == {
+        "total_loss": cfg.epochs * (n_batches + 2),
+        "evaluate": cfg.epochs,
+        "pairwise_cosine": int(use_con),
+    }
+
+
+def test_last_epoch_is_best_when_no_epoch_has_a_selection_value(bundle, tmp_path):
+    labels = bundle.val.labels.copy()
+    labels[:, list(bundle.vocab.unseen_ids)] = 0  # no unseen AUROC, so no harmonic
+    val = Dataset(features=bundle.val.features, labels=labels, vocab=bundle.vocab)
+    data = replace(bundle, val=val)
+    rec = train(quick_cfg(epochs=2), data, quick_params(bundle), out_dir=tmp_path)
+    assert rec.best_epoch == 2 and np.isnan(rec.best_value) and rec.best_report is None
+    assert arrays_equal(rec.best_params, rec.final_params)
+    assert load_checkpoint(rec.best_checkpoint).epoch == 2
 
 
 def test_scheduler_reduces_lr_when_val_loss_plateaus(bundle):
