@@ -20,12 +20,12 @@ from pathlib import Path
 from .checkpoints import load_checkpoint
 from .data import SPLIT_NAMES, DataBundle, load_manifest, save_manifest
 from .exceptions import GzslError, ValidationError
-from .gradcheck import run_gradient_check
+from .gradcheck import DEFAULT_TOLERANCE, run_gradient_check
 from .losses import LossConfig, term_switches
 from .metrics import (
     DEFAULT_KS,
     MetricsReport,
-    _check_distinct_ks,
+    _check_ks,
     evaluate,
     read_report_json,
     write_report_csv,
@@ -214,7 +214,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_eval(args) -> int:
     ks = DEFAULT_KS if args.k is None else _parse_list(args.k, int, "integers")
-    _check_distinct_ks(ks, "--k")
+    _check_ks(ks, "--k")  # the class count is checked once the manifest is read
     ckpt = load_checkpoint(args.checkpoint)
     bundle = load_manifest(args.manifest)
     ds = bundle.split(args.split)
@@ -324,8 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="hyperparameter grid search")
     _add_train_flags(p)
-    p.add_argument("--gammas", help="comma list, default 0.1,0.01,0.05")
-    p.add_argument("--lrs", help="comma list, default 1e-4,5e-5,1e-5")
+    grid = GridSpec()  # an unset list keeps its candidates
+    for flag, values in (("--gammas", grid.gamma_candidates), ("--lrs", grid.lr_candidates)):
+        p.add_argument(flag, help=f"comma list, default {','.join(map(str, values))}")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--random-trials", type=int)
     p.set_defaults(func=_cmd_grid)
@@ -341,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("report", help="render a metrics.json to table form")

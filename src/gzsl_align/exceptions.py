@@ -20,12 +20,11 @@ class CheckpointError(ValidationError):
 class InductiveViolationError(ValidationError):
     """A training split contains a positive label for an unseen class."""
 
-    def __init__(self, sample_index: int, class_name: str, split: str = "train"):
+    def __init__(self, sample_index: int, class_name: str):
         self.sample_index = sample_index
         self.class_name = class_name
-        self.split = split
         super().__init__(
-            f"{split} sample {sample_index} has a positive label for unseen "
+            f"train sample {sample_index} has a positive label for unseen "
             f"class '{class_name}'; training data must cover seen classes only"
         )
 

@@ -60,18 +60,17 @@ def _f1(p: float, r: float) -> float:
     return 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
 
 
-def _check_ks(ks, c: int) -> None:
-    for k in ks:
-        if not 1 <= k <= c:
-            raise ValueError(f"k={k} out of range for {c} classes")
+def _check_ks(ks, name: str, n_classes: int | None = None) -> None:
+    """Top-k cut-offs are non-empty, positive, distinct and, given ``n_classes``, at most that.
 
-
-def _check_distinct_ks(ks, name: str) -> None:
-    """A run's or a command's ks are non-empty, positive and distinct; ValueError names ``name``."""
+    ValueError, naming ``name``, on the first rule ``ks`` breaks.
+    """
     if not ks:
         raise ValueError(f"{name} must not be empty")
     if any(k < 1 for k in ks) or len(set(ks)) != len(ks):
         raise ValueError(f"{name} must be positive and distinct, got {ks}")
+    if n_classes is not None and max(ks) > n_classes:
+        raise ValueError(f"top-k {max(ks)} exceeds the {n_classes} classes")
 
 
 def _checked_inputs(scores, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +126,7 @@ def _topk(S: np.ndarray, Yb: np.ndarray, ks, pos_c: np.ndarray) -> list[TopKMetr
     n, c = S.shape
     tp_c = np.zeros((len(ks), c), dtype=np.int64)
     pred_c = np.zeros((len(ks), c), dtype=np.int64)
-    for i in range(0, n if ks else 0, TOPK_BLOCK):
+    for i in range(0, n, TOPK_BLOCK):
         row, col, rank = _ranked_candidates(S[i:i + TOPK_BLOCK], max(ks))
         hit = Yb[i:i + TOPK_BLOCK][row, col]
         for j, k in enumerate(ks):
@@ -168,7 +167,7 @@ def topk_metrics(scores: np.ndarray, labels: np.ndarray, k: int) -> TopKMetrics:
     never predicted gets precision 0 there.
     """
     S, Yb = _checked_inputs(scores, labels, "top-k")
-    _check_ks((k,), S.shape[1])
+    _check_ks((k,), "k", S.shape[1])
     return _topk(S, Yb, (k,), Yb.sum(axis=0))[0]
 
 
@@ -311,14 +310,15 @@ def evaluate(
 ) -> MetricsReport:
     """Score a full-width dataset and assemble the complete report.
 
-    Every k and the class count of ``semantics`` are checked before any
-    scoring. ``pairwise_cosine`` makes the scores finite and a ``Dataset``
-    makes the labels 0 or 1, so neither is checked again.
+    ``ks`` (see ``_check_ks``) and the class count of ``semantics`` are
+    checked before any scoring; ``per_k`` is in ascending k, so the report
+    round-trips through JSON. ``pairwise_cosine`` makes the scores finite
+    and a ``Dataset`` makes the labels 0 or 1, so neither is checked again.
     """
     if dataset.label_space is not LabelSpace.ALL_CLASSES:
         raise ValidationError("evaluation needs labels over all classes")
     n, c = dataset.labels.shape
-    _check_ks(ks, c)
+    _check_ks(ks, "ks", c)
     if len(semantics.rows) != c:
         raise ValueError(f"semantics has {len(semantics.rows)} classes, the dataset {c}")
     scores = infer_scores(params, dataset.features, semantics)
@@ -328,7 +328,7 @@ def evaluate(
     per_class = _auroc(scores, rows, cls, pos_c)
     s, u, h = gzsl_summary(per_class, dataset.vocab)
     return MetricsReport(
-        per_k=tuple(_topk(scores, Yb, ks, pos_c)),
+        per_k=tuple(_topk(scores, Yb, sorted(ks), pos_c)),
         per_class_auroc=tuple(per_class),
         seen_mean=s,
         unseen_mean=u,

@@ -74,14 +74,14 @@ class PlateauScheduler:
     Once the counter reaches ``patience`` the lr is reduced and the counter
     resets. The current lr is always ``initial_lr * factor **
     num_reductions``, computed from the power so repeated reductions stay
-    exact. The four settings are not checked here: ``train`` takes them
-    from a ``TrainConfig``, which checks their ranges.
+    exact. The four settings are neither defaulted nor checked here:
+    ``train`` takes them from a ``TrainConfig``, which does both.
     """
 
     initial_lr: float
-    patience: int = 10
-    factor: float = 0.01
-    min_delta: float = 1e-6
+    patience: int
+    factor: float
+    min_delta: float
     best: float = field(default=np.inf, init=False)
     num_bad: int = field(default=0, init=False)
     num_reductions: int = field(default=0, init=False)

@@ -24,7 +24,7 @@ from .losses import LossBreakdown, LossConfig, total_loss
 from .metrics import (
     DEFAULT_KS,
     MetricsReport,
-    _check_distinct_ks,
+    _check_ks,
     evaluate,
     infer_scores,
     per_class_auroc,
@@ -96,7 +96,7 @@ class TrainConfig(JsonRecord):
             raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        _check_distinct_ks(self.ks, "ks")
+        _check_ks(self.ks, "ks")
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,7 @@ def check_run(cfg: TrainConfig, data: DataBundle, params0: ModelParams) -> None:
         raise ValueError(
             f"model expects {params0.semantic_dim}-dim semantics, data has {data.semantics.dim}"
         )
-    if max(cfg.ks) > data.vocab.n_classes:
-        raise ValueError(f"top-k {max(cfg.ks)} exceeds the {data.vocab.n_classes} classes")
+    _check_ks(cfg.ks, "ks", data.vocab.n_classes)
 
 
 @dataclass

@@ -251,11 +251,11 @@ def test_criterion_08_training_determinism(tmp_path):
 
 
 def test_criterion_09_scheduler_state_machine():
-    sched = PlateauScheduler(initial_lr=0.2, patience=10, factor=0.01)
+    sched = PlateauScheduler(initial_lr=0.2, patience=10, factor=0.01, min_delta=1e-6)
     fired_at = [epoch for epoch in range(1, 11) if sched.observe(1.0)]
     constant_ok = fired_at == [10] and sched.lr == 0.2 * 0.01
 
-    sched = PlateauScheduler(initial_lr=0.2, patience=10, factor=0.01)
+    sched = PlateauScheduler(initial_lr=0.2, patience=10, factor=0.01, min_delta=1e-6)
     first_fire = None
     for epoch in range(1, 21):
         loss = 1.0 if epoch < 5 else 0.5

@@ -1,6 +1,7 @@
 """AUROC vs a pairwise oracle, top-k hand counts, report round-trips."""
 
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -270,12 +271,17 @@ def test_topk_on_all_tied_scores_peaks_below_one_and_a_half_score_matrices():
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_evaluate_equals_per_metric_oracles_exactly(auroc_block, topk_block, data):
-    """ks out of order and repeated, k at C - 1 and C, N at a block size and one either side."""
+    """ks out of order, k at C - 1 and C, N at a block size and one either side.
+
+    ``per_k`` comes in ascending k, and a repeated k is rejected before scoring.
+    """
     n = data.draw(_around(topk_block), label="n")
     c = data.draw(st.integers(3, 8), label="c")
     n_seen = data.draw(st.integers(2, c - 1), label="n_seen")
     extra = data.draw(st.lists(st.integers(1, c), max_size=3), label="extra ks")
-    ks = tuple(data.draw(st.permutations([c, c, c - 1, 1, *extra]), label="ks"))
+    ks = tuple(data.draw(st.permutations(sorted({c, c - 1, 1, *extra})), label="ks"))
+    repeated = tuple(data.draw(st.permutations([*ks, data.draw(st.sampled_from(ks))]),
+                               label="repeated ks"))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     levels = data.draw(st.integers(1, 4), label="levels")
     scores = rng.integers(0, levels, size=(n, c)).astype(np.float64) / levels
@@ -286,6 +292,10 @@ def test_evaluate_equals_per_metric_oracles_exactly(auroc_block, topk_block, dat
     test = Dataset(features=np.zeros((n, 1)), labels=labels, vocab=vocab)
 
     semantics = _stub_semantics(c)
+    with mock.patch.object(metrics_mod, "infer_scores", side_effect=AssertionError) as scored:
+        with pytest.raises(ValueError, match="ks must be positive and distinct"):
+            evaluate(None, test, semantics, ks=repeated)
+    scored.assert_not_called()
     per_class = _rankdata_auroc_oracle(scores, labels)
     tiles, threads = _auroc_threads(data, n)
     with mock.patch.multiple(metrics_mod, AUROC_BLOCK=auroc_block, TOPK_BLOCK=topk_block,
@@ -299,7 +309,8 @@ def test_evaluate_equals_per_metric_oracles_exactly(auroc_block, topk_block, dat
             return
         got = evaluate(None, test, semantics, ks=ks)
     want = MetricsReport(
-        per_k=tuple(_topk_metrics_by_mask(scores, labels, k, _topk_mask_oracle) for k in ks),
+        per_k=tuple(_topk_metrics_by_mask(scores, labels, k, _topk_mask_oracle)
+                    for k in sorted(ks)),
         per_class_auroc=tuple(per_class),
         seen_mean=s,
         unseen_mean=u,
@@ -385,11 +396,21 @@ def test_usable_cpus_falls_back_to_the_cpu_count_without_affinity(monkeypatch):
     assert metrics_mod._usable_cpus() == (os.cpu_count() or 1)
 
 
-@pytest.mark.parametrize("ks", [(0,), (4,), (2, -1), (1, 2, 4)])
+_BAD_KS = {  # ks against three classes, and the error each one raises
+    (0,): "ks must be positive and distinct, got (0,)",
+    (4,): "top-k 4 exceeds the 3 classes",
+    (2, -1): "ks must be positive and distinct, got (2, -1)",
+    (1, 2, 4): "top-k 4 exceeds the 3 classes",
+    (2, 2): "ks must be positive and distinct, got (2, 2)",
+    (): "ks must not be empty",
+}
+
+
+@pytest.mark.parametrize("ks", list(_BAD_KS))
 def test_evaluate_rejects_a_bad_k_before_scoring(ks):
     bundle = hand_bundle()  # three classes
     with mock.patch.object(metrics_mod, "infer_scores", side_effect=AssertionError) as scored:
-        with pytest.raises(ValueError, match="out of range for 3 classes"):
+        with pytest.raises(ValueError, match=f"^{re.escape(_BAD_KS[ks])}$"):
             evaluate(None, bundle.test, bundle.semantics, ks=ks)
     scored.assert_not_called()
 
@@ -593,12 +614,14 @@ def test_infer_scores_are_cosines_or_raise_at_any_scale(e, seed):
     assert np.abs(scores).max() <= 1.0
 
 
-def test_report_json_round_trip_is_exact(tmp_path):
+@pytest.mark.parametrize("ks", [(1, 2), (3, 2)], ids=["ascending ks", "descending ks"])
+def test_report_json_round_trip_is_exact(tmp_path, ks):
     bundle = hand_bundle()
     params = init_model_params(
         MlpSpec(layer_dims=(4, 3)), MlpSpec(layer_dims=(3, 3)), MlpSpec(layer_dims=(4, 4)), seed=1
     )
-    report = evaluate(params, bundle.test, bundle.semantics, ks=(1, 2))
+    report = evaluate(params, bundle.test, bundle.semantics, ks=ks)
+    assert [m.k for m in report.per_k] == sorted(ks)
     path = tmp_path / "report.json"
     write_report_json(report, path)
     again = read_report_json(path)

@@ -113,7 +113,7 @@ def test_per_array_and_flat_calls_equal_the_per_array_oracle_exactly():
 
 
 def test_scheduler_constant_loss_fires_at_patience():
-    sched = PlateauScheduler(initial_lr=1e-3, patience=10, factor=0.01)
+    sched = PlateauScheduler(initial_lr=1e-3, patience=10, factor=0.01, min_delta=1e-6)
     fired_at = []
     for epoch in range(1, 26):
         if sched.observe(1.0):
@@ -123,21 +123,21 @@ def test_scheduler_constant_loss_fires_at_patience():
 
 
 def test_scheduler_improvement_at_five_fires_at_fifteen():
-    sched = PlateauScheduler(initial_lr=0.1, patience=10, factor=0.01)
+    sched = PlateauScheduler(initial_lr=0.1, patience=10, factor=0.01, min_delta=1e-6)
     losses = [1.0, 1.0, 1.0, 1.0, 0.5] + [0.5] * 20  # improvement at epoch 5
     fired_at = [e for e, v in enumerate(losses, start=1) if sched.observe(v)]
     assert fired_at[0] == 15
 
 
 def test_scheduler_never_fires_while_improving():
-    sched = PlateauScheduler(initial_lr=0.1, patience=3, factor=0.5)
+    sched = PlateauScheduler(initial_lr=0.1, patience=3, factor=0.5, min_delta=1e-6)
     for v in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5):
         assert not sched.observe(v)
     assert sched.lr == 0.1
 
 
 def test_scheduler_lr_is_exact_power_of_factor():
-    sched = PlateauScheduler(initial_lr=3e-4, patience=1, factor=0.01)
+    sched = PlateauScheduler(initial_lr=3e-4, patience=1, factor=0.01, min_delta=1e-6)
     sched.observe(1.0)  # fires immediately at patience=1
     assert sched.lr == 3e-4 * 0.01
     sched.observe(1.0)
