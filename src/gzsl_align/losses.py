@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .exceptions import DegenerateVectorError
 from .networks import ModelParams, mlp_backward, mlp_forward, pairwise_cosine, row_norms
 from .records import JsonRecord, check_finite
 
@@ -109,36 +110,38 @@ def rank_term(
     pos = Y > 0.5
     keys = np.where(pos, P, delta + P)
     # each row's sort order as indices into the flattened (n, s) matrix
-    order = np.argsort(keys, axis=-1) + np.arange(n)[:, None] * s
+    order = keys.argsort(axis=-1)
+    order += np.arange(0, n * s, s)[:, None]
     k_sorted = keys.take(order)
     p_sorted = pos.take(order)
-    # rows where a positive sits just ahead of a negative whose key is not above its own
+    # where a positive sits just ahead of a negative whose key is not above its own
     rising = k_sorted[:, 1:] > k_sorted[:, :-1]
-    rows = np.flatnonzero((p_sorted[:, :-1] > (p_sorted[:, 1:] | rising)).any(axis=1))
-    if rows.size:  # re-sort them with negatives first on equal keys
+    tied = p_sorted[:, :-1] > (p_sorted[:, 1:] | rising)
+    if tied.any():  # re-sort those rows with negatives first on equal keys
+        rows = np.flatnonzero(tied.any(axis=1))
         order[rows] = np.lexsort((pos[rows], keys[rows]), axis=-1) + rows[:, None] * s
         k_sorted[rows] = keys.take(order[rows])
         p_sorted[rows] = pos.take(order[rows])
     neg_sorted = ~p_sorted
     # suffix sums over negatives: at a positive, the negatives ranked after it
-    negs_after = np.cumsum(neg_sorted[:, ::-1], axis=1)[:, ::-1]
-    keys_after = np.cumsum(np.where(neg_sorted, k_sorted, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    negs_after = np.add.accumulate(neg_sorted[:, ::-1], axis=1)[:, ::-1]
+    keys_after = np.add.accumulate(np.where(neg_sorted, k_sorted, 0.0)[:, ::-1], axis=1)[:, ::-1]
     if pair_normalize:
-        n_pos = pos.sum(axis=1)
+        n_pos = np.add.reduce(pos, axis=1)
         n_pairs = n_pos * (s - n_pos)
         scale = np.divide(1.0, n_pairs, out=np.zeros(n, dtype=np.float64), where=n_pairs > 0)
     else:
-        scale = np.full(n, 1.0 / s)
+        scale = 1.0 / s  # the same for every image
     hinge = np.where(p_sorted, keys_after - negs_after * k_sorted, 0.0)
-    per_image = hinge.sum(axis=1) * scale
-    loss = float(per_image.sum() / n)
+    per_image = np.add.reduce(hinge, axis=1) * scale
+    loss = float(np.add.reduce(per_image) / n)
     if not compute_grads:
         return loss, None
     # prefix counts over positives: at a negative, the positives ranked before it
-    pos_before = np.cumsum(p_sorted, axis=1)
+    pos_before = np.add.accumulate(p_sorted, axis=1)
     counts = np.empty_like(pos_before)
     counts.put(order, np.where(p_sorted, -negs_after, pos_before))
-    d_scores = counts * (scale / n)[:, None]
+    d_scores = counts * ((scale / n)[:, None] if pair_normalize else scale / n)
     return loss, d_scores
 
 
@@ -155,9 +158,10 @@ def align_term(
     if z_hat.shape != a_hat.shape:
         raise ValueError(f"visual shape {z_hat.shape} != semantic shape {a_hat.shape}")
     n = z_hat.shape[0]
-    cos = np.clip((z_hat * a_hat).sum(axis=1), -1.0, 1.0)
-    value = float(np.mean(1.0 - cos)) if n else 0.0
-    coeff = -gamma1 / max(n, 1)  # an empty pairing has empty gradients
+    cos = np.add.reduce(z_hat * a_hat, axis=1)
+    np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)
+    value = float(np.add.reduce(1.0 - cos) / n) if n else 0.0
+    coeff = -gamma1 / (n or 1)  # an empty pairing has empty gradients
     return value, coeff * a_hat, coeff * z_hat
 
 
@@ -188,7 +192,7 @@ def con_term(
     if target.shape != (k, k):
         raise ValueError(f"target shape {target.shape} != ({k}, {k})")
     value = 0.0
-    d_t = np.zeros_like(t_hat) if compute_grads else None  # H @ t_hat
+    d_t = np.zeros(t_hat.shape) if compute_grads else None  # H @ t_hat
     for i0 in range(0, k, CON_BLOCK):
         rows_i = slice(i0, i0 + CON_BLOCK)
         t_i = t_hat[rows_i]
@@ -196,15 +200,18 @@ def con_term(
             rows_j = slice(j0, j0 + CON_BLOCK)
             t_j = t_hat[rows_j]
             c = t_i @ t_j.T  # syrk on the diagonal block
-            diff = np.clip(c, -1.0, 1.0) - target[rows_i, rows_j]
+            diff = np.maximum(c, -1.0)
+            np.minimum(diff, 1.0, out=diff)
+            diff -= target[rows_i, rows_j]
             if j0 == i0:
-                np.fill_diagonal(diff, 0.0)
+                diff.flat[:: diff.shape[1] + 1] = 0.0
             if compute_grads:
                 H = np.where(np.abs(c) > 1.0, 0.0, 2.0 * np.sign(diff))  # clip-cut: no slope
                 d_t[rows_i] += H @ t_j
                 if j0 != i0:
                     d_t[rows_j] += H.T @ t_i
-            value += (1.0 if j0 == i0 else 2.0) * float(np.abs(diff, out=diff).sum())
+            l1 = float(np.add.reduce(np.abs(diff, out=diff), axis=None))
+            value += l1 if j0 == i0 else 2.0 * l1
     if compute_grads:
         d_t *= gamma2
     return value, d_t
@@ -212,7 +219,7 @@ def con_term(
 
 def _unit_rows_backward(g: np.ndarray, x_hat: np.ndarray, x_norm: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. x from ``g``, the gradient w.r.t. x_hat = x / |x|, in place."""
-    g -= (g * x_hat).sum(axis=1, keepdims=True) * x_hat
+    g -= np.add.reduce(g * x_hat, axis=1, keepdims=True) * x_hat
     g /= x_norm[:, None]
     return g
 
@@ -243,8 +250,10 @@ def total_loss(
             the fixed, exactly symmetric target of the consistency term.
             Callers that evaluate many batches against the same semantics
             pass it once computed; when omitted it is computed here.
-        grads: a gradient store of ``params``' layout to zero and fill in
-            place of a new one, so a training loop allocates it once.
+        grads: a gradient store of ``params``' layout to fill in place of
+            a new one, so a training loop allocates it once. Each net's
+            backward writes its part; the store is zeroed first only
+            when the visual tower is skipped.
 
     Returns:
         The per-term breakdown and the gradients, a :class:`ModelParams`
@@ -279,7 +288,7 @@ def total_loss(
         raise ValueError(
             f"gradient store holds {grads.flat.size} values, params {params.flat.size}"
         )
-    else:
+    elif not need_visual:  # each backward below writes its net's part of the store
         grads.flat.fill(0.0)
 
     if need_visual:
@@ -290,26 +299,35 @@ def total_loss(
         Z, tape_vis = mlp_forward(params.visual_map, enc_out, compute_grads)
         z_norm = row_norms(Z, "latent visual")
         z_hat = Z / z_norm[:, None]
-        d_z = np.zeros_like(Z) if compute_grads else None
+        d_z = np.zeros(Z.shape) if compute_grads else None
 
     if need_semantic:
-        counts = Y.sum(axis=1)
-        valid = (counts > 0) & cfg.use_align  # the samples that take an averaged row
-        sem_in = np.empty((n_cls + int(valid.sum()), W.shape[1]))
+        n_avg = 0  # samples that take an averaged row: those with a positive
+        if cfg.use_align:
+            counts = np.add.reduce(Y, axis=1)
+            valid = counts > 0
+            n_avg = int(np.add.reduce(valid))
+            if n_avg == n:  # the usual case: a slice, so no gathers or scatters
+                valid = slice(None)
+        sem_in = np.empty((n_cls + n_avg, W.shape[1]))
         sem_in[:n_cls] = W[:n_cls]
-        np.matmul(Y[valid].astype(np.float64), W, out=sem_in[n_cls:])
-        sem_in[n_cls:] /= counts[valid, None]  # each sample's w_bar
+        if n_avg:
+            np.matmul(Y[valid].astype(np.float64), W, out=sem_in[n_cls:])
+            sem_in[n_cls:] /= counts[valid, None]  # each sample's w_bar
         T, tape_sem = mlp_forward(params.semantic_map, sem_in, compute_grads)
-        t_norm = np.concatenate([
-            row_norms(T[:n_cls], "projected semantic"),
-            row_norms(T[n_cls:], "projected averaged semantic"),
-        ])
+        try:
+            t_norm = row_norms(T)
+        except DegenerateVectorError:  # name the part that holds the zero row
+            row_norms(T[:n_cls], "projected semantic")
+            row_norms(T[n_cls:], "projected averaged semantic")
+            raise
         t_hat = T / t_norm[:, None]
-        d_t = np.zeros_like(T) if compute_grads else None
+        d_t = np.zeros(T.shape) if compute_grads else None
 
     rank_val = 0.0
     if cfg.use_rank:
-        scores = np.clip(z_hat @ t_hat[:n_cls].T, -1.0, 1.0)
+        scores = z_hat @ t_hat[:n_cls].T
+        np.minimum(np.maximum(scores, -1.0, out=scores), 1.0, out=scores)
         rank_val, d_scores = rank_term(scores, Y, cfg.delta, cfg.pair_normalize, compute_grads)
         if compute_grads:
             d_z += d_scores @ t_hat[:n_cls]

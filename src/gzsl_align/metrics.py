@@ -222,7 +222,9 @@ def _auroc(S: np.ndarray, rows: np.ndarray, cls: np.ndarray, pos_c: np.ndarray) 
     tile size or number of threads.
     """
     order = np.argsort(cls, kind="stable")  # class-major: each class's positives are contiguous
-    pos_scores = np.split(S[rows[order], cls[order]], np.cumsum(pos_c)[:-1])
+    pos_sorted = S[rows[order], cls[order]]
+    ends = np.cumsum(pos_c).tolist()
+    pos_scores = [pos_sorted[a:b] for a, b in zip([0, *ends], ends)]
     n, c = S.shape
     buf = np.empty((min(AUROC_BLOCK, c), n))
     workers = _usable_cpus() if S.size >= PARALLEL_MIN_SCORES else 1

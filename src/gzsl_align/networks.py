@@ -10,7 +10,7 @@ input gradients.
 :class:`ModelParams` keeps every parameter of the model in one float64
 vector, ``flat``; each layer's weight and bias are views into it. A
 gradient store is a second :class:`ModelParams` of the same layout, which
-:func:`mlp_backward` adds into through its views.
+:func:`mlp_backward` writes through its views.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def mlp_forward(
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != params.spec.in_dim:
         raise ValueError(f"input shape {a.shape} is not (N, {params.spec.in_dim}) rows")
-    last = params.spec.n_layers - 1
+    last = len(params.weights) - 1
     inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -118,19 +118,20 @@ def mlp_backward(
 ) -> np.ndarray | None:
     """Backpropagate ``grad_out`` through a recorded forward pass.
 
-    Adds the parameter gradients into ``grads``, a net of the same spec
-    (typically views into a gradient store), and returns the gradient with
-    respect to the input, or None with ``input_grad`` off, which skips
-    its product. The ReLU subgradient at 0 is taken as 0.
+    Writes the parameter gradients into ``grads``, a net of the same spec
+    (typically views into a gradient store), over whatever it held, and
+    returns the gradient with respect to the input, or None with
+    ``input_grad`` off, which skips its product. The ReLU subgradient at 0
+    is taken as 0.
     """
     g = np.asarray(grad_out, dtype=np.float64)
-    n = params.spec.n_layers
+    n = len(params.weights)
     if g.shape != tape.preacts[-1].shape:
         raise ValueError(f"grad_out shape {g.shape} != output shape {tape.preacts[-1].shape}")
     for k in reversed(range(n)):
         dz = g if k == n - 1 else g * (tape.preacts[k] > 0.0)
-        grads.weights[k] += tape.inputs[k].T @ dz
-        grads.biases[k] += dz.sum(axis=0)
+        np.matmul(tape.inputs[k].T, dz, out=grads.weights[k])
+        np.add.reduce(dz, axis=0, out=grads.biases[k])
         if k == 0 and not input_grad:
             return None
         g = dz @ params.weights[k].T
@@ -288,7 +289,7 @@ class ModelParams:
         return ModelParams(self.flat.copy(), *self._specs())
 
     def zeros_like(self) -> "ModelParams":
-        """A zeroed model of the same layout, e.g. to accumulate gradients in."""
+        """A zeroed model of the same layout, e.g. a gradient store."""
         return ModelParams(np.zeros_like(self.flat), *self._specs())
 
 

@@ -14,11 +14,20 @@ ADAM_HPARAMS = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
 
 @dataclass
 class AdamState:
-    """Adam's step counter and moments: one vector each, covering the updated arrays in order."""
+    """Adam's step counter and moments: one vector each, covering the updated arrays in order.
+
+    ``scratch`` holds two work vectors of the moments' size that
+    :func:`adam_step` writes its temporaries into. They are not state: a
+    checkpoint never stores them, and a step rebuilds them when they are
+    missing or of another size.
+    """
 
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def init_adam(arrays: list[np.ndarray]) -> AdamState:
@@ -42,9 +51,11 @@ def adam_step(
             f"{n} values against {state.m.size} moments"
         )
     for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteGradientError(f"non-finite gradient in array {i}")
-    beta1, beta2, epsilon = (ADAM_HPARAMS[k] for k in ("beta1", "beta2", "epsilon"))
+    if state.scratch is None or state.scratch[0].size != n:
+        state.scratch = (np.empty(n), np.empty(n))
+    beta1, beta2, epsilon = ADAM_HPARAMS["beta1"], ADAM_HPARAMS["beta2"], ADAM_HPARAMS["epsilon"]
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - beta1**t
@@ -54,12 +65,19 @@ def adam_step(
         end = start + theta.size
         m = state.m[start:end].reshape(theta.shape)
         v = state.v[start:end].reshape(theta.shape)
+        a = state.scratch[0][start:end].reshape(theta.shape)
+        b = state.scratch[1][start:end].reshape(theta.shape)
         start = end
+        # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2 and
+        # theta -= lr (m / bc1) / (sqrt(v / bc2) + epsilon), each operation in
+        # that order, so the bits are those of the plain expressions
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=a)
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+        v += np.multiply(np.multiply(g, g, out=b), 1.0 - beta2, out=b)
+        np.multiply(np.divide(m, bc1, out=a), lr, out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), epsilon, out=b)
+        theta -= np.divide(a, b, out=a)
 
 
 @dataclass

@@ -4,6 +4,7 @@ model selection by validation harmonic AUROC, and the hyperparameter grid.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -236,9 +237,10 @@ def _run_epoch(st: _RunState) -> None:
         breakdown, _ = total_loss(
             X[idx], Y[idx], W_seen, params, cfg.loss, semantic_cosines=c_seen, grads=grads
         )
-        if not np.isfinite(breakdown.total):
+        if not math.isfinite(breakdown.total):
             raise NonFiniteLossError(epoch=epoch, batch_index=b, value=breakdown.total)
-        grads.flat[:n_frozen] = 0.0
+        if n_frozen:
+            grads.flat[:n_frozen] = 0.0
         try:
             adam_step([params.flat], [grads.flat], adam, lr=lr_now)
         except NonFiniteGradientError:

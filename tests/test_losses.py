@@ -731,6 +731,19 @@ def _cosine_rows_backward(Xhat, xnorm, Yhat, ynorm, C, dC):
     return dX, dY
 
 
+def _accumulating_backward(params, tape, grad_out, grads):
+    """The former ``mlp_backward`` body: adds into ``grads``, so the oracle's
+    two semantic-map passes sum their parameter gradients."""
+    g = np.asarray(grad_out, dtype=np.float64)
+    n = params.spec.n_layers
+    for k in reversed(range(n)):
+        dz = g if k == n - 1 else g * (tape.preacts[k] > 0.0)
+        grads.weights[k] += tape.inputs[k].T @ dz
+        grads.biases[k] += dz.sum(axis=0)
+        g = dz @ params.weights[k].T
+    return g
+
+
 def _total_loss_oracle(F, Y, W, params, cfg):
     """The former composition: each term takes its own norm gradients, and the
     semantic map runs twice, once over the class rows and once over the w_bar rows.
@@ -768,7 +781,7 @@ def _total_loss_oracle(F, Y, W, params, cfg):
         coeff = cfg.gamma1 / max(cos.size, 1)
         dZ[valid] -= coeff * (a_hat - cos[:, None] * zv) / zn[:, None]
         dA = -coeff * (zv - cos[:, None] * a_hat) / a_norm[:, None]
-        mlp_backward(params.semantic_map, tape_avg, dA, grads.semantic_map)
+        _accumulating_backward(params.semantic_map, tape_avg, dA, grads.semantic_map)
     if cfg.use_con:
         c_proj = np.clip(t_hat @ t_hat.T, -1.0, 1.0)
         diff = c_proj - pairwise_cosine(W, W)
@@ -779,11 +792,11 @@ def _total_loss_oracle(F, Y, W, params, cfg):
         h_c = (H * c_proj).sum(axis=1, keepdims=True)
         dT += cfg.gamma2 * (H @ t_hat - h_c * t_hat) / t_norm[:, None]
     if cfg.use_rank or cfg.use_con:
-        mlp_backward(params.semantic_map, tape_cls, dT, grads.semantic_map)
+        _accumulating_backward(params.semantic_map, tape_cls, dT, grads.semantic_map)
     if cfg.use_rank or cfg.use_align:
-        d_enc = mlp_backward(params.visual_map, tape_vis, dZ, grads.visual_map)
+        d_enc = _accumulating_backward(params.visual_map, tape_vis, dZ, grads.visual_map)
         if params.encoder is not None:
-            mlp_backward(params.encoder, tape_enc, d_enc, grads.encoder)
+            _accumulating_backward(params.encoder, tape_enc, d_enc, grads.encoder)
     return (rank, align, con, rank + cfg.gamma1 * align + cfg.gamma2 * con), grads.flat
 
 
@@ -844,6 +857,22 @@ def test_reused_dirty_gradient_store_matches_a_fresh_one(with_encoder):
     other = init_model_params(MlpSpec((spec.v, 8)), MlpSpec((spec.d, 8)), None, seed=1)
     with pytest.raises(ValueError, match="gradient store holds"):
         total_loss(X[:4], Y[:4], W, params, cfg, grads=other.zeros_like())
+
+
+@pytest.mark.parametrize("terms", TERM_MASKS, ids="+".join)
+def test_dirty_store_gets_a_fresh_stores_bytes_for_every_term_mask(terms):
+    """Nets that run backward write their part of the store; the rest must still read 0."""
+    params = init_model_params(MlpSpec((4, 5, 3)), MlpSpec((3, 3)), MlpSpec((4, 4)), seed=5)
+    rng = np.random.default_rng(3)
+    params.flat[:] = rng.uniform(-1.0, 1.0, params.flat.size)
+    labels = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=np.int8)
+    feats, sem = rng.standard_normal((3, 4)), rng.standard_normal((3, 3))
+    cfg = LossConfig().with_terms(terms)
+    _, want = total_loss(feats, labels, sem, params, cfg)
+    store = params.zeros_like()
+    store.flat[:] = rng.standard_normal(store.flat.size)
+    _, got = total_loss(feats, labels, sem, params, cfg, grads=store)
+    assert got is store and got.flat.tobytes() == want.flat.tobytes()
 
 
 @pytest.mark.parametrize("compute_grads", [True, False], ids=["grads", "values"])

@@ -132,7 +132,7 @@ def test_backward_rejects_wrong_grad_shape():
         mlp_backward(p, tape, np.zeros((1, 3)), _zeros(p))
 
 
-def test_backward_adds_into_a_nonzero_store():
+def test_backward_overwrites_a_dirty_store():
     rng = np.random.default_rng(4)
     p = _net((4, 5, 3), seed=4)
     x, g_out = rng.standard_normal((3, 4)), rng.standard_normal((3, 3))
@@ -142,12 +142,11 @@ def test_backward_adds_into_a_nonzero_store():
     store = _zeros(p)
     for a in store.arrays():
         a[...] = rng.standard_normal(a.shape)
-    before = [a.copy() for a in store.arrays()]
     got_in = mlp_backward(p, tape, g_out, store)
     assert isinstance(got_in, np.ndarray) and got_in.shape == x.shape
     assert np.array_equal(got_in, want_in)
-    for acc, b, g in zip(store.arrays(), before, fresh.arrays()):
-        assert np.array_equal(acc, b + g)
+    for got, want in zip(store.arrays(), fresh.arrays()):
+        assert got.tobytes() == want.tobytes()
 
 
 def _assert_tape_free_forward_matches(net: MlpParams, x: np.ndarray) -> None:

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from gzsl_align import NonFiniteGradientError, adam_step, init_adam
+from gzsl_align import (
+    NonFiniteGradientError,
+    adam_step,
+    init_adam,
+    load_checkpoint,
+    reference_model_params,
+    reference_spec,
+    save_checkpoint,
+)
 from gzsl_align.networks import MlpSpec, init_model_params
 from gzsl_align.optimizers import PlateauScheduler
 
@@ -81,10 +89,8 @@ def _per_array_adam_oracle(arrays, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999,
         theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
 
 
-def test_per_array_and_flat_calls_equal_the_per_array_oracle_exactly():
-    params = init_model_params(
-        MlpSpec((6, 5, 4)), MlpSpec((3, 5, 4)), MlpSpec((6, 7, 6)), seed=4
-    )
+def _assert_calls_equal_the_per_array_oracle(params):
+    """Twenty steps: the per-array call and the one-vector call both give the oracle's bytes."""
     assert init_adam(params.arrays()).m.shape == params.flat.shape
     per_array, flat, oracle = params.copy(), params.copy(), params.copy()
     per_array_state = init_adam(per_array.arrays())
@@ -110,6 +116,48 @@ def test_per_array_and_flat_calls_equal_the_per_array_oracle_exactly():
         assert got.flat.tobytes() == oracle.flat.tobytes()
         assert state.m.tobytes() == want_m.tobytes()
         assert state.v.tobytes() == want_v.tobytes()
+
+
+def test_per_array_and_flat_calls_equal_the_per_array_oracle_exactly():
+    _assert_calls_equal_the_per_array_oracle(
+        init_model_params(MlpSpec((6, 5, 4)), MlpSpec((3, 5, 4)), MlpSpec((6, 7, 6)), seed=4)
+    )
+
+
+def test_sixteen_array_reference_call_equals_the_per_array_oracle_exactly():
+    params = reference_model_params(reference_spec(1), 1)
+    assert len(params.arrays()) == 16  # the call shape the benchmark's Adam probe makes
+    _assert_calls_equal_the_per_array_oracle(params)
+
+
+def test_scratch_vectors_are_not_state(tmp_path):
+    """A state loaded from last.ckpt has no scratch yet and steps to the in-memory state's bytes."""
+    params = init_model_params(MlpSpec((6, 5, 4)), MlpSpec((3, 5, 4)), MlpSpec((6, 7, 6)), seed=4)
+    state = init_adam([params.flat])
+    assert state.scratch is None
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        adam_step([params.flat], [rng.standard_normal(params.flat.size)], state, lr=1e-3)
+    assert [s.size for s in state.scratch] == [params.flat.size] * 2
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(path, params, seed=4, epoch=3, adam=state)
+    loaded = load_checkpoint(path)
+    assert loaded.adam.scratch is None and loaded.adam.step_count == 3
+    for _ in range(5):
+        g = rng.standard_normal(params.flat.size)
+        adam_step([params.flat], [g], state, lr=1e-3)
+        adam_step([loaded.params.flat], [g], loaded.adam, lr=1e-3)
+    assert loaded.params.flat.tobytes() == params.flat.tobytes()
+    assert loaded.adam.m.tobytes() == state.m.tobytes()
+    assert loaded.adam.v.tobytes() == state.v.tobytes()
+    assert loaded.adam.step_count == state.step_count == 8
+    # scratch of another size, as after a state's moments are swapped, is rebuilt
+    state.scratch = (np.empty(2), np.empty(2))
+    g = rng.standard_normal(params.flat.size)
+    adam_step([params.flat], [g], state, lr=1e-3)
+    adam_step([loaded.params.flat], [g], loaded.adam, lr=1e-3)
+    assert state.scratch[0].size == params.flat.size
+    assert loaded.params.flat.tobytes() == params.flat.tobytes()
 
 
 def test_scheduler_constant_loss_fires_at_patience():

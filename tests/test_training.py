@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,11 +18,15 @@ from gzsl_align import (
     NonFiniteLossError,
     RunRecord,
     TrainConfig,
+    adam_step,
     evaluate,
+    init_adam,
     load_checkpoint,
+    pairwise_cosine,
     reference_model_params,
     reference_spec,
     reference_train_config,
+    total_loss,
     train,
 )
 from gzsl_align.data import Dataset
@@ -596,3 +601,51 @@ def test_reference_run_artifacts_match_pinned_digests(tmp_path, mode):
                 assert abs(float(g) - float(w)) <= 1e-12 * abs(float(w)), col
             else:
                 assert g == w, col
+
+
+# Calls made straight from package code in one reference training step; it made
+# 168 before the cuts that set this ceiling. A change that cuts calls lowers the
+# ceiling and says so in CHANGES.md.
+STEP_CALLS_CEILING = 118
+
+
+def _package_calls(fn) -> int:
+    """Calls made from ``gzsl_align`` frames while ``fn`` runs, as ``sys.setprofile`` sees them.
+
+    A Python call counts by its caller's frame and a C call by the frame that
+    makes it, so numpy's own internal calls do not count.
+    """
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        caller = frame.f_back if event == "call" else frame if event == "c_call" else None
+        if caller is not None and caller.f_globals.get("__name__", "").startswith("gzsl_align"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_reference_step_calls_stay_under_the_ceiling():
+    """One total_loss plus one adam_step on the first 32 reference training rows, as train makes them."""
+    spec = reference_spec(1)
+    data = generate(spec)
+    params = reference_model_params(spec, 1)
+    cfg = reference_train_config(1)
+    W = data.semantics.seen_rows(data.vocab)
+    c_seen = pairwise_cosine(W, W, "semantic row")
+    X, Y = data.train.features[:32], data.train.seen_label_view()[:32]
+    grads, adam = params.zeros_like(), init_adam([params.flat])
+
+    def step():
+        total_loss(X, Y, W, params, cfg.loss, semantic_cosines=c_seen, grads=grads)
+        adam_step([params.flat], [grads.flat], adam, lr=cfg.lr)
+
+    step()  # the first step also builds Adam's scratch vectors
+    calls = _package_calls(step)
+    assert calls <= STEP_CALLS_CEILING, f"{calls} calls per step, ceiling {STEP_CALLS_CEILING}"
