@@ -100,8 +100,8 @@ def rank_term(
     are re-sorted by (key, label). Items sharing a key and a label add equal
     values and counts, so their order cannot change a bit of the result.
     """
-    P = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(labels))
+    P = _rows(scores, np.float64)
+    Y = _rows(labels)
     if P.shape != Y.shape:
         raise ValueError(f"scores shape {P.shape} != labels shape {Y.shape}")
     n, s = P.shape
@@ -187,34 +187,60 @@ def con_term(
     slopes reach both row blocks. Time is O(S^2 d) and memory O(B S) for
     B = CON_BLOCK: a few temporaries of at most B x B besides the (S, d)
     gradient. With S <= B the whole matrix is one diagonal block.
+
+    Each block's cosines become its differences in place. A diagonal
+    block's self-cosines are zeroed first, since rounding often puts them
+    past 1 and they have no term. Only a block whose maximum or minimum
+    then lies outside [-1, 1] is clipped and has its cut pairs' slopes
+    zeroed. The slopes are one sign pass, and their factor 2 joins
+    ``gamma2`` in the final scale; doubling is exact, so the bits are
+    those of 2 sign(diff) summed block by block.
     """
     k = t_hat.shape[0]
     if target.shape != (k, k):
         raise ValueError(f"target shape {target.shape} != ({k}, {k})")
     value = 0.0
-    d_t = np.zeros(t_hat.shape) if compute_grads else None  # H @ t_hat
+    d_t = np.zeros(t_hat.shape) if compute_grads else None  # H @ t_hat, H without its 2
     for i0 in range(0, k, CON_BLOCK):
         rows_i = slice(i0, i0 + CON_BLOCK)
         t_i = t_hat[rows_i]
         for j0 in range(i0, k, CON_BLOCK):
             rows_j = slice(j0, j0 + CON_BLOCK)
             t_j = t_hat[rows_j]
-            c = t_i @ t_j.T  # syrk on the diagonal block
-            diff = np.maximum(c, -1.0)
-            np.minimum(diff, 1.0, out=diff)
-            diff -= target[rows_i, rows_j]
+            diff = t_i @ t_j.T  # syrk on the diagonal block
             if j0 == i0:
                 diff.flat[:: diff.shape[1] + 1] = 0.0
+            cut = None  # fmax and fmin skip a NaN, which would hide a cosine past +-1
+            if np.fmax.reduce(diff, axis=None) > 1.0 or np.fmin.reduce(diff, axis=None) < -1.0:
+                cut = _clip_cut(diff)
+            diff -= target[rows_i, rows_j]
+            if j0 == i0:  # the self-pairs' differences, -t_ii, have no term either
+                diff.flat[:: diff.shape[1] + 1] = 0.0
             if compute_grads:
-                H = np.where(np.abs(c) > 1.0, 0.0, 2.0 * np.sign(diff))  # clip-cut: no slope
+                H = np.sign(diff)
+                if cut is not None:
+                    H[cut] = 0.0
                 d_t[rows_i] += H @ t_j
                 if j0 != i0:
                     d_t[rows_j] += H.T @ t_i
             l1 = float(np.add.reduce(np.abs(diff, out=diff), axis=None))
             value += l1 if j0 == i0 else 2.0 * l1
     if compute_grads:
-        d_t *= gamma2
+        d_t *= 2.0 * gamma2
     return value, d_t
+
+
+def _clip_cut(c: np.ndarray) -> np.ndarray:
+    """Clip cosines to [-1, 1] in place; return where they lay past +-1 (the pairs with no slope)."""
+    cut = np.abs(c) > 1.0
+    np.minimum(np.maximum(c, -1.0, out=c), 1.0, out=c)
+    return cut
+
+
+def _rows(x, dtype=None) -> np.ndarray:
+    """``x`` as an array of rows; a 0-D or 1-D input is one row, as ``np.atleast_2d`` makes it."""
+    a = np.asarray(x, dtype=dtype)
+    return a if a.ndim > 1 else a.reshape(1, -1)
 
 
 def _unit_rows_backward(g: np.ndarray, x_hat: np.ndarray, x_norm: np.ndarray) -> np.ndarray:
@@ -234,6 +260,7 @@ def total_loss(
     semantic_cosines: np.ndarray | None = None,
     *,
     grads: ModelParams | None = None,
+    frozen_encoder: bool = False,
 ) -> tuple[LossBreakdown, ModelParams | None]:
     """Composite objective value and exact parameter gradients on one batch.
 
@@ -254,6 +281,9 @@ def total_loss(
             a new one, so a training loop allocates it once. Each net's
             backward writes its part; the store is zeroed first only
             when the visual tower is skipped.
+        frozen_encoder: the encoder does not train. Its backward and the
+            visual map's input gradient are skipped, and the encoder's
+            part of the gradient is 0.
 
     Returns:
         The per-term breakdown and the gradients, a :class:`ModelParams`
@@ -268,9 +298,9 @@ def total_loss(
     gradients w.r.t. the unit rows, which are summed per tower and taken
     through one normalization backward.
     """
-    F = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(labels_seen))
-    W = np.atleast_2d(np.asarray(semantics_seen, dtype=np.float64))
+    F = _rows(features, np.float64)
+    Y = _rows(labels_seen)
+    W = _rows(semantics_seen, np.float64)
     n = F.shape[0]
     if n == 0:
         raise ValueError("empty batch")
@@ -290,6 +320,9 @@ def total_loss(
         )
     elif not need_visual:  # each backward below writes its net's part of the store
         grads.flat.fill(0.0)
+    train_encoder = params.encoder is not None and not frozen_encoder
+    if grads is not None and frozen_encoder and params.encoder is not None:
+        grads.flat[: params.encoder.spec.n_params] = 0.0  # the encoder leads flat
 
     if need_visual:
         enc_out, tape_enc = (
@@ -353,9 +386,8 @@ def total_loss(
         mlp_backward(params.semantic_map, tape_sem, g, grads.semantic_map, False)
     if compute_grads and need_visual:
         g = _unit_rows_backward(d_z, z_hat, z_norm)
-        has_encoder = params.encoder is not None
-        d_enc_out = mlp_backward(params.visual_map, tape_vis, g, grads.visual_map, has_encoder)
-        if has_encoder:
+        d_enc_out = mlp_backward(params.visual_map, tape_vis, g, grads.visual_map, train_encoder)
+        if train_encoder:
             mlp_backward(params.encoder, tape_enc, d_enc_out, grads.encoder, False)
 
     total = rank_val + cfg.gamma1 * align_val + cfg.gamma2 * con_val

@@ -94,18 +94,17 @@ def mlp_forward(
     each ReLU overwrites its own pre-activation; the input is never written.
     """
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != params.spec.in_dim:
-        raise ValueError(f"input shape {a.shape} is not (N, {params.spec.in_dim}) rows")
-    last = len(params.weights) - 1
-    inputs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
+    if a.ndim != 2 or a.shape[1] != params.spec.layer_dims[0]:
+        raise ValueError(f"input shape {a.shape} is not (N, {params.spec.layer_dims[0]}) rows")
+    n = len(params.weights)
+    inputs, preacts = [None] * n, [None] * n  # filled layer by layer when taped
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w
         z += b
         if tape:
-            inputs.append(a)
-            preacts.append(z)
-        a = z if k == last else np.maximum(z, 0.0, out=None if tape else z)
+            inputs[k] = a
+            preacts[k] = z
+        a = z if k == n - 1 else np.maximum(z, 0.0, out=None if tape else z)
     return a, MlpTape(inputs, preacts) if tape else None
 
 

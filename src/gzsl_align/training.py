@@ -228,19 +228,18 @@ def _run_epoch(st: _RunState) -> None:
     cfg, data, params, grads, adam = st.cfg, st.data, st.params, st.grads, st.adam
     W_seen, c_seen, epoch, lr_now = st.W_seen, st.c_seen, len(st.records) + 1, st.sched.lr
     X, Y = data.train.features, data.train.seen_label_view()
-    # a frozen encoder leads flat; its zero gradient and moments make its update exactly 0.0
-    n_frozen = params.encoder.spec.n_params if cfg.encoder_mode is EncoderMode.FROZEN else 0
+    # a frozen encoder's zero gradient and moments make its update exactly 0.0
+    frozen = cfg.encoder_mode is EncoderMode.FROZEN
     n = len(data.train)
     order = st.rng.permutation(n) if cfg.shuffle else np.arange(n)
     for b, start in enumerate(range(0, n, cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
         breakdown, _ = total_loss(
-            X[idx], Y[idx], W_seen, params, cfg.loss, semantic_cosines=c_seen, grads=grads
+            X[idx], Y[idx], W_seen, params, cfg.loss, semantic_cosines=c_seen, grads=grads,
+            frozen_encoder=frozen,
         )
         if not math.isfinite(breakdown.total):
             raise NonFiniteLossError(epoch=epoch, batch_index=b, value=breakdown.total)
-        if n_frozen:
-            grads.flat[:n_frozen] = 0.0
         try:
             adam_step([params.flat], [grads.flat], adam, lr=lr_now)
         except NonFiniteGradientError:

@@ -609,6 +609,104 @@ def test_consistency_one_sided_blocks_match_two_sided_oracle(k, ties, compute_gr
     assert np.array_equal(d_t, want_d)  # 2 sign(diff) is sign(diff) + sign(diff_t).T
 
 
+def _con_where_oracle(t_hat, target, gamma2, compute_grads=True):
+    """The former consistency term, which clipped every block into a fresh
+    difference and cut its slopes with one ``np.where`` over the whole block."""
+    k = t_hat.shape[0]
+    value = 0.0
+    d_t = np.zeros(t_hat.shape) if compute_grads else None  # H @ t_hat
+    for i0 in range(0, k, CON_BLOCK):
+        rows_i = slice(i0, i0 + CON_BLOCK)
+        t_i = t_hat[rows_i]
+        for j0 in range(i0, k, CON_BLOCK):
+            rows_j = slice(j0, j0 + CON_BLOCK)
+            t_j = t_hat[rows_j]
+            c = t_i @ t_j.T  # syrk on the diagonal block
+            diff = np.maximum(c, -1.0)
+            np.minimum(diff, 1.0, out=diff)
+            diff -= target[rows_i, rows_j]
+            if j0 == i0:
+                diff.flat[:: diff.shape[1] + 1] = 0.0
+            if compute_grads:
+                H = np.where(np.abs(c) > 1.0, 0.0, 2.0 * np.sign(diff))  # clip-cut: no slope
+                d_t[rows_i] += H @ t_j
+                if j0 != i0:
+                    d_t[rows_j] += H.T @ t_i
+            l1 = float(np.add.reduce(np.abs(diff, out=diff), axis=None))
+            value += l1 if j0 == i0 else 2.0 * l1
+    if compute_grads:
+        d_t *= gamma2
+    return value, d_t
+
+
+def _assert_con_bytes(got, want):
+    """Value and gradient equal bit for bit, so a flipped signed zero counts."""
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert (got[1] is None) == (want[1] is None)
+    if got[1] is not None:
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("compute_grads", [True, False], ids=["grads", "values"])
+@pytest.mark.parametrize("ties", [True, False], ids=["ties", "no_ties"])
+@pytest.mark.parametrize("k", [1, 2, 10, 127, 128, 129, 259, 925])
+def test_consistency_term_equals_the_where_oracle_bit_for_bit(k, ties, compute_grads):
+    t_hat, target = _symmetric_con_case(np.random.default_rng(k), k, ties)
+    got = con_term(t_hat, target, 0.3, compute_grads)
+    _assert_con_bytes(got, _con_where_oracle(t_hat, target, 0.3, compute_grads))
+
+
+def _blocks_past_one(t_hat):
+    """Block pairs (I, J >= I) of con_term's walk holding a cosine past +-1, self-pairs aside."""
+    hits = []
+    for i0 in range(0, t_hat.shape[0], CON_BLOCK):
+        for j0 in range(i0, t_hat.shape[0], CON_BLOCK):
+            c = t_hat[i0 : i0 + CON_BLOCK] @ t_hat[j0 : j0 + CON_BLOCK].T
+            if j0 == i0:
+                np.fill_diagonal(c, 0.0)
+            if (np.abs(c) > 1.0).any():
+                hits.append((i0, j0))
+    return hits
+
+
+@pytest.mark.parametrize("compute_grads", [True, False], ids=["grads", "values"])
+def test_consistency_term_clips_and_cuts_only_the_blocks_past_one(monkeypatch, compute_grads):
+    """Two equal unit rows in different blocks whose gemm cosine rounds past 1.
+
+    The pair's target is below 1, so without the clip its difference and slope
+    would move. Self-cosines also round past 1 in the diagonal blocks; they are
+    zeroed before the range check, so only the pair's block takes the clip.
+    """
+    rng = np.random.default_rng(11)
+    k, i, j = 2 * CON_BLOCK + 3, 5, CON_BLOCK + 9
+    for _ in range(200):
+        t_hat = _unit(rng.standard_normal((k, 12)))
+        t_hat[j] = t_hat[i]
+        if _blocks_past_one(t_hat) == [(0, CON_BLOCK)]:
+            break
+    else:
+        pytest.fail("no draw put the equal rows' cosine, and only theirs, past 1")
+    block = t_hat[:CON_BLOCK] @ t_hat[CON_BLOCK : 2 * CON_BLOCK].T
+    assert block[i, j - CON_BLOCK] > 1.0
+    self_cos = [np.diag(t_hat[r : r + CON_BLOCK] @ t_hat[r : r + CON_BLOCK].T) for r in (0, CON_BLOCK)]
+    assert all((s > 1.0).any() for s in self_cos)  # the diagonal blocks would take the clip too
+    original = rng.standard_normal((k, 20))
+    target = pairwise_cosine(original, original)
+    assert target[i, j] < 1.0
+
+    clipped = []
+
+    def spied(c):
+        clipped.append(c.shape)
+        return real_clip_cut(c)
+
+    real_clip_cut = losses._clip_cut
+    monkeypatch.setattr(losses, "_clip_cut", spied)
+    got = con_term(t_hat, target, 0.3, compute_grads)
+    _assert_con_bytes(got, _con_where_oracle(t_hat, target, 0.3, compute_grads))
+    assert clipped == [(CON_BLOCK, CON_BLOCK)]
+
+
 def test_consistency_term_peak_memory_at_paper_scale():
     rng = np.random.default_rng(4)
     t_hat = _unit(rng.standard_normal((925, 16)))
@@ -873,6 +971,14 @@ def test_dirty_store_gets_a_fresh_stores_bytes_for_every_term_mask(terms):
     store.flat[:] = rng.standard_normal(store.flat.size)
     _, got = total_loss(feats, labels, sem, params, cfg, grads=store)
     assert got is store and got.flat.tobytes() == want.flat.tobytes()
+    # a frozen encoder's part reads +0.0 and the other nets' parts do not change
+    store.flat[:] = rng.standard_normal(store.flat.size)
+    _, got = total_loss(feats, labels, sem, params, cfg, grads=store, frozen_encoder=True)
+    _, fresh = total_loss(feats, labels, sem, params, cfg, frozen_encoder=True)
+    n_enc = params.encoder.spec.n_params
+    assert got.flat.tobytes() == fresh.flat.tobytes()
+    assert got.flat[:n_enc].tobytes() == bytes(8 * n_enc)
+    assert got.flat[n_enc:].tobytes() == want.flat[n_enc:].tobytes()
 
 
 @pytest.mark.parametrize("compute_grads", [True, False], ids=["grads", "values"])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from gzsl_align import (
     NonFiniteGradientError,
     NonFiniteLossError,
     RunRecord,
+    SynthSpec,
     TrainConfig,
     adam_step,
     evaluate,
@@ -32,6 +34,7 @@ from gzsl_align import (
 from gzsl_align.data import Dataset
 from gzsl_align.networks import init_model_params
 from gzsl_align.training import GridSpec, default_model_specs, grid_search
+import gzsl_align.losses as losses_module
 import gzsl_align.training as training_module
 from gzsl_align.data import DataBundle
 from gzsl_align.synthetic import generate
@@ -134,6 +137,27 @@ def test_frozen_encoder_stays_at_init(bundle):
     assert not np.array_equal(
         params0.encoder.weights[0], e2e.final_params.encoder.weights[0]
     )
+
+
+@pytest.mark.parametrize("mode", list(EncoderMode), ids=lambda mode: mode.value)
+def test_only_a_trained_encoder_runs_backward(bundle, monkeypatch, mode):
+    params0 = quick_params(bundle)
+    calls = Counter()
+
+    def spied(net, tape, grad_out, grads, input_grad=True):
+        calls[net.spec, input_grad] += 1
+        return real_backward(net, tape, grad_out, grads, input_grad)
+
+    real_backward = losses_module.mlp_backward
+    monkeypatch.setattr(losses_module, "mlp_backward", spied)
+    train(quick_cfg(epochs=1, encoder_mode=mode), bundle, params0)
+    steps = -(-len(bundle.train) // 32)
+    trained = mode is EncoderMode.END_TO_END
+    want = Counter({(params0.semantic_map.spec, False): steps,
+                    (params0.visual_map.spec, trained): steps})
+    if trained:
+        want[params0.encoder.spec, False] = steps
+    assert calls == want
 
 
 def test_frozen_mode_without_encoder_is_rejected_before_any_work(bundle, tmp_path, monkeypatch):
@@ -239,11 +263,15 @@ def test_non_finite_gradient_stops_before_any_update(bundle, monkeypatch, mode, 
     seen = {}
 
     def poisoned_loss(*args, **kwargs):
+        store = kwargs.get("grads")
+        if store is not None:  # total_loss overwrites this, or zeroes it for a frozen encoder
+            store.encoder.weights[0][1, 2] = np.nan
         breakdown, grads = real_loss(*args, **kwargs)
         if grads is not None:
             seen.setdefault("params", args[3])
             seen.setdefault("before", args[3].flat.copy())
-            grads.encoder.weights[0][1, 2] = np.nan
+            if not kwargs.get("frozen_encoder"):
+                grads.encoder.weights[0][1, 2] = np.nan
             grads.visual_map.weights[2][0, 0] = np.inf
         return breakdown, grads
 
@@ -604,9 +632,12 @@ def test_reference_run_artifacts_match_pinned_digests(tmp_path, mode):
 
 
 # Calls made straight from package code in one reference training step; it made
-# 168 before the cuts that set this ceiling. A change that cuts calls lowers the
-# ceiling and says so in CHANGES.md.
-STEP_CALLS_CEILING = 118
+# 168, then 118, before the cuts that set this ceiling. A change that cuts calls
+# lowers the ceiling and says so in CHANGES.md.
+STEP_CALLS_CEILING = 95
+# The same count for one step at paper scale (925 seen classes), where the
+# consistency term walks 36 blocks: a call added per block shows as 36 more.
+PAPER_STEP_CALLS_CEILING = 200
 
 
 def _package_calls(fn) -> int:
@@ -631,12 +662,10 @@ def _package_calls(fn) -> int:
     return calls
 
 
-def test_reference_step_calls_stay_under_the_ceiling():
-    """One total_loss plus one adam_step on the first 32 reference training rows, as train makes them."""
-    spec = reference_spec(1)
+def _step_calls(spec: SynthSpec, cfg: TrainConfig) -> int:
+    """Package calls of one total_loss plus one adam_step on the first 32 training rows, as train makes them."""
     data = generate(spec)
-    params = reference_model_params(spec, 1)
-    cfg = reference_train_config(1)
+    params = reference_model_params(spec, spec.seed)
     W = data.semantics.seen_rows(data.vocab)
     c_seen = pairwise_cosine(W, W, "semantic row")
     X, Y = data.train.features[:32], data.train.seen_label_view()[:32]
@@ -647,5 +676,19 @@ def test_reference_step_calls_stay_under_the_ceiling():
         adam_step([params.flat], [grads.flat], adam, lr=cfg.lr)
 
     step()  # the first step also builds Adam's scratch vectors
-    calls = _package_calls(step)
+    return _package_calls(step)
+
+
+def test_reference_step_calls_stay_under_the_ceiling():
+    calls = _step_calls(reference_spec(1), reference_train_config(1))
     assert calls <= STEP_CALLS_CEILING, f"{calls} calls per step, ceiling {STEP_CALLS_CEILING}"
+
+
+def test_paper_scale_step_calls_stay_under_the_ceiling():
+    """925 seen of 1006 classes at batch 32 with both gammas 0.1, as the paper-train benchmark trains."""
+    spec = SynthSpec(n_classes=1006, n_seen=925, n_train=128, n_val=64, n_test=64, seed=1)
+    cfg = TrainConfig(batch_size=32, lr=1e-3, loss=LossConfig(gamma1=0.1, gamma2=0.1), seed=1)
+    calls = _step_calls(spec, cfg)
+    assert calls <= PAPER_STEP_CALLS_CEILING, (
+        f"{calls} calls per step, ceiling {PAPER_STEP_CALLS_CEILING}"
+    )
