@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CheckpointError
-from .networks import MlpSpec, ModelParams, model_spec_dict, read_model_spec
+from .networks import ModelParams, ModelSpec
 from .optimizers import AdamState
-from .records import canonical_json, is_int
+from .records import JsonRecord, canonical_json, is_int
 
 MAGIC = b"GZSLCKPT"
 FORMAT_VERSION = 1
@@ -31,6 +31,30 @@ FORMAT_VERSION = 1
 def config_digest(config: dict) -> str:
     """Stable sha256 of a JSON-serializable config dict."""
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class CheckpointHeader(JsonRecord):
+    """A checkpoint file's JSON header: what its body holds and how it was made.
+
+    ``optimizer`` is null for a parameter-only file, else Adam's
+    ``step_count`` plus whatever scalar settings were saved with it.
+    """
+
+    seed: int
+    epoch: int
+    specs: ModelSpec
+    n_values: int
+    config_hash: str | None = None
+    optimizer: dict | None = None
+    version: int = FORMAT_VERSION
+
+    def __post_init__(self):
+        if self.optimizer is not None and not is_int(self.optimizer.get("step_count")):
+            raise ValueError("CheckpointHeader.optimizer needs an integer step_count")
+        need = sum(spec.n_params for spec in self.specs.mlp_specs() if spec is not None)
+        if self.n_values != need:
+            raise ValueError(f"CheckpointHeader.n_values is {self.n_values}, the specs need {need}")
 
 
 @dataclass
@@ -67,27 +91,20 @@ def save_checkpoint(
     """
     params.validate()
     n = params.flat.size
-    header = {
-        "version": FORMAT_VERSION,
-        "seed": int(seed),
-        "epoch": int(epoch),
-        "config_hash": config_hash,
-        "specs": model_spec_dict(params),
-        "n_values": n,
-        "optimizer": None,
-    }
+    optimizer = None
     blocks = [params.flat]
     if adam is not None:
         if adam.m.shape != (n,) or adam.v.shape != (n,):
             raise CheckpointError(
                 f"optimizer moments have shapes {adam.m.shape} and {adam.v.shape}, model has {n}"
             )
-        header["optimizer"] = {
-            "step_count": int(adam.step_count),
-            **(adam_hparams or {}),
-        }
+        optimizer = {"step_count": int(adam.step_count), **(adam_hparams or {})}
         blocks += [adam.m, adam.v]
-    raw = canonical_json(header).encode("utf-8")
+    header = CheckpointHeader(
+        seed=int(seed), epoch=int(epoch), specs=ModelSpec.of(params), n_values=n,
+        config_hash=config_hash, optimizer=optimizer,
+    )
+    raw = canonical_json(header.to_dict()).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(raw)))
@@ -95,33 +112,16 @@ def save_checkpoint(
         fh.write(_block(blocks))
 
 
-def _header_specs(path, header) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
-    """Check the decoded header's fields; return the (visual, semantic, encoder) specs."""
-
-    def malformed(what: str) -> CheckpointError:
-        return CheckpointError(f"{path}: malformed checkpoint header: {what}")
-
-    if not isinstance(header, dict):
-        raise malformed(f"expected a JSON object, got {type(header).__name__}")
-    if header.get("version") != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    for key in ("seed", "epoch", "n_values"):
-        if not is_int(header.get(key)):
-            raise malformed(f"{key!r} must be an integer, got {header.get(key)!r}")
-    if not isinstance(header.get("config_hash"), (str, type(None))):
-        raise malformed("'config_hash' must be a string or null")
-    opt = header.get("optimizer")
-    if opt is not None and not (isinstance(opt, dict) and is_int(opt.get("step_count"))):
-        raise malformed("'optimizer' must be null or an object with an integer 'step_count'")
-
+def _read_header(path, header) -> CheckpointHeader:
+    """The decoded header; its version comes first, as a newer one may add keys."""
+    if isinstance(header, dict):
+        version = header.get("version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {canonical_json(version)}")
     try:
-        specs = read_model_spec(header.get("specs"))
+        return CheckpointHeader.from_dict(header)
     except ValueError as exc:
-        raise malformed(f"'specs': {exc}") from None
-    need = sum(spec.n_params for spec in specs if spec is not None)
-    if header["n_values"] != need:
-        raise malformed(f"'n_values' is {header['n_values']}, the specs need {need}")
-    return specs
+        raise CheckpointError(f"{path}: malformed checkpoint header: {exc}") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -139,7 +139,7 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header: {exc}") from exc
     pos += hlen
-    specs = _header_specs(path, header)
+    header = _read_header(path, header)
 
     body = data[pos:]
     if len(body) % 8:
@@ -147,8 +147,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: parameter block of {len(body)} bytes is not a whole number of float64 values"
         )
     values = np.frombuffer(body, dtype="<f8")
-    n = header["n_values"]
-    opt = header.get("optimizer")
+    n, opt = header.n_values, header.optimizer
     expected = n * (3 if opt is not None else 1)
     if values.size != expected:
         raise CheckpointError(
@@ -158,23 +157,22 @@ def load_checkpoint(path) -> Checkpoint:
     def block(i: int) -> np.ndarray:
         return values[i * n : (i + 1) * n].astype(np.float64)
 
-    params = ModelParams(block(0), *specs)
+    params = ModelParams(block(0), *header.specs.mlp_specs())
     try:
         params.validate()
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid parameters: {exc}") from exc
 
-    adam = None
-    hparams = None
+    adam = hparams = None
     if opt is not None:
         adam = AdamState(m=block(1), v=block(2), step_count=opt["step_count"])
         hparams = {k: v for k, v in opt.items() if k != "step_count"}
 
     return Checkpoint(
         params=params,
-        seed=header["seed"],
-        epoch=header["epoch"],
-        config_hash=header.get("config_hash"),
+        seed=header.seed,
+        epoch=header.epoch,
+        config_hash=header.config_hash,
         adam=adam,
         adam_hparams=hparams,
     )

@@ -31,7 +31,7 @@ from .metrics import (
     write_report_csv,
     write_report_json,
 )
-from .networks import ModelParams, init_model_params, read_model_spec
+from .networks import ModelParams, ModelSpec, init_model_params
 from .records import to_json, write_json
 from .synthetic import SemanticGeometry, SynthSpec, generate
 from .training import (
@@ -122,7 +122,7 @@ def _resolve_run(args) -> tuple[TrainConfig, DataBundle, ModelParams]:
     if model_section is None:
         specs = default_model_specs(bundle.train.feature_dim, bundle.semantics.dim)
     else:
-        specs = read_model_spec(model_section)
+        specs = ModelSpec.from_dict(model_section).mlp_specs()
     params0 = init_model_params(*specs, cfg.seed)
     check_run(cfg, bundle, params0)
     return cfg, bundle, params0

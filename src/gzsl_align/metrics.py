@@ -7,6 +7,7 @@ widens from the seen classes to all of them.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -299,6 +300,7 @@ class MetricsReport(JsonRecord):
             if not (isinstance(per_k, dict) and all(k.isdecimal() for k in per_k)):
                 raise ValueError(f"MetricsReport.per_k must be an object keyed by k, got {per_k!r}")
             entries = sorted(per_k.items(), key=lambda kv: int(kv[0]))
+            _check_ks([int(k) for k, _ in entries], "MetricsReport.per_k keys")
             data = {**data, "per_k": [{**m, "k": int(k)} if isinstance(m, dict) else m
                                       for k, m in entries]}
         return super().from_dict(data)
@@ -359,6 +361,5 @@ def write_report_csv(report: MetricsReport, vocab: ClassVocabulary, path) -> Non
     cells = ["auroc"]
     cells += ["" if v is None else repr(float(v)) for v in report.per_class_auroc]
     cells += [repr(float(v)) for v in (report.seen_mean, report.unseen_mean, report.harmonic)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(",".join(cells) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, cells])

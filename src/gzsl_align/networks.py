@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateVectorError
-from .records import is_int
+from .records import JsonRecord
 
 
 @dataclass(frozen=True)
@@ -292,33 +292,31 @@ class ModelParams:
         return ModelParams(np.zeros_like(self.flat), *self._specs())
 
 
-def model_spec_dict(params: ModelParams) -> dict:
-    """The layer widths of each net as JSON lists, ``encoder`` null when absent.
+@dataclass(frozen=True)
+class ModelSpec(JsonRecord):
+    """Each net's layer widths, as run configs and checkpoint headers store them.
 
-    Run configs and checkpoint headers store the model's shape in this form.
+    ``encoder`` is None when absent; :class:`MlpSpec` checks each net's widths.
     """
-    return {"encoder": None, **{name: list(net.spec.layer_dims) for name, net in params.nets()}}
 
+    visual_map: tuple[int, ...]
+    semantic_map: tuple[int, ...]
+    encoder: tuple[int, ...] | None = None
 
-def read_model_spec(data) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
-    """The (visual, semantic, encoder) specs of a :func:`model_spec_dict` object.
+    def __post_init__(self):
+        try:
+            self.mlp_specs()
+        except ValueError as exc:
+            raise ValueError(f"ModelSpec: {exc}") from None
 
-    ``encoder`` may be null or absent; anything else that
-    :func:`model_spec_dict` cannot write raises ``ValueError``.
-    """
-    names = ("visual_map", "semantic_map", "encoder")
-    if not isinstance(data, dict) or not set(data) <= set(names):
-        raise ValueError(f"model spec must be an object with keys from {names}, got {data!r}")
-    specs = []
-    for name in names:
-        dims = data.get(name)
-        if name == "encoder" and dims is None:
-            specs.append(None)
-        elif isinstance(dims, list) and len(dims) >= 2 and all(is_int(d) and d > 0 for d in dims):
-            specs.append(MlpSpec(tuple(dims)))
-        else:
-            raise ValueError(f"model spec {name!r} must list 2+ positive widths, got {dims!r}")
-    return tuple(specs)
+    @classmethod
+    def of(cls, params: ModelParams) -> "ModelSpec":
+        return cls(**{name: net.spec.layer_dims for name, net in params.nets()})
+
+    def mlp_specs(self) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
+        """The (visual, semantic, encoder) specs, in :class:`ModelParams`' argument order."""
+        nets = (self.visual_map, self.semantic_map, self.encoder)
+        return tuple(None if dims is None else MlpSpec(dims) for dims in nets)
 
 
 def init_model_params(

@@ -30,7 +30,7 @@ from .metrics import (
     infer_scores,
     per_class_auroc,
 )
-from .networks import MlpSpec, ModelParams, model_spec_dict, pairwise_cosine
+from .networks import MlpSpec, ModelParams, ModelSpec, pairwise_cosine
 from .optimizers import ADAM_HPARAMS, AdamState, PlateauScheduler, adam_step, init_adam
 from .records import JsonRecord, check_finite, write_json
 
@@ -130,7 +130,7 @@ class RunRecord:
 
 def run_config_dict(cfg: TrainConfig, params: ModelParams) -> dict:
     """The resolved, hashable config written next to every run."""
-    return {"train": cfg.to_dict(), "model": model_spec_dict(params)}
+    return {"train": cfg.to_dict(), "model": ModelSpec.of(params).to_dict()}
 
 
 _CSV_COLUMNS = (

@@ -127,6 +127,14 @@ MALFORMED_HEADERS = {
     "list-header": lambda h: [h],
     "specs-off-body": lambda h: {**h, "specs": {**h["specs"], "visual_map": [6, 5]}},
     "string-seed": lambda h: {**h, "seed": "x"},
+    "unknown-key": lambda h: {**h, "resume": {}},
+    "bool-seed": lambda h: {**h, "seed": True},
+    "float-n_values": lambda h: {**h, "n_values": float(h["n_values"])},
+    "int-config_hash": lambda h: {**h, "config_hash": 5},
+    "optimizer-without-step_count": lambda h: {**h, "optimizer": {}},
+    "bool-step_count": lambda h: {**h, "optimizer": {"step_count": True}},
+    "zero-width": lambda h: {**h, "specs": {**h["specs"], "visual_map": [6, 0]}},
+    "one-width": lambda h: {**h, "specs": {**h["specs"], "visual_map": [6]}},
 }
 
 
@@ -136,6 +144,19 @@ def test_malformed_header_is_rejected(tmp_path, edit):
     save_checkpoint(path, _model(seed=4), seed=4, epoch=1)
     rewrite_checkpoint_header(path, edit)
     with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "version, extra",
+    [(2, {}), (2, {"data_digest": "abc"}), (True, {}), (1.0, {})],
+    ids=["2", "2-with-unknown-key", "true", "1.0"],
+)
+def test_unsupported_version_is_named_before_other_fields(tmp_path, version, extra):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _model(seed=4), seed=4, epoch=1)
+    rewrite_checkpoint_header(path, lambda h: {**h, **extra, "version": version})
+    with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {json.dumps(version)}$"):
         load_checkpoint(path)
 
 

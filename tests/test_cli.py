@@ -699,6 +699,17 @@ def test_run_train_would_reject_is_input_error(bench, tmp_path, capsys, command,
     assert message in _assert_input_error_writes_nothing(argv, out, capsys)
 
 
+def _report_keyed(*ks) -> dict:
+    """A metrics.json for the 6-class bench whose per_k entries carry the keys ``ks``."""
+    entry = dict.fromkeys(
+        ("recall", "precision", "f1", "macro_recall", "macro_precision", "macro_f1"), 0.5
+    )
+    return {
+        "per_k": {k: entry for k in ks}, "per_class_auroc": [0.5] * 6, "seen_mean": 0.5,
+        "unseen_mean": 0.5, "harmonic": 0.5, "n_samples": 80, "n_zero_positive": 0,
+    }
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -707,12 +718,17 @@ def test_run_train_would_reject_is_input_error(bench, tmp_path, capsys, command,
         ("train", {"model": 5}),
         ("train", {"model": {"encoder": None}}),
         ("train", {"model": {"visual_map": 3, "semantic_map": [16, 8]}}),
+        ("train", {"model": {"visual_map": [12, 4], "semantic_map": [8, 4], "decoder": [4, 8]}}),
+        ("train", {"model": {"visual_map": [12, 0, 4], "semantic_map": [8, 4]}}),
+        ("train", {"model": {"visual_map": [12, 4.0], "semantic_map": [8, 4]}}),
         ("train", {"loss": [1]}),
         ("train", {"epochs": 1.5}),
         ("train", {"epochs": True}),
         ("train", {"epoch": 5}),
         ("report", {"per_k": {}}),
         ("report", [1]),
+        ("report", _report_keyed("2", "02")),
+        ("report", _report_keyed("0", "2")),
     ],
     ids=repr,
 )

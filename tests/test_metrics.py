@@ -1,5 +1,6 @@
 """AUROC vs a pairwise oracle, top-k hand counts, report round-trips."""
 
+import csv
 import os
 import re
 import sys
@@ -643,6 +644,23 @@ def test_report_csv_layout(tmp_path):
     assert header[-3:] == ["seen_mean", "unseen_mean", "harmonic"]
     row = lines[1].split(",")
     assert row[0] == "auroc"
+    assert float(row[-1]) == report.harmonic
+
+
+def test_report_csv_quotes_class_names(tmp_path):
+    bundle = hand_bundle()
+    params = init_model_params(
+        MlpSpec(layer_dims=(4, 3)), MlpSpec(layer_dims=(3, 3)), MlpSpec(layer_dims=(4, 4)), seed=1
+    )
+    report = evaluate(params, bundle.test, bundle.semantics)
+    names = ("pleural effusion, left", 'the "b" class', "line\nbreak")
+    vocab = ClassVocabulary(names=names, seen_ids=(0, 1), unseen_ids=(2,))
+    path = tmp_path / "report.csv"
+    write_report_csv(report, vocab, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 7
+    assert tuple(header[1:4]) == names
     assert float(row[-1]) == report.harmonic
 
 
