@@ -52,7 +52,7 @@ class CheckpointHeader(JsonRecord):
     def __post_init__(self):
         if self.optimizer is not None and not is_int(self.optimizer.get("step_count")):
             raise ValueError("CheckpointHeader.optimizer needs an integer step_count")
-        need = sum(spec.n_params for spec in self.specs.mlp_specs() if spec is not None)
+        need = self.specs.n_params
         if self.n_values != need:
             raise ValueError(f"CheckpointHeader.n_values is {self.n_values}, the specs need {need}")
 
@@ -101,7 +101,7 @@ def save_checkpoint(
         optimizer = {"step_count": int(adam.step_count), **(adam_hparams or {})}
         blocks += [adam.m, adam.v]
     header = CheckpointHeader(
-        seed=int(seed), epoch=int(epoch), specs=ModelSpec.of(params), n_values=n,
+        seed=int(seed), epoch=int(epoch), specs=params.spec, n_values=n,
         config_hash=config_hash, optimizer=optimizer,
     )
     raw = canonical_json(header.to_dict()).encode("utf-8")
@@ -157,7 +157,7 @@ def load_checkpoint(path) -> Checkpoint:
     def block(i: int) -> np.ndarray:
         return values[i * n : (i + 1) * n].astype(np.float64)
 
-    params = ModelParams(block(0), *header.specs.mlp_specs())
+    params = ModelParams(block(0), header.specs)
     try:
         params.validate()
     except ValueError as exc:

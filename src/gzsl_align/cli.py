@@ -38,7 +38,7 @@ from .training import (
     GridSpec,
     TrainConfig,
     check_run,
-    default_model_specs,
+    default_model_spec,
     grid_search,
     train,
 )
@@ -95,7 +95,7 @@ def _resolve_run(args) -> tuple[TrainConfig, DataBundle, ModelParams]:
     """The config, data and initial model of a ``train`` or ``grid`` run.
 
     Layers the defaults, the config file's train section and the set flags;
-    the file's model section sets the widths, else ``default_model_specs``
+    the file's model section sets the widths, else ``default_model_spec``
     does. Raises on every input ``train`` would reject, before anything is
     written.
     """
@@ -120,10 +120,10 @@ def _resolve_run(args) -> tuple[TrainConfig, DataBundle, ModelParams]:
         raise ValidationError(f"invalid training config: {exc}") from exc
     bundle = load_manifest(args.manifest)
     if model_section is None:
-        specs = default_model_specs(bundle.train.feature_dim, bundle.semantics.dim)
+        spec = default_model_spec(bundle.train.feature_dim, bundle.semantics.dim)
     else:
-        specs = ModelSpec.from_dict(model_section).mlp_specs()
-    params0 = init_model_params(*specs, cfg.seed)
+        spec = ModelSpec.from_dict(model_section)
+    params0 = init_model_params(spec, cfg.seed)
     check_run(cfg, bundle, params0)
     return cfg, bundle, params0
 

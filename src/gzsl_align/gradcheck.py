@@ -17,8 +17,8 @@ import numpy as np
 from .exceptions import DegenerateVectorError
 from .losses import LossConfig, total_loss
 from .networks import (
-    MlpSpec,
     ModelParams,
+    ModelSpec,
     init_model_params,
     mlp_forward,
     pairwise_cosine,
@@ -58,10 +58,9 @@ def _random_setup(rng: np.random.Generator):
         return (d_in, latent)
 
     with_encoder = bool(rng.random() < 0.5)
-    encoder = MlpSpec(dims(v)[:-1] + (v,)) if with_encoder else None
-    visual = MlpSpec(dims(v))
-    semantic = MlpSpec(dims(d))
-    params = init_model_params(visual, semantic, encoder, int(rng.integers(0, 2**31)))
+    encoder = dims(v)[:-1] + (v,) if with_encoder else None
+    spec = ModelSpec(visual_map=dims(v), semantic_map=dims(d), encoder=encoder)
+    params = init_model_params(spec, int(rng.integers(0, 2**31)))
 
     F = rng.standard_normal((n, v))
     W = rng.standard_normal((s, d))

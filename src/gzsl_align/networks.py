@@ -7,21 +7,33 @@ Forward passes record a tape of layer inputs and pre-activations (unless
 told not to); backward passes replay the tape for exact parameter and
 input gradients.
 
-:class:`ModelParams` keeps every parameter of the model in one float64
-vector, ``flat``; each layer's weight and bias are views into it. A
-gradient store is a second :class:`ModelParams` of the same layout, which
+:class:`ModelSpec` is the one description of the model's shape: the
+nets' layer widths, their order in ``flat`` and the rules that make them
+fit. ``ModelParams(flat, spec)`` keeps every parameter in one float64
+vector, ``flat``, whose layer weights and biases are views. A gradient
+store is a second :class:`ModelParams` of the same spec, which
 :func:`mlp_backward` writes through its views.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .exceptions import DegenerateVectorError
 from .records import JsonRecord
+
+
+def _int_widths(dims, where: str) -> tuple[int, ...]:
+    """``dims`` as Python ints; a float, a bool or another non-integer raises, naming ``where``."""
+    for i, d in enumerate(dims):
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+            raise ValueError(f"{where}[{i}] must be int, got {d!r}")
+    return tuple(int(d) for d in dims)
 
 
 @dataclass(frozen=True)
@@ -35,24 +47,12 @@ class MlpSpec:
     layer_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.layer_dims)
+        dims = _int_widths(self.layer_dims, "MlpSpec.layer_dims")
         object.__setattr__(self, "layer_dims", dims)
         if len(dims) < 2:
             raise ValueError(f"need at least [in, out] layer dims, got {dims}")
         if any(d <= 0 for d in dims):
             raise ValueError(f"layer widths must be positive, got {dims}")
-
-    @property
-    def in_dim(self) -> int:
-        return self.layer_dims[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layer_dims[-1]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_dims) - 1
 
     @property
     def n_params(self) -> int:
@@ -188,81 +188,95 @@ def _layer_views(flat: np.ndarray, offset: int, spec: MlpSpec) -> tuple[MlpParam
     return MlpParams(spec, weights, biases), offset
 
 
+_NET_NAMES = ("encoder", "visual_map", "semantic_map")  # the nets' order in ``flat``
+
+
+@dataclass(frozen=True)
+class ModelSpec(JsonRecord):
+    """The model's shape: each net's layer widths, as run configs and checkpoint headers store them.
+
+    ``encoder`` is None when absent; precomputed features then feed the
+    visual mapping net directly (frozen-feature operation). Both mapping
+    nets share the latent output width, and an encoder's output width is
+    the visual net's input width.
+    """
+
+    visual_map: tuple[int, ...]
+    semantic_map: tuple[int, ...]
+    encoder: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            dims = getattr(self, f.name)
+            if dims is not None:
+                object.__setattr__(self, f.name, _int_widths(dims, f"ModelSpec.{f.name}"))
+        try:
+            self.nets  # MlpSpec checks each net's widths
+        except ValueError as exc:
+            raise ValueError(f"ModelSpec: {exc}") from None
+        if self.visual_map[-1] != self.semantic_map[-1]:
+            raise ValueError(
+                "ModelSpec: visual and semantic mapping nets must share the latent width: "
+                f"{self.visual_map[-1]} != {self.semantic_map[-1]}"
+            )
+        if self.encoder is not None and self.encoder[-1] != self.visual_map[0]:
+            raise ValueError(
+                "ModelSpec: encoder output width must match visual mapping input: "
+                f"{self.encoder[-1]} != {self.visual_map[0]}"
+            )
+
+    @functools.cached_property
+    def nets(self) -> tuple[tuple[str, MlpSpec], ...]:
+        """``(name, spec)`` of each net in ``flat`` order: encoder (if any), visual, semantic."""
+        nets = ((name, getattr(self, name)) for name in _NET_NAMES)
+        return tuple((name, MlpSpec(dims)) for name, dims in nets if dims is not None)
+
+    @functools.cached_property
+    def n_params(self) -> int:
+        return sum(spec.n_params for _, spec in self.nets)
+
+    @property
+    def feature_dim(self) -> int:
+        return (self.encoder or self.visual_map)[0]
+
+    @property
+    def semantic_dim(self) -> int:
+        return self.semantic_map[0]
+
+
 class ModelParams:
     """Parameters of the full model, stored in one contiguous float64 vector.
 
-    ``flat`` holds the encoder (if any), then the visual mapping net, then
-    the semantic mapping net, each layer W before b. Every ``weights[k]``
-    and ``biases[k]`` of the three nets is a view into ``flat``, so a
-    write through either shows in both. The constructor keeps ``flat``
-    itself and copies nothing.
-
-    ``encoder_spec`` is optional; when absent, precomputed features feed
-    the visual mapping net directly (frozen-feature operation). Both
-    mapping nets share the latent output width.
+    ``flat`` holds the nets of ``spec`` in ``spec.nets`` order, each layer
+    W before b. ``encoder`` (None when absent), ``visual_map`` and
+    ``semantic_map`` are :class:`MlpParams` whose ``weights[k]`` and
+    ``biases[k]`` are views into ``flat``, so a write through either shows
+    in both. The constructor keeps ``flat`` itself and copies nothing.
     """
 
-    def __init__(
-        self,
-        flat: np.ndarray,
-        visual_spec: MlpSpec,
-        semantic_spec: MlpSpec,
-        encoder_spec: MlpSpec | None = None,
-    ):
-        specs = [spec for spec in (encoder_spec, visual_spec, semantic_spec) if spec is not None]
-        need = sum(spec.n_params for spec in specs)
-        if flat.dtype != np.float64 or flat.shape != (need,):
+    def __init__(self, flat: np.ndarray, spec: ModelSpec):
+        if flat.dtype != np.float64 or flat.shape != (spec.n_params,):
             raise ValueError(
-                f"flat store is {flat.dtype} {flat.shape}, specs need float64 ({need},)"
+                f"flat store is {flat.dtype} {flat.shape}, specs need float64 ({spec.n_params},)"
             )
         self.flat = flat
+        self.spec = spec
         self.encoder = None
         offset = 0
-        if encoder_spec is not None:
-            self.encoder, offset = _layer_views(flat, offset, encoder_spec)
-        self.visual_map, offset = _layer_views(flat, offset, visual_spec)
-        self.semantic_map, offset = _layer_views(flat, offset, semantic_spec)
+        for name, net_spec in spec.nets:
+            net, offset = _layer_views(flat, offset, net_spec)
+            setattr(self, name, net)
 
     def __reduce__(self):
         # pickle the one vector; the views are rebuilt on load
-        return (ModelParams, (self.flat, *self._specs()))
-
-    def _specs(self) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
-        return (
-            self.visual_map.spec,
-            self.semantic_map.spec,
-            self.encoder.spec if self.encoder else None,
-        )
+        return (ModelParams, (self.flat, self.spec))
 
     def validate(self) -> None:
         if not np.isfinite(self.flat).all():
             raise ValueError("model contains non-finite parameters")
-        if self.visual_map.spec.out_dim != self.semantic_map.spec.out_dim:
-            raise ValueError(
-                "visual and semantic mapping nets must share the latent width: "
-                f"{self.visual_map.spec.out_dim} != {self.semantic_map.spec.out_dim}"
-            )
-        if self.encoder is not None and self.encoder.spec.out_dim != self.visual_map.spec.in_dim:
-            raise ValueError(
-                "encoder output width must match visual mapping input: "
-                f"{self.encoder.spec.out_dim} != {self.visual_map.spec.in_dim}"
-            )
-
-    @property
-    def feature_dim(self) -> int:
-        return self.encoder.spec.in_dim if self.encoder else self.visual_map.spec.in_dim
-
-    @property
-    def semantic_dim(self) -> int:
-        return self.semantic_map.spec.in_dim
 
     def nets(self) -> list[tuple[str, MlpParams]]:
-        out = []
-        if self.encoder is not None:
-            out.append(("encoder", self.encoder))
-        out.append(("visual_map", self.visual_map))
-        out.append(("semantic_map", self.semantic_map))
-        return out
+        return [(name, getattr(self, name)) for name, _ in self.spec.nets]
 
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays: encoder (if any), then visual, then semantic."""
@@ -272,12 +286,10 @@ class ModelParams:
         return out
 
     def array_names(self) -> list[str]:
-        names = []
-        for label, net in self.nets():
-            for k in range(net.spec.n_layers):
-                names.append(f"{label}.layer{k}.weight")
-                names.append(f"{label}.layer{k}.bias")
-        return names
+        return [
+            f"{label}.layer{k}.{kind}" for label, net in self.nets()
+            for k in range(len(net.weights)) for kind in ("weight", "bias")
+        ]
 
     def array_name(self, index: int) -> str:
         """Name of the array that holds ``flat[index]``, as :meth:`array_names` gives it."""
@@ -285,60 +297,24 @@ class ModelParams:
         return self.array_names()[int(np.searchsorted(ends, index, side="right"))]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.flat.copy(), *self._specs())
+        return ModelParams(self.flat.copy(), self.spec)
 
     def zeros_like(self) -> "ModelParams":
         """A zeroed model of the same layout, e.g. a gradient store."""
-        return ModelParams(np.zeros_like(self.flat), *self._specs())
+        return ModelParams(np.zeros_like(self.flat), self.spec)
 
 
-@dataclass(frozen=True)
-class ModelSpec(JsonRecord):
-    """Each net's layer widths, as run configs and checkpoint headers store them.
-
-    ``encoder`` is None when absent; :class:`MlpSpec` checks each net's widths.
-    """
-
-    visual_map: tuple[int, ...]
-    semantic_map: tuple[int, ...]
-    encoder: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        try:
-            self.mlp_specs()
-        except ValueError as exc:
-            raise ValueError(f"ModelSpec: {exc}") from None
-
-    @classmethod
-    def of(cls, params: ModelParams) -> "ModelSpec":
-        return cls(**{name: net.spec.layer_dims for name, net in params.nets()})
-
-    def mlp_specs(self) -> tuple[MlpSpec, MlpSpec, MlpSpec | None]:
-        """The (visual, semantic, encoder) specs, in :class:`ModelParams`' argument order."""
-        nets = (self.visual_map, self.semantic_map, self.encoder)
-        return tuple(None if dims is None else MlpSpec(dims) for dims in nets)
-
-
-def init_model_params(
-    visual_spec: MlpSpec,
-    semantic_spec: MlpSpec,
-    encoder_spec: MlpSpec | None,
-    seed: int,
-) -> ModelParams:
+def init_model_params(spec: ModelSpec, seed: int) -> ModelParams:
     """Initialize all nets from one seed, each on an independent stream.
 
     Each weight is drawn uniformly in +/- 1/sqrt(fan_in) straight into its
     view of ``flat``, layer by layer; biases start at zero.
     """
-    specs = (visual_spec, semantic_spec, encoder_spec)
-    params = ModelParams(np.zeros(sum(s.n_params for s in specs if s is not None)), *specs)
-    streams = np.random.SeedSequence(seed).spawn(3)  # encoder, visual, semantic
-    for seq, net in zip(streams, (params.encoder, params.visual_map, params.semantic_map)):
-        if net is None:
-            continue
-        rng = np.random.default_rng(seq)
+    params = ModelParams(np.zeros(spec.n_params), spec)
+    streams = dict(zip(_NET_NAMES, np.random.SeedSequence(seed).spawn(3)))
+    for name, net in params.nets():
+        rng = np.random.default_rng(streams[name])
         for w in net.weights:
             bound = 1.0 / math.sqrt(w.shape[0])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
-    params.validate()
     return params

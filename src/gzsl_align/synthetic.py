@@ -32,7 +32,7 @@ from .losses import LossConfig
 from .metrics import per_class_auroc
 from .networks import ModelParams, init_model_params, pairwise_cosine
 from .records import JsonRecord, check_finite
-from .training import EncoderMode, TrainConfig, default_model_specs
+from .training import EncoderMode, TrainConfig, default_model_spec
 
 REFERENCE_SEEDS = (1, 2, 3, 4, 5)
 
@@ -264,8 +264,7 @@ def reference_spec(seed: int) -> SynthSpec:
 
 def reference_model_params(spec: SynthSpec, seed: int) -> ModelParams:
     """Initial model sized for the benchmark dims at a given seed."""
-    visual, semantic, encoder = default_model_specs(spec.v, spec.d)
-    return init_model_params(visual, semantic, encoder, seed)
+    return init_model_params(default_model_spec(spec.v, spec.d), seed)
 
 
 def reference_train_config(

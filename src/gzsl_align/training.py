@@ -30,7 +30,7 @@ from .metrics import (
     infer_scores,
     per_class_auroc,
 )
-from .networks import MlpSpec, ModelParams, ModelSpec, pairwise_cosine
+from .networks import ModelParams, ModelSpec, pairwise_cosine
 from .optimizers import ADAM_HPARAMS, AdamState, PlateauScheduler, adam_step, init_adam
 from .records import JsonRecord, check_finite, write_json
 
@@ -49,8 +49,8 @@ class EncoderMode(Enum):
         raise ValueError(f"unknown encoder mode {value!r} (use end-to-end or frozen)")
 
 
-def default_model_specs(feature_dim: int, semantic_dim: int) -> tuple[MlpSpec, MlpSpec, MlpSpec]:
-    """Mapping-net shapes scaled to the data dims.
+def default_model_spec(feature_dim: int, semantic_dim: int) -> ModelSpec:
+    """The model's shape scaled to the data dims.
 
     The latent width is 128 capped by the smaller input; hidden
     widths are 4x and 2x the latent, which reproduces the
@@ -59,10 +59,8 @@ def default_model_specs(feature_dim: int, semantic_dim: int) -> tuple[MlpSpec, M
     one hidden ReLU layer of the feature width.
     """
     latent_dim = min(128, max(4, min(feature_dim, semantic_dim)))
-    visual = MlpSpec((feature_dim, 4 * latent_dim, 2 * latent_dim, latent_dim))
-    semantic = MlpSpec((semantic_dim, 4 * latent_dim, 2 * latent_dim, latent_dim))
-    encoder = MlpSpec((feature_dim, feature_dim, feature_dim))
-    return visual, semantic, encoder
+    tower = (4 * latent_dim, 2 * latent_dim, latent_dim)
+    return ModelSpec((feature_dim, *tower), (semantic_dim, *tower), (feature_dim,) * 3)
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ class RunRecord:
 
 def run_config_dict(cfg: TrainConfig, params: ModelParams) -> dict:
     """The resolved, hashable config written next to every run."""
-    return {"train": cfg.to_dict(), "model": ModelSpec.of(params).to_dict()}
+    return {"train": cfg.to_dict(), "model": params.spec.to_dict()}
 
 
 _CSV_COLUMNS = (
@@ -165,13 +163,14 @@ def check_run(cfg: TrainConfig, data: DataBundle, params0: ModelParams) -> None:
     if cfg.encoder_mode is EncoderMode.FROZEN and params0.encoder is None:
         raise ValueError("encoder_mode frozen needs a model with an encoder, and this one has none")
     check_inductive(data.train)
-    if params0.feature_dim != data.train.feature_dim:
+    spec = params0.spec
+    if spec.feature_dim != data.train.feature_dim:
         raise ValueError(
-            f"model expects {params0.feature_dim}-dim features, data has {data.train.feature_dim}"
+            f"model expects {spec.feature_dim}-dim features, data has {data.train.feature_dim}"
         )
-    if params0.semantic_dim != data.semantics.dim:
+    if spec.semantic_dim != data.semantics.dim:
         raise ValueError(
-            f"model expects {params0.semantic_dim}-dim semantics, data has {data.semantics.dim}"
+            f"model expects {spec.semantic_dim}-dim semantics, data has {data.semantics.dim}"
         )
     _check_ks(cfg.ks, "ks", data.vocab.n_classes)
 

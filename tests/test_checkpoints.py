@@ -13,17 +13,14 @@ from gzsl_align import (
     save_checkpoint,
 )
 from gzsl_align.checkpoints import config_digest
-from gzsl_align.networks import MlpSpec, init_model_params
+from gzsl_align.networks import ModelSpec, init_model_params
 
 from conftest import rewrite_checkpoint_header
 
 
 def _model(seed=0):
     return init_model_params(
-        MlpSpec(layer_dims=(6, 4)),
-        MlpSpec(layer_dims=(5, 4)),
-        MlpSpec(layer_dims=(6, 8, 6)),
-        seed=seed,
+        ModelSpec(visual_map=(6, 4), semantic_map=(5, 4), encoder=(6, 8, 6)), seed=seed
     )
 
 
@@ -135,6 +132,9 @@ MALFORMED_HEADERS = {
     "bool-step_count": lambda h: {**h, "optimizer": {"step_count": True}},
     "zero-width": lambda h: {**h, "specs": {**h["specs"], "visual_map": [6, 0]}},
     "one-width": lambda h: {**h, "specs": {**h["specs"], "visual_map": [6]}},
+    # nets that do not fit, with as many values as the body holds
+    "latent-misfit": lambda h: {**h, "specs": {**h["specs"], "semantic_map": [3, 6]}},
+    "encoder-misfit": lambda h: {**h, "specs": {**h["specs"], "encoder": [6, 2, 32]}},
 }
 
 

@@ -684,8 +684,13 @@ def test_frozen_mode_without_encoder_is_input_error(bench, tmp_path, capsys, com
         (None, ["--k", "2,7"], "top-k 7 exceeds the 6 classes"),
         ({"loss": {"use_rank": False, "use_align": False, "use_con": False}}, [],
          "at least one of rank, align, con"),
+        ({"model": {"encoder": None, "visual_map": [12, 4], "semantic_map": [8, 5]}}, [],
+         "visual and semantic mapping nets must share the latent width: 4 != 5"),
+        ({"model": {"encoder": [12, 7], "visual_map": [32, 4], "semantic_map": [8, 4]}}, [],
+         "encoder output width must match visual mapping input: 7 != 32"),
     ],
-    ids=["visual-width", "semantic-width", "k-above-classes", "no-loss-term"],
+    ids=["visual-width", "semantic-width", "k-above-classes", "no-loss-term", "latent-misfit",
+         "encoder-misfit"],
 )
 @pytest.mark.parametrize("command", ["train", "grid"])
 def test_run_train_would_reject_is_input_error(bench, tmp_path, capsys, command, config, flags,

@@ -38,8 +38,8 @@ from gzsl_align.data import (
     check_inductive,
 )
 from gzsl_align.checkpoints import save_checkpoint
-from gzsl_align.networks import MlpSpec, init_model_params
-from gzsl_align.training import default_model_specs
+from gzsl_align.networks import ModelSpec, init_model_params
+from gzsl_align.training import default_model_spec
 from gzsl_align.synthetic import SemanticGeometry
 from gzsl_align.cli import main
 
@@ -120,7 +120,7 @@ def test_unseen_class_name_with_quote_is_reported_whole(tmp_path, capsys):
     val = Dataset(b.val.features, b.val.labels, vocab)
     test = Dataset(b.test.features, b.test.labels, vocab)
     data = DataBundle(vocab, b.semantics, poisoned, val, test)
-    params0 = init_model_params(MlpSpec((4, 3)), MlpSpec((3, 3)), None, seed=1)
+    params0 = init_model_params(ModelSpec((4, 3), (3, 3)), seed=1)
     with pytest.raises(InductiveViolationError) as exc_info:
         train(TrainConfig(epochs=1), data, params0)
     assert (exc_info.value.sample_index, exc_info.value.class_name) == (3, "o'brien")
@@ -494,7 +494,7 @@ def test_zero_embedding_row_exits_1_from_every_command_that_loads_it(tmp_path, c
 
     manifest = _edit_npy("embeddings.npy", zero_row_1)(generate(TOY_SPEC), tmp_path)
     ckpt = tmp_path / "init.ckpt"
-    save_checkpoint(ckpt, init_model_params(*default_model_specs(TOY_SPEC.v, TOY_SPEC.d), 0),
+    save_checkpoint(ckpt, init_model_params(default_model_spec(TOY_SPEC.v, TOY_SPEC.d), 0),
                     seed=0, epoch=0)
     for argv in (["validate"], ["train", "--out-dir", str(tmp_path / "run")],
                  ["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "eval")]):

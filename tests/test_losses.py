@@ -28,7 +28,7 @@ from gzsl_align import (
     total_loss,
 )
 from gzsl_align import losses
-from gzsl_align.networks import MlpSpec, init_model_params, mlp_backward, mlp_forward, row_norms
+from gzsl_align.networks import ModelSpec, init_model_params, mlp_backward, mlp_forward, row_norms
 from gzsl_align.gradcheck import GradcheckResult, run_gradient_check
 from gzsl_align.losses import CON_BLOCK, TERM_NAMES
 
@@ -725,15 +725,12 @@ def test_consistency_term_peak_memory_at_paper_scale():
 
 def _identity_model() -> ModelParams:
     eye = np.concatenate([np.eye(2).ravel(), np.zeros(2)])  # W = I, b = 0
-    spec = MlpSpec(layer_dims=(2, 2))
-    return ModelParams(np.concatenate([eye, eye]), spec, spec)
+    return ModelParams(np.concatenate([eye, eye]), ModelSpec((2, 2), (2, 2)))
 
 
 def test_total_reduces_to_rank_when_gammas_vanish():
     rng = np.random.default_rng(8)
-    params = init_model_params(
-        MlpSpec(layer_dims=(4, 3)), MlpSpec(layer_dims=(3, 3)), MlpSpec(layer_dims=(4, 4)), seed=2
-    )
+    params = init_model_params(ModelSpec((4, 3), (3, 3), (4, 4)), seed=2)
     feats = rng.standard_normal((3, 4))
     labels = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0]], dtype=np.int8)
     sem = rng.standard_normal((3, 3))
@@ -756,9 +753,7 @@ def test_total_zero_at_perfect_configuration():
 
 def test_gradient_routing_by_term():
     rng = np.random.default_rng(13)
-    params = init_model_params(
-        MlpSpec(layer_dims=(4, 3)), MlpSpec(layer_dims=(3, 3)), MlpSpec(layer_dims=(4, 4)), seed=3
-    )
+    params = init_model_params(ModelSpec((4, 3), (3, 3), (4, 4)), seed=3)
     feats = rng.standard_normal((3, 4))
     labels = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0]], dtype=np.int8)
     sem = rng.standard_normal((3, 3))
@@ -771,9 +766,7 @@ def test_gradient_routing_by_term():
 
 def test_total_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
-    params = init_model_params(
-        MlpSpec(layer_dims=(4, 5, 3)), MlpSpec(layer_dims=(3, 3)), MlpSpec(layer_dims=(4, 4)), seed=6
-    )
+    params = init_model_params(ModelSpec((4, 5, 3), (3, 3), (4, 4)), seed=6)
     feats = rng.standard_normal((2, 4))
     labels = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.int8)
     sem = rng.standard_normal((3, 3))
@@ -801,9 +794,7 @@ def test_total_gradients_match_finite_differences():
 
 def test_total_loss_composes_the_terms():
     rng = np.random.default_rng(29)
-    params = init_model_params(
-        MlpSpec(layer_dims=(4, 3)), MlpSpec(layer_dims=(3, 3)), MlpSpec(layer_dims=(4, 4)), seed=4
-    )
+    params = init_model_params(ModelSpec((4, 3), (3, 3), (4, 4)), seed=4)
     feats = rng.standard_normal((4, 4))
     labels = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0], [1, 1, 1]], dtype=np.int8)
     sem = rng.standard_normal((3, 3))
@@ -833,7 +824,7 @@ def _accumulating_backward(params, tape, grad_out, grads):
     """The former ``mlp_backward`` body: adds into ``grads``, so the oracle's
     two semantic-map passes sum their parameter gradients."""
     g = np.asarray(grad_out, dtype=np.float64)
-    n = params.spec.n_layers
+    n = len(params.weights)
     for k in reversed(range(n)):
         dz = g if k == n - 1 else g * (tape.preacts[k] > 0.0)
         grads.weights[k] += tape.inputs[k].T @ dz
@@ -911,8 +902,8 @@ def _total_loss_oracle(F, Y, W, params, cfg):
 def test_total_loss_matches_two_pass_oracle(s, with_encoder, terms, pair_normalize, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 12))
-    encoder = MlpSpec((5, 5)) if with_encoder else None
-    params = init_model_params(MlpSpec((5, 6, 3)), MlpSpec((4, 6, 3)), encoder, seed=0)
+    encoder = (5, 5) if with_encoder else None
+    params = init_model_params(ModelSpec((5, 6, 3), (4, 6, 3), encoder), seed=0)
     params.flat[:] = rng.uniform(-1.0, 1.0, params.flat.size)  # nonzero biases: no zero rows
     feats = rng.standard_normal((n, 5))
     sem = rng.standard_normal((s, 4))
@@ -937,8 +928,8 @@ def test_reused_dirty_gradient_store_matches_a_fresh_one(with_encoder):
     data = generate(spec)
     params = reference_model_params(spec, 1)
     if not with_encoder:  # the visual map reads the features directly
-        sem = params.semantic_map.spec
-        params = init_model_params(MlpSpec((spec.v, 24, sem.out_dim)), sem, None, seed=1)
+        sem = params.spec.semantic_map
+        params = init_model_params(ModelSpec((spec.v, 24, sem[-1]), sem), seed=1)
     W = data.semantics.seen_rows(data.vocab)
     X, Y = data.train.features, data.train.seen_label_view()
     cfg = LossConfig(gamma1=0.1, gamma2=0.1)
@@ -952,7 +943,7 @@ def test_reused_dirty_gradient_store_matches_a_fresh_one(with_encoder):
         assert got is store and got_bd == want_bd
         assert got.flat.tobytes() == want.flat.tobytes()
         adam_step([params.flat], [got.flat], adam, lr=1e-3)
-    other = init_model_params(MlpSpec((spec.v, 8)), MlpSpec((spec.d, 8)), None, seed=1)
+    other = init_model_params(ModelSpec((spec.v, 8), (spec.d, 8)), seed=1)
     with pytest.raises(ValueError, match="gradient store holds"):
         total_loss(X[:4], Y[:4], W, params, cfg, grads=other.zeros_like())
 
@@ -960,7 +951,7 @@ def test_reused_dirty_gradient_store_matches_a_fresh_one(with_encoder):
 @pytest.mark.parametrize("terms", TERM_MASKS, ids="+".join)
 def test_dirty_store_gets_a_fresh_stores_bytes_for_every_term_mask(terms):
     """Nets that run backward write their part of the store; the rest must still read 0."""
-    params = init_model_params(MlpSpec((4, 5, 3)), MlpSpec((3, 3)), MlpSpec((4, 4)), seed=5)
+    params = init_model_params(ModelSpec((4, 5, 3), (3, 3), (4, 4)), seed=5)
     rng = np.random.default_rng(3)
     params.flat[:] = rng.uniform(-1.0, 1.0, params.flat.size)
     labels = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=np.int8)
@@ -984,7 +975,7 @@ def test_dirty_store_gets_a_fresh_stores_bytes_for_every_term_mask(terms):
 @pytest.mark.parametrize("compute_grads", [True, False], ids=["grads", "values"])
 @pytest.mark.parametrize("terms", TERM_MASKS, ids="+".join)
 def test_each_net_runs_forward_once_and_backward_at_most_once(monkeypatch, terms, compute_grads):
-    params = init_model_params(MlpSpec((4, 5, 3)), MlpSpec((3, 3)), MlpSpec((4, 4)), seed=5)
+    params = init_model_params(ModelSpec((4, 5, 3), (3, 3), (4, 4)), seed=5)
     rng = np.random.default_rng(3)
     params.flat[:] = rng.uniform(-1.0, 1.0, params.flat.size)  # nonzero biases: no zero rows
     names = {id(net): name for name, net in params.nets()}

@@ -37,11 +37,11 @@ from gzsl_align.metrics import (
     write_report_csv,
     write_report_json,
 )
-from gzsl_align.networks import MlpSpec, init_model_params, mlp_forward, row_norms
+from gzsl_align.networks import ModelSpec, init_model_params, mlp_forward, row_norms
 from conftest import hand_bundle, small_spec
 
 from gzsl_align import SynthSpec, generate, reference_model_params
-from gzsl_align.training import default_model_specs
+from gzsl_align.training import default_model_spec
 
 
 def _column_auroc(scores, labels):
@@ -380,7 +380,7 @@ def test_evaluate_leaves_no_thread_behind_and_opens_no_pool_below_the_threshold(
     """grid forks its workers, so no AUROC pool may outlive the call that opened it."""
     scores, test = _tied_scores_above_the_threshold(5)
     bundle = hand_bundle()
-    params = init_model_params(*default_model_specs(4, 3), 1)
+    params = init_model_params(default_model_spec(4, 3), 1)
     before = threading.active_count()
     with mock.patch.object(metrics_mod, "_usable_cpus", return_value=2), _pool_spy() as pool:
         with mock.patch.object(metrics_mod, "infer_scores", return_value=scores):
@@ -605,7 +605,7 @@ def test_infer_scores_are_cosines_or_raise_at_any_scale(e, seed):
     scale, infer_scores gives finite scores in [-1, 1] or raises DegenerateVectorError,
     with no numpy warning (the suite turns warnings into errors)."""
     bundle = hand_bundle()
-    params = init_model_params(*default_model_specs(4, 3), seed)
+    params = init_model_params(default_model_spec(4, 3), seed)
     params.flat *= 10.0**e
     try:
         scores = infer_scores(params, bundle.test.features * 10.0**e, bundle.semantics)
@@ -618,9 +618,7 @@ def test_infer_scores_are_cosines_or_raise_at_any_scale(e, seed):
 @pytest.mark.parametrize("ks", [(1, 2), (3, 2)], ids=["ascending ks", "descending ks"])
 def test_report_json_round_trip_is_exact(tmp_path, ks):
     bundle = hand_bundle()
-    params = init_model_params(
-        MlpSpec(layer_dims=(4, 3)), MlpSpec(layer_dims=(3, 3)), MlpSpec(layer_dims=(4, 4)), seed=1
-    )
+    params = init_model_params(ModelSpec((4, 3), (3, 3), (4, 4)), seed=1)
     report = evaluate(params, bundle.test, bundle.semantics, ks=ks)
     assert [m.k for m in report.per_k] == sorted(ks)
     path = tmp_path / "report.json"
@@ -632,9 +630,7 @@ def test_report_json_round_trip_is_exact(tmp_path, ks):
 
 def test_report_csv_layout(tmp_path):
     bundle = hand_bundle()
-    params = init_model_params(
-        MlpSpec(layer_dims=(4, 3)), MlpSpec(layer_dims=(3, 3)), MlpSpec(layer_dims=(4, 4)), seed=1
-    )
+    params = init_model_params(ModelSpec((4, 3), (3, 3), (4, 4)), seed=1)
     report = evaluate(params, bundle.test, bundle.semantics)
     path = tmp_path / "report.csv"
     write_report_csv(report, bundle.vocab, path)
@@ -649,9 +645,7 @@ def test_report_csv_layout(tmp_path):
 
 def test_report_csv_quotes_class_names(tmp_path):
     bundle = hand_bundle()
-    params = init_model_params(
-        MlpSpec(layer_dims=(4, 3)), MlpSpec(layer_dims=(3, 3)), MlpSpec(layer_dims=(4, 4)), seed=1
-    )
+    params = init_model_params(ModelSpec((4, 3), (3, 3), (4, 4)), seed=1)
     report = evaluate(params, bundle.test, bundle.semantics)
     names = ("pleural effusion, left", 'the "b" class', "line\nbreak")
     vocab = ClassVocabulary(names=names, seen_ids=(0, 1), unseen_ids=(2,))
@@ -666,9 +660,7 @@ def test_report_csv_quotes_class_names(tmp_path):
 
 def test_evaluate_rejects_seen_only_labels():
     bundle = hand_bundle()
-    params = init_model_params(
-        MlpSpec(layer_dims=(4, 3)), MlpSpec(layer_dims=(3, 3)), MlpSpec(layer_dims=(4, 4)), seed=1
-    )
+    params = init_model_params(ModelSpec((4, 3), (3, 3), (4, 4)), seed=1)
     with pytest.raises(Exception) as exc_info:
         evaluate(params, bundle.train, bundle.semantics)
     assert "all classes" in str(exc_info.value)

@@ -1,6 +1,7 @@
 """MLP forward/backward against independent oracles, plus cosine helpers."""
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gzsl_align import (
 from gzsl_align.networks import (
     MlpParams,
     MlpSpec,
+    ModelSpec,
     init_model_params,
     mlp_backward,
     mlp_forward,
@@ -27,8 +29,8 @@ from gzsl_align.networks import (
 
 def _net(dims, seed) -> MlpParams:
     """One net on its own: the visual map of a model with a one-layer semantic map."""
-    spec = MlpSpec(layer_dims=dims)
-    return init_model_params(spec, MlpSpec(layer_dims=(1, spec.out_dim)), None, seed).visual_map
+    spec = ModelSpec(visual_map=dims, semantic_map=(1, dims[-1]))
+    return init_model_params(spec, seed).visual_map
 
 
 def _zeros(net: MlpParams) -> MlpParams:
@@ -40,7 +42,7 @@ def _zeros(net: MlpParams) -> MlpParams:
 def _oracle_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Straightforward re-evaluation, written independently of mlp_forward."""
     h = np.asarray(x, dtype=np.float64)
-    last = params.spec.n_layers - 1
+    last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = h @ w + b
         if k != last:
@@ -210,10 +212,10 @@ def test_backward_without_input_grad_adds_the_same_gradients(dims):
 
 
 def test_init_model_params_bounds_and_determinism():
-    specs = (MlpSpec(layer_dims=(9, 4, 2)), MlpSpec(layer_dims=(5, 2)), MlpSpec(layer_dims=(9, 9)))
-    a = init_model_params(*specs, seed=42)
-    b = init_model_params(*specs, seed=42)
-    c = init_model_params(*specs, seed=43)
+    spec = ModelSpec(visual_map=(9, 4, 2), semantic_map=(5, 2), encoder=(9, 9))
+    a = init_model_params(spec, seed=42)
+    b = init_model_params(spec, seed=42)
+    c = init_model_params(spec, seed=43)
     for _, net in a.nets():
         for w, fan_in in zip(net.weights, net.spec.layer_dims):
             assert np.all(np.abs(w) <= 1.0 / np.sqrt(fan_in)) and np.any(w != 0)
@@ -222,26 +224,22 @@ def test_init_model_params_bounds_and_determinism():
     assert all(not np.array_equal(x, y) for x, y in zip(a.arrays()[::2], c.arrays()[::2]))
 
     # each net draws from its own stream: dropping the encoder leaves the others as they were
-    no_enc = init_model_params(*specs[:2], None, seed=42)
-    assert np.array_equal(no_enc.flat, a.flat[specs[2].n_params :])
+    no_enc = init_model_params(replace(spec, encoder=None), seed=42)
+    assert np.array_equal(no_enc.flat, a.flat[a.encoder.spec.n_params :])
 
 
 def test_model_params_array_names_align_with_arrays():
-    vis = MlpSpec(layer_dims=(6, 4))
-    sem = MlpSpec(layer_dims=(5, 4))
-    enc = MlpSpec(layer_dims=(6, 6))
-    model = init_model_params(vis, sem, enc, seed=0)
+    model = init_model_params(ModelSpec(visual_map=(6, 4), semantic_map=(5, 4), encoder=(6, 6)), 0)
     names = model.array_names()
     arrays = model.arrays()
     assert len(names) == len(arrays) == 6
     assert names[0].startswith("encoder.") and names[-1].startswith("semantic_map.")
-    assert model.feature_dim == 6 and model.semantic_dim == 5
+    assert model.spec.feature_dim == 6 and model.spec.semantic_dim == 5
 
 
 def test_array_name_maps_first_and_last_index_of_every_array():
     model = init_model_params(
-        MlpSpec(layer_dims=(6, 3, 4)), MlpSpec(layer_dims=(5, 4)), MlpSpec(layer_dims=(6, 6)),
-        seed=0,
+        ModelSpec(visual_map=(6, 3, 4), semantic_map=(5, 4), encoder=(6, 6)), seed=0
     )
     start = 0
     for name, a in zip(model.array_names(), model.arrays()):
@@ -252,11 +250,11 @@ def test_array_name_maps_first_and_last_index_of_every_array():
 
 
 def test_model_params_flat_store_aliasing():
-    specs = (MlpSpec(layer_dims=(6, 4)), MlpSpec(layer_dims=(5, 4)), MlpSpec(layer_dims=(6, 6)))
-    enc = specs[2]
-    flat = np.arange(sum(s.n_params for s in specs), dtype=np.float64)
-    model = ModelParams(flat, *specs)
-    assert model.flat is flat
+    spec = ModelSpec(visual_map=(6, 4), semantic_map=(5, 4), encoder=(6, 6))
+    enc = MlpSpec(layer_dims=(6, 6))
+    flat = np.arange(spec.n_params, dtype=np.float64)
+    model = ModelParams(flat, spec)
+    assert model.flat is flat and model.spec is spec
     layout = np.concatenate([a.ravel() for _, net in model.nets() for a in net.arrays()])
     assert np.array_equal(layout, flat)
     assert [label for label, _ in model.nets()] == ["encoder", "visual_map", "semantic_map"]
@@ -269,7 +267,7 @@ def test_model_params_flat_store_aliasing():
 
     # copies, pickles and zeroed stores own their buffers
     for other in (model.copy(), pickle.loads(pickle.dumps(model)), model.zeros_like()):
-        assert not np.shares_memory(other.flat, model.flat)
+        assert not np.shares_memory(other.flat, model.flat) and other.spec == spec
         other.semantic_map.biases[0][:] = -1.0
         assert all(np.shares_memory(a, other.flat) for a in other.arrays())
         assert other.flat[-1] == -1.0
@@ -283,10 +281,49 @@ def test_model_params_flat_store_aliasing():
     ids=["float32", "short", "long", "2-d"],
 )
 def test_model_params_rejects_wrong_flat_store(flat):
-    specs = (MlpSpec(layer_dims=(6, 4)), MlpSpec(layer_dims=(5, 4)), MlpSpec(layer_dims=(6, 6)))
-    assert sum(s.n_params for s in specs) == 94
+    spec = ModelSpec(visual_map=(6, 4), semantic_map=(5, 4), encoder=(6, 6))
+    assert spec.n_params == 94
     with pytest.raises(ValueError, match=r"specs need float64 \(94,\)"):
-        ModelParams(flat, *specs)
+        ModelParams(flat, spec)
+
+
+@pytest.mark.parametrize(
+    "nets, message",
+    [
+        ({"visual_map": (6, 4), "semantic_map": (5, 5)},
+         "visual and semantic mapping nets must share the latent width: 4 != 5"),
+        ({"visual_map": (32, 4), "semantic_map": (5, 4), "encoder": (6, 7)},
+         "encoder output width must match visual mapping input: 7 != 32"),
+    ],
+    ids=["latent-width", "encoder-output"],
+)
+def test_model_spec_rejects_nets_that_do_not_fit(nets, message):
+    with pytest.raises(ValueError, match=f"^ModelSpec: {message}$"):
+        ModelSpec(**nets)
+
+
+def test_layer_widths_are_python_ints():
+    with pytest.raises(ValueError, match=r"^MlpSpec.layer_dims\[0\] must be int, got 4.7$"):
+        MlpSpec((4.7, 3.2))
+    with pytest.raises(ValueError, match=r"^ModelSpec.visual_map\[0\] must be int, got 4.9$"):
+        ModelSpec(visual_map=(4.9, 3), semantic_map=(2, 3))
+    with pytest.raises(ValueError, match=r"^ModelSpec.encoder\[1\] must be int, got True$"):
+        ModelSpec(visual_map=(1, 3), semantic_map=(2, 3), encoder=(4, True))
+    spec = ModelSpec(visual_map=np.array([4, 3]), semantic_map=(np.int32(2), 3))
+    assert spec.to_dict() == {"visual_map": [4, 3], "semantic_map": [2, 3], "encoder": None}
+    assert all(type(d) is int for d in spec.visual_map + spec.semantic_map)
+    assert all(type(d) is int for _, net in spec.nets for d in net.layer_dims)
+
+
+def test_model_spec_lists_its_nets_in_flat_order():
+    spec = ModelSpec(visual_map=(6, 3, 4), semantic_map=(5, 4), encoder=(7, 6))
+    assert [(name, net.layer_dims) for name, net in spec.nets] == [
+        ("encoder", (7, 6)), ("visual_map", (6, 3, 4)), ("semantic_map", (5, 4)),
+    ]
+    assert spec.n_params == 7 * 6 + 6 + 6 * 3 + 3 + 3 * 4 + 4 + 5 * 4 + 4
+    assert (spec.feature_dim, spec.semantic_dim) == (7, 5)
+    assert replace(spec, encoder=None).feature_dim == 6
+    assert ModelSpec.from_dict(spec.to_dict()) == spec
 
 
 def test_cosine_helpers_match_hand_loop():

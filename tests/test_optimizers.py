@@ -12,7 +12,7 @@ from gzsl_align import (
     reference_spec,
     save_checkpoint,
 )
-from gzsl_align.networks import MlpSpec, init_model_params
+from gzsl_align.networks import ModelSpec, init_model_params
 from gzsl_align.optimizers import PlateauScheduler
 
 
@@ -120,7 +120,7 @@ def _assert_calls_equal_the_per_array_oracle(params):
 
 def test_per_array_and_flat_calls_equal_the_per_array_oracle_exactly():
     _assert_calls_equal_the_per_array_oracle(
-        init_model_params(MlpSpec((6, 5, 4)), MlpSpec((3, 5, 4)), MlpSpec((6, 7, 6)), seed=4)
+        init_model_params(ModelSpec((6, 5, 4), (3, 5, 4), (6, 7, 6)), seed=4)
     )
 
 
@@ -132,7 +132,7 @@ def test_sixteen_array_reference_call_equals_the_per_array_oracle_exactly():
 
 def test_scratch_vectors_are_not_state(tmp_path):
     """A state loaded from last.ckpt has no scratch yet and steps to the in-memory state's bytes."""
-    params = init_model_params(MlpSpec((6, 5, 4)), MlpSpec((3, 5, 4)), MlpSpec((6, 7, 6)), seed=4)
+    params = init_model_params(ModelSpec((6, 5, 4), (3, 5, 4), (6, 7, 6)), seed=4)
     state = init_adam([params.flat])
     assert state.scratch is None
     rng = np.random.default_rng(2)

@@ -33,7 +33,7 @@ from gzsl_align import (
 )
 from gzsl_align.data import Dataset
 from gzsl_align.networks import init_model_params
-from gzsl_align.training import GridSpec, default_model_specs, grid_search
+from gzsl_align.training import GridSpec, default_model_spec, grid_search
 import gzsl_align.losses as losses_module
 import gzsl_align.training as training_module
 from gzsl_align.data import DataBundle
@@ -55,8 +55,8 @@ def quick_cfg(epochs=3, **overrides) -> TrainConfig:
 
 
 def quick_params(bundle, seed=0):
-    visual, semantic, encoder = default_model_specs(bundle.train.feature_dim, bundle.semantics.dim)
-    return init_model_params(visual, semantic, encoder, seed)
+    spec = default_model_spec(bundle.train.feature_dim, bundle.semantics.dim)
+    return init_model_params(spec, seed)
 
 
 def arrays_equal(a, b) -> bool:
@@ -69,14 +69,14 @@ def bundle() -> DataBundle:
 
 
 def test_default_model_specs_scale_to_dims():
-    visual, semantic, encoder = default_model_specs(12, 8)
-    assert visual.layer_dims == (12, 32, 16, 8)
-    assert semantic.layer_dims == (8, 32, 16, 8)
-    assert encoder.layer_dims == (12, 12, 12)
+    spec = default_model_spec(12, 8)
+    assert spec.visual_map == (12, 32, 16, 8)
+    assert spec.semantic_map == (8, 32, 16, 8)
+    assert spec.encoder == (12, 12, 12)
     # large dims reproduce the full-scale pyramid widths
-    visual, semantic, _ = default_model_specs(1024, 300)
-    assert visual.layer_dims == (1024, 512, 256, 128)
-    assert semantic.layer_dims == (300, 512, 256, 128)
+    spec = default_model_spec(1024, 300)
+    assert spec.visual_map == (1024, 512, 256, 128)
+    assert spec.semantic_map == (300, 512, 256, 128)
 
 
 def test_single_epoch_record(bundle):
@@ -166,9 +166,9 @@ def test_frozen_mode_without_encoder_is_rejected_before_any_work(bundle, tmp_pat
 
     monkeypatch.setattr(training_module, "total_loss", no_work)
     cfg = quick_cfg(epochs=1, encoder_mode=EncoderMode.FROZEN)
-    specs = (*default_model_specs(bundle.train.feature_dim, bundle.semantics.dim)[:2], None)
+    spec = replace(default_model_spec(bundle.train.feature_dim, bundle.semantics.dim), encoder=None)
     with pytest.raises(ValueError, match="frozen needs a model with an encoder"):
-        train(cfg, bundle, init_model_params(*specs, 0), out_dir=tmp_path / "run")
+        train(cfg, bundle, init_model_params(spec, 0), out_dir=tmp_path / "run")
     assert not (tmp_path / "run").exists()
 
 
@@ -429,8 +429,7 @@ def test_nonfinite_loss_names_epoch_and_batch(bundle):
 
 
 def test_dimension_mismatch_rejected(bundle):
-    visual, semantic, encoder = default_model_specs(9, bundle.semantics.dim)
-    wrong = init_model_params(visual, semantic, encoder, 0)
+    wrong = init_model_params(default_model_spec(9, bundle.semantics.dim), 0)
     with pytest.raises(ValueError, match="features"):
         train(quick_cfg(epochs=1), bundle, wrong)
 
@@ -580,12 +579,14 @@ def test_train_config_validation():
 # The checkpoint digests were recorded once the semantic map ran one
 # stacked pass over [W; w_bar], which changed the order its weight
 # gradient sums in. Refactors that keep the maths must reproduce the
-# checkpoints byte for byte.
+# checkpoints byte for byte, and config.json, whose model section the
+# model spec's codec writes.
 PINNED_RUNS = {
     EncoderMode.END_TO_END: (
         {
-            "best.ckpt": "8dcde13f170a3dd7ae141c9ecb73bc60d98d3dbff685955a73a7a49618f229d1",
-            "last.ckpt": "a7446c3c881d5d5b3b7cdc3501869330ee72d6ab55d6ce64756d4658c29b683d",
+            "checkpoints/best.ckpt": "8dcde13f170a3dd7ae141c9ecb73bc60d98d3dbff685955a73a7a49618f229d1",
+            "checkpoints/last.ckpt": "a7446c3c881d5d5b3b7cdc3501869330ee72d6ab55d6ce64756d4658c29b683d",
+            "config.json": "fec81462886d6150cdaec65a7bcb45a871246668618ce020ba9abe04475938f3",
         },
         """\
 epoch,lr,train_rank,train_align,train_con,train_total,val_rank,val_align,val_con,val_total,val_seen_auroc,val_unseen_auroc,val_harmonic
@@ -596,8 +597,9 @@ epoch,lr,train_rank,train_align,train_con,train_total,val_rank,val_align,val_con
     ),
     EncoderMode.FROZEN: (
         {
-            "best.ckpt": "630a9f8afd5152b9c867be93cfd6ef5b378dd3ba8415f87f537163770fd24980",
-            "last.ckpt": "42a2a3daec236e59119ccc6a56e86068e55abaa1eae86fcf2aee60bbf3177421",
+            "checkpoints/best.ckpt": "630a9f8afd5152b9c867be93cfd6ef5b378dd3ba8415f87f537163770fd24980",
+            "checkpoints/last.ckpt": "42a2a3daec236e59119ccc6a56e86068e55abaa1eae86fcf2aee60bbf3177421",
+            "config.json": "a058467a8896aaa974c21756e082238aeecaae2ff972c60af1c989b6b4450f27",
         },
         """\
 epoch,lr,train_rank,train_align,train_con,train_total,val_rank,val_align,val_con,val_total,val_seen_auroc,val_unseen_auroc,val_harmonic
@@ -616,7 +618,7 @@ def test_reference_run_artifacts_match_pinned_digests(tmp_path, mode):
     cfg = replace(reference_train_config(1), epochs=3, encoder_mode=mode)
     train(cfg, generate(spec), reference_model_params(spec, 1), out_dir=tmp_path)
     for name, digest in digests.items():
-        blob = (tmp_path / "checkpoints" / name).read_bytes()
+        blob = (tmp_path / name).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest, name
     # loss cells may move in the last digits when a summation order changes
     got = [line.split(",") for line in (tmp_path / "metrics.csv").read_text().splitlines()]
