@@ -25,7 +25,7 @@ DEFAULT_KS = (2, 3)  # the top-k cut-offs reported when none are given
 AUROC_BLOCK = 64  # score columns transposed and sorted together for AUROC
 TILE_ROWS = 512  # score rows copied into an AUROC block at a time
 PARALLEL_MIN_SCORES = 2**20  # AUROC blocks are filled and sorted on threads from this size
-TOPK_BLOCK = 512  # score rows partitioned together for top-k
+TOPK_BLOCK = 512  # score rows ranked together for top-k
 
 
 def infer_scores(
@@ -93,28 +93,21 @@ def _positives(Yb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(Yb), Yb.shape[1])
 
 
-def _ranked_candidates(B: np.ndarray, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's candidates for its top ``kmax``: their rows, columns and ranks in their row.
+def _top_columns(B: np.ndarray, kmax: int) -> np.ndarray:
+    """Each row's ``kmax`` best columns of finite scores ``B``, best first, as an (N, kmax) array.
 
-    One partition per row finds the ``kmax``-th largest score ``thr``, and
-    every score at or above it is a candidate. Candidates are ranked by
-    descending score, then ascending column, as a stable descending sort
-    would rank them, so the top k of a row, for any k <= kmax, are its
-    candidates ranked below k. Rows and columns index ``B``.
+    A copy of the block gives up one column per row ``kmax`` times: ``argmax``
+    takes a row's first maximum, so ties go to the lower column, as a stable
+    descending sort ranks them, and each taken score becomes ``-inf``, below
+    every finite one. Requires ``kmax`` <= the number of columns.
     """
-    c = B.shape[1]
-    thr = np.partition(B, c - kmax, axis=1)[:, [c - kmax]]
-    col = np.flatnonzero(B >= thr)
-    row = col // c
-    key = B.ravel()[col]
-    np.negative(key, out=key)
-    col = col[np.lexsort((key, row))]  # row-major candidates, so each row's stay in place
-    del key
-    np.remainder(col, c, out=col)
-    per_row = np.bincount(row)  # at least kmax in every row
-    rank = np.arange(row.size)
-    rank -= np.repeat(np.cumsum(per_row) - per_row, per_row)
-    return row, col, rank
+    work = B.copy()
+    top = np.empty((B.shape[0], kmax), dtype=np.intp)
+    rows = np.arange(B.shape[0])
+    for r in range(kmax):
+        np.argmax(work, axis=1, out=top[:, r])
+        work[rows, top[:, r]] = -np.inf
+    return top
 
 
 def _topk(S: np.ndarray, Yb: np.ndarray, ks, pos_c: np.ndarray) -> list[TopKMetrics]:
@@ -128,13 +121,11 @@ def _topk(S: np.ndarray, Yb: np.ndarray, ks, pos_c: np.ndarray) -> list[TopKMetr
     tp_c = np.zeros((len(ks), c), dtype=np.int64)
     pred_c = np.zeros((len(ks), c), dtype=np.int64)
     for i in range(0, n, TOPK_BLOCK):
-        row, col, rank = _ranked_candidates(S[i:i + TOPK_BLOCK], max(ks))
-        hit = Yb[i:i + TOPK_BLOCK][row, col]
+        top = _top_columns(S[i:i + TOPK_BLOCK], max(ks))
+        hit = np.take_along_axis(Yb[i:i + TOPK_BLOCK], top, axis=1)
         for j, k in enumerate(ks):
-            pick = rank < k
-            pred_c[j] += np.bincount(col[pick], minlength=c)
-            tp_c[j] += np.bincount(col[pick & hit], minlength=c)
-        del row, col, rank, hit, pick  # free them before the next block is ranked
+            pred_c[j] += np.bincount(top[:, :k].ravel(), minlength=c)
+            tp_c[j] += np.bincount(top[:, :k][hit[:, :k]], minlength=c)
 
     total_pos = int(pos_c.sum())
     has_pos = pos_c > 0
@@ -165,9 +156,11 @@ def topk_metrics(scores: np.ndarray, labels: np.ndarray, k: int) -> TopKMetrics:
     TP/(N*k), recall is TP/(total ground-truth positives). Samples without
     positives still occupy precision denominators. Macro variants average
     per-class rates over classes that have at least one positive; a class
-    never predicted gets precision 0 there.
+    never predicted gets precision 0 there. Zero samples raise ValidationError.
     """
     S, Yb = _checked_inputs(scores, labels, "top-k")
+    if S.shape[0] == 0:
+        raise ValidationError("top-k needs at least one sample")
     _check_ks((k,), "k", S.shape[1])
     return _topk(S, Yb, (k,), Yb.sum(axis=0))[0]
 
@@ -262,7 +255,7 @@ def gzsl_summary(
     """Seen mean, unseen mean, and their harmonic mean 2SU/(S+U).
 
     Classes whose AUROC is undefined (None) are excluded from the means;
-    a partition left with no defined values is an error.
+    seen or unseen classes without one defined value are an error.
     """
     if len(per_class) != vocab.n_classes:
         raise ValueError(f"{len(per_class)} AUROC values for {vocab.n_classes} classes")
@@ -270,7 +263,7 @@ def gzsl_summary(
     for name, ids in (("seen", vocab.seen_ids), ("unseen", vocab.unseen_ids)):
         vals = [per_class[i] for i in ids if per_class[i] is not None]
         if not vals:
-            raise UndefinedAurocError(f"no defined AUROC in the {name} partition")
+            raise UndefinedAurocError(f"no defined AUROC among the {name} classes")
         means.append(float(np.mean(vals)))
     s, u = means
     return s, u, _f1(s, u)

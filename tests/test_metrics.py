@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
@@ -165,14 +165,37 @@ def _topk_metrics_by_mask(scores, labels, k, topk_mask):
 
 
 def _picked(scores, k):
-    """The (N, C) mask of the top k that the shared candidate ranking picks."""
+    """The (N, C) mask of the top k that ``_top_columns`` picks, block by block."""
     S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     mask = np.zeros(S.shape, dtype=bool)
     for i in range(0, S.shape[0], metrics_mod.TOPK_BLOCK):
-        row, col, rank = metrics_mod._ranked_candidates(S[i:i + metrics_mod.TOPK_BLOCK], k)
-        pick = rank < k
-        mask[i + row[pick], col[pick]] = True
+        np.put_along_axis(mask[i:i + metrics_mod.TOPK_BLOCK],
+                          metrics_mod._top_columns(S[i:i + metrics_mod.TOPK_BLOCK], k), True, axis=1)
     return mask
+
+
+def _ranked_candidates_oracle(B: np.ndarray, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's candidates for its top ``kmax``: their rows, columns and ranks in their row.
+
+    One partition per row finds the ``kmax``-th largest score ``thr``, and
+    every score at or above it is a candidate. Candidates are ranked by
+    descending score, then ascending column, as a stable descending sort
+    would rank them, so the top k of a row, for any k <= kmax, are its
+    candidates ranked below k. Rows and columns index ``B``.
+    """
+    c = B.shape[1]
+    thr = np.partition(B, c - kmax, axis=1)[:, [c - kmax]]
+    col = np.flatnonzero(B >= thr)
+    row = col // c
+    key = B.ravel()[col]
+    np.negative(key, out=key)
+    col = col[np.lexsort((key, row))]  # row-major candidates, so each row's stay in place
+    del key
+    np.remainder(col, c, out=col)
+    per_row = np.bincount(row)  # at least kmax in every row
+    rank = np.arange(row.size)
+    rank -= np.repeat(np.cumsum(per_row) - per_row, per_row)
+    return row, col, rank
 
 
 def _around(block):
@@ -236,7 +259,7 @@ def test_pairwise_cosine_is_bit_equal_to_the_clipped_product(n, m, d, seed):
 
 
 def test_evaluate_peaks_below_one_and_a_half_score_matrices():
-    """No full-size copy of the (N, C) scores: not for clipping, sorting or partitioning."""
+    """No full-size copy of the (N, C) scores: not for clipping, sorting or ranking."""
     spec = SynthSpec(n_classes=600, n_seen=540, n_train=8, n_val=8, n_test=3000, seed=2)
     bundle = generate(spec)
     params = reference_model_params(spec, seed=2)
@@ -253,8 +276,8 @@ def test_evaluate_peaks_below_one_and_a_half_score_matrices():
     assert pool.call_args_list == [mock.call(2)]  # the AUROC blocks were filled on threads
 
 
-def test_topk_on_all_tied_scores_peaks_below_one_and_a_half_score_matrices():
-    """Every score is a candidate when all tie, and the ranking still holds one block at a time."""
+def test_topk_on_all_tied_scores_peaks_below_half_a_score_matrix():
+    """All-tied scores cost no more than any others: one block is copied and ranked at a time."""
     scores = np.zeros((3000, 600))
     labels = (np.random.default_rng(0).random(scores.shape) < 0.01).astype(np.int8)
     tracemalloc.start()
@@ -263,8 +286,28 @@ def test_topk_on_all_tied_scores_peaks_below_one_and_a_half_score_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * scores.nbytes
+    assert peak < 0.5 * scores.nbytes
     assert got == _topk_metrics_by_mask(scores, labels, 3, _topk_mask_full_partition)
+
+
+@pytest.mark.parametrize("kind", ["random", "tie-heavy", "all tied"])
+@pytest.mark.parametrize("n", [1, TOPK_BLOCK - 1, TOPK_BLOCK, TOPK_BLOCK + 1])
+def test_top_columns_equal_the_ranked_candidates_oracle_exactly(kind, n):
+    """Each row's first kmax oracle candidates, in rank order, are the columns ``_top_columns`` gives."""
+    c = 9
+    B = np.random.default_rng(n).uniform(-1.0, 1.0, (n, c))
+    if kind == "tie-heavy":
+        B = np.round(B * 3) / 3
+    elif kind == "all tied":
+        B[:] = 0.25
+    for k in (1, 2, 3, c - 1, c):
+        row, col, rank = _ranked_candidates_oracle(B, k)
+        pick = rank < k
+        want = np.empty((n, k), dtype=col.dtype)
+        want[row[pick], rank[pick]] = col[pick]
+        got = metrics_mod._top_columns(B, k)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("auroc_block, topk_block", [(AUROC_BLOCK, TOPK_BLOCK), (3, 2)],
@@ -435,14 +478,23 @@ def test_per_class_auroc_equals_rankdata_oracle_exactly(case):
         assert _column_auroc(scores[:, j], labels[:, j]) == value
 
 
+_FMAX = np.finfo(float).max
+
+
 @settings(max_examples=200, deadline=None)
 @given(_tie_heavy_case())
+@example((np.full((2, 4), -_FMAX), np.eye(2, 4, dtype=np.int8)))  # taken scores sink below these
+@example((np.array([[0.0, _FMAX, -1.0, _FMAX], [_FMAX, -_FMAX, _FMAX, 0.0]]),
+          np.eye(2, 4, dtype=np.int8)))
 def test_topk_equals_stable_argsort_oracle_exactly(case):
     scores, labels = case
-    for k in range(1, scores.shape[1] + 1):
+    c = scores.shape[1]
+    for k in range(1, c + 1):
         np.testing.assert_array_equal(_picked(scores, k), _topk_mask_oracle(scores, k))
         want = _topk_metrics_by_mask(scores, labels, k, _topk_mask_oracle)
         assert topk_metrics(scores, labels, k) == want
+    every = metrics_mod._top_columns(scores, c)  # k = C: each row lists each column once
+    np.testing.assert_array_equal(np.sort(every, axis=1), np.broadcast_to(np.arange(c), every.shape))
 
 
 def test_metrics_reject_non_finite_scores_and_bad_k():
@@ -458,6 +510,8 @@ def test_metrics_reject_non_finite_scores_and_bad_k():
     for k in (0, 3, -1):
         with pytest.raises(ValueError):
             topk_metrics(scores, labels, k)
+    with pytest.raises(ValidationError, match="top-k"):
+        topk_metrics(np.empty((0, 5)), np.empty((0, 5)), 2)
     for metric in (per_class_auroc, lambda s, y: topk_metrics(s, y, 1)):
         for bad_scores, bad_labels in ((scores, labels[:2]), (scores[:, :1], labels)):
             with pytest.raises(ValueError, match=r"^scores shape \(\d, \d\) != labels shape ") as exc:
