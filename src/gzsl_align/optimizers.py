@@ -41,18 +41,19 @@ def adam_step(
 ) -> None:
     """One in-place Adam update with bias-corrected moment estimates.
 
-    Every gradient array is checked for NaN/Inf before any parameter is
-    touched, so a poisoned batch never half-applies an update.
+    Each gradient must have its array's shape, and the moments the arrays'
+    summed size. Both, and NaN/Inf, are checked before anything is touched,
+    so a rejected call changes no parameter, moment or ``step_count``.
     """
-    n = sum(a.size for a in arrays)
-    if len(arrays) != len(grads) or n != state.m.size:
-        raise ValueError(
-            f"mismatched sizes: {len(arrays)} params, {len(grads)} grads, "
-            f"{n} values against {state.m.size} moments"
-        )
-    for i, g in enumerate(grads):
+    n = 0
+    for i, (theta, g) in enumerate(zip(arrays, grads, strict=True)):
+        if g.shape != theta.shape:
+            raise ValueError(f"mismatched sizes: gradient {i} is {g.shape}, its array {theta.shape}")
         if not np.isfinite(g).all():
             raise NonFiniteGradientError(f"non-finite gradient in array {i}")
+        n += theta.size
+    if n != state.m.size:
+        raise ValueError(f"mismatched sizes: {n} values against {state.m.size} moments")
     if state.scratch is None or state.scratch[0].size != n:
         state.scratch = (np.empty(n), np.empty(n))
     beta1, beta2, epsilon = ADAM_HPARAMS["beta1"], ADAM_HPARAMS["beta2"], ADAM_HPARAMS["epsilon"]

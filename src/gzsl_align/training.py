@@ -163,15 +163,10 @@ def check_run(cfg: TrainConfig, data: DataBundle, params0: ModelParams) -> None:
     if cfg.encoder_mode is EncoderMode.FROZEN and params0.encoder is None:
         raise ValueError("encoder_mode frozen needs a model with an encoder, and this one has none")
     check_inductive(data.train)
-    spec = params0.spec
-    if spec.feature_dim != data.train.feature_dim:
-        raise ValueError(
-            f"model expects {spec.feature_dim}-dim features, data has {data.train.feature_dim}"
-        )
-    if spec.semantic_dim != data.semantics.dim:
-        raise ValueError(
-            f"model expects {spec.semantic_dim}-dim semantics, data has {data.semantics.dim}"
-        )
+    for name, want, got in (("features", params0.spec.feature_dim, data.train.feature_dim),
+                            ("semantics", params0.spec.semantic_dim, data.semantics.dim)):
+        if want != got:
+            raise ValueError(f"model expects {want}-dim {name}, data has {got}")
     _check_ks(cfg.ks, "ks", data.vocab.n_classes)
 
 
@@ -186,6 +181,8 @@ class _RunState:
     sched: PlateauScheduler
     rng: np.random.Generator
     grads: ModelParams  # refilled by every batch's total_loss
+    Y_train: np.ndarray  # the train and val labels restricted to seen classes
+    Y_val: np.ndarray
     W_seen: np.ndarray
     c_seen: np.ndarray | None  # the consistency target depends only on the fixed semantics
     records: list[EpochRecord] = field(default_factory=list)
@@ -213,41 +210,43 @@ def _start(cfg: TrainConfig, data: DataBundle, params0: ModelParams) -> _RunStat
         cfg, data, params, init_adam([params.flat]),
         PlateauScheduler(cfg.lr, cfg.patience, cfg.lr_factor, cfg.min_delta),
         np.random.default_rng(np.random.SeedSequence(cfg.seed)),
-        grads=params.zeros_like(),
-        W_seen=W_seen,
+        grads=params.zeros_like(), W_seen=W_seen,
+        Y_train=data.train.seen_label_view(), Y_val=data.val.seen_label_view(),
         c_seen=pairwise_cosine(W_seen, W_seen, "semantic row") if cfg.loss.use_con else None,
     )
 
 
+def _step(st: _RunState, b: int, idx: np.ndarray) -> None:
+    """Batch ``b`` of the current epoch: one Adam update on the train rows ``idx``."""
+    breakdown, _ = total_loss(
+        st.data.train.features[idx], st.Y_train[idx], st.W_seen, st.params, st.cfg.loss,
+        semantic_cosines=st.c_seen, grads=st.grads,
+        frozen_encoder=st.cfg.encoder_mode is EncoderMode.FROZEN,
+    )
+    if not math.isfinite(breakdown.total):
+        raise NonFiniteLossError(epoch=len(st.records) + 1, batch_index=b, value=breakdown.total)
+    try:  # a frozen encoder's zero gradient and moments make its update exactly 0.0
+        adam_step([st.params.flat], [st.grads.flat], st.adam, lr=st.sched.lr)
+    except NonFiniteGradientError:
+        bad = st.grads.array_name(int(np.flatnonzero(~np.isfinite(st.grads.flat))[0]))
+        raise NonFiniteGradientError(f"non-finite gradient in {bad}") from None
+
+
 def _run_epoch(st: _RunState) -> None:
-    """One epoch: minibatch Adam steps, the no-gradient train and val passes,
-    model selection, then the scheduler. With no finite selection value by
-    the last epoch, the last epoch is the best.
+    """One epoch: a ``_step`` per minibatch, the no-gradient train and val passes,
+    model selection, then the scheduler. With no finite selection value by the
+    last epoch, the last epoch is the best.
     """
-    cfg, data, params, grads, adam = st.cfg, st.data, st.params, st.grads, st.adam
-    W_seen, c_seen, epoch, lr_now = st.W_seen, st.c_seen, len(st.records) + 1, st.sched.lr
-    X, Y = data.train.features, data.train.seen_label_view()
-    # a frozen encoder's zero gradient and moments make its update exactly 0.0
-    frozen = cfg.encoder_mode is EncoderMode.FROZEN
+    cfg, data, params, W_seen, c_seen = st.cfg, st.data, st.params, st.W_seen, st.c_seen
+    epoch, lr_now = len(st.records) + 1, st.sched.lr
     n = len(data.train)
     order = st.rng.permutation(n) if cfg.shuffle else np.arange(n)
     for b, start in enumerate(range(0, n, cfg.batch_size)):
-        idx = order[start : start + cfg.batch_size]
-        breakdown, _ = total_loss(
-            X[idx], Y[idx], W_seen, params, cfg.loss, semantic_cosines=c_seen, grads=grads,
-            frozen_encoder=frozen,
-        )
-        if not math.isfinite(breakdown.total):
-            raise NonFiniteLossError(epoch=epoch, batch_index=b, value=breakdown.total)
-        try:
-            adam_step([params.flat], [grads.flat], adam, lr=lr_now)
-        except NonFiniteGradientError:
-            bad = grads.array_name(int(np.flatnonzero(~np.isfinite(grads.flat))[0]))
-            raise NonFiniteGradientError(f"non-finite gradient in {bad}") from None
+        _step(st, b, order[start : start + cfg.batch_size])
 
     train_eval, val_eval = (
         total_loss(F, L, W_seen, params, cfg.loss, compute_grads=False, semantic_cosines=c_seen)[0]
-        for F, L in ((X, Y), (data.val.features, data.val.seen_label_view()))
+        for F, L in ((data.train.features, st.Y_train), (data.val.features, st.Y_val))
     )
     report: MetricsReport | None = None
     if data.val.label_space is LabelSpace.ALL_CLASSES:

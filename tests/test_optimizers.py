@@ -13,7 +13,7 @@ from gzsl_align import (
     save_checkpoint,
 )
 from gzsl_align.networks import ModelSpec, init_model_params
-from gzsl_align.optimizers import PlateauScheduler
+from gzsl_align.optimizers import AdamState, PlateauScheduler
 
 
 def _textbook_adam_trace(w0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -70,11 +70,26 @@ def test_nonfinite_gradient_rejected_before_any_update():
     assert not state.m.any() and not state.v.any()
 
 
-def test_moments_of_another_size_are_rejected():
-    w = np.array([1.0, 2.0])
-    with pytest.raises(ValueError, match="mismatched sizes"):
-        adam_step([w], [np.ones(2)], init_adam([np.zeros(3)]), lr=0.1)
-    np.testing.assert_array_equal(w, [1.0, 2.0])
+@pytest.mark.parametrize(
+    "grad_shapes, moments, message",
+    [
+        ([(3,), (2,)], 4, "mismatched sizes: 5 values against 4 moments"),
+        ([(3,), (2, 1)], 5, r"mismatched sizes: gradient 1 is \(2, 1\), its array \(2,\)"),
+        ([(2,), (3,)], 5, r"mismatched sizes: gradient 0 is \(2,\), its array \(3,\)"),
+        ([(3,)], 5, "argument 2 is shorter than argument 1"),
+        ([(3,), (2,), (1,)], 5, "argument 2 is longer than argument 1"),
+    ],
+    ids=["moments", "grad-shape", "grad-order", "grad-missing", "grad-extra"],
+)
+def test_moments_of_another_size_are_rejected(grad_shapes, moments, message):
+    a, b = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])
+    state = AdamState(m=np.full(moments, 0.5), v=np.full(moments, 0.25))
+    with pytest.raises(ValueError, match=message):
+        adam_step([a, b], [np.ones(shape) for shape in grad_shapes], state, lr=0.1)
+    np.testing.assert_array_equal(a, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(b, [4.0, 5.0])
+    assert state.step_count == 0
+    assert (state.m == 0.5).all() and (state.v == 0.25).all()
 
 
 def _per_array_adam_oracle(arrays, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
