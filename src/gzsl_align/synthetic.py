@@ -41,6 +41,10 @@ REFERENCE_SEEDS = (1, 2, 3, 4, 5)
 REFERENCE_LR = 1e-3
 REFERENCE_GAMMA = 0.1
 
+# Most label subsets true_scores enumerates for its prior: the reference
+# spec has 3472 (14 classes, up to 5 labels), a 1006-class spec 8.5e12.
+MAX_REFERENCE_SUBSETS = 10_000
+
 
 @dataclass(frozen=True)
 class SemanticGeometry(JsonRecord):
@@ -133,7 +137,7 @@ def _feature_map(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _draw_split(
     n: int,
-    allowed: np.ndarray,
+    n_allowed: int,
     n_total_classes: int,
     semantics: np.ndarray,
     lift: np.ndarray,
@@ -141,12 +145,26 @@ def _draw_split(
     max_labels: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.zeros((n, n_total_classes), dtype=np.float64)
+    """Features and float64 0/1 labels of ``n`` samples over classes 0..n_allowed-1.
+
+    Sample by sample, in order, the stream gives the positive count
+    ``integers(1, max_labels + 1)`` and then that many distinct classes,
+    ``choice(n_allowed, size=count, replace=False)``; after the last
+    sample, when ``sigma > 0``, it gives the feature noise. The picks land
+    in one index vector and are scattered into the label matrix at once.
+    """
+    counts = np.empty(n, dtype=np.intp)
+    picks = np.empty(n * max_labels, dtype=np.intp)
+    end = 0
+    integers, choice = rng.integers, rng.choice  # bound once: 20000 samples at paper scale
     for i in range(n):
-        n_pos = int(rng.integers(1, max_labels + 1))
-        picked = rng.choice(allowed, size=n_pos, replace=False)
-        labels[i, picked] = 1.0
-    w_bar = (labels @ semantics) / labels.sum(axis=1, keepdims=True)
+        k = int(integers(1, max_labels + 1))
+        picks[end : end + k] = choice(n_allowed, size=k, replace=False)
+        counts[i] = k
+        end += k
+    labels = np.zeros((n, n_total_classes), dtype=np.float64)
+    labels[np.repeat(np.arange(n), counts), picks[:end]] = 1.0
+    w_bar = (labels @ semantics) / counts[:, None]
     features = w_bar @ lift.T
     if sigma > 0:
         features = features + sigma * rng.standard_normal(features.shape)
@@ -175,17 +193,28 @@ def generate(spec: SynthSpec) -> DataBundle:
     semantics = SemanticMatrix(rows=rows)
     lift = _feature_map(spec, rng_lift)
 
-    seen = np.arange(spec.n_seen)
-    everyone = np.arange(spec.n_classes)
-    m = spec.max_labels_per_sample
-    f_tr, y_tr = _draw_split(spec.n_train, seen, spec.n_classes, rows, lift, spec.noise_sigma, m, rng_train)
-    f_va, y_va = _draw_split(spec.n_val, everyone, spec.n_classes, rows, lift, spec.noise_sigma, m, rng_val)
-    f_te, y_te = _draw_split(spec.n_test, everyone, spec.n_classes, rows, lift, spec.noise_sigma, m, rng_test)
+    c, s, m = spec.n_classes, spec.n_seen, spec.max_labels_per_sample
+    f_tr, y_tr = _draw_split(spec.n_train, s, c, rows, lift, spec.noise_sigma, m, rng_train)
+    f_va, y_va = _draw_split(spec.n_val, c, c, rows, lift, spec.noise_sigma, m, rng_val)
+    f_te, y_te = _draw_split(spec.n_test, c, c, rows, lift, spec.noise_sigma, m, rng_test)
 
-    train = Dataset(features=f_tr, labels=y_tr[:, : spec.n_seen], vocab=vocab)
+    train = Dataset(features=f_tr, labels=y_tr[:, :s], vocab=vocab)
     val = Dataset(features=f_va, labels=y_va, vocab=vocab)
     test = Dataset(features=f_te, labels=y_te, vocab=vocab)
     return DataBundle(vocab=vocab, semantics=semantics, train=train, val=val, test=test)
+
+
+def _subset_counts(n_allowed: int, max_labels: int) -> list[int]:
+    """Number of label subsets of each size 1..max_labels, within the bound."""
+    counts = [comb(n_allowed, k) for k in range(1, max_labels + 1)]
+    total = sum(counts)
+    if total > MAX_REFERENCE_SUBSETS:
+        raise ValueError(
+            f"the reference prior has {total} label subsets ({n_allowed} classes, "
+            f"up to {max_labels} labels each); true_scores enumerates at most "
+            f"{MAX_REFERENCE_SUBSETS}"
+        )
+    return counts
 
 
 def _candidate_label_means(rows: np.ndarray, allowed: np.ndarray, max_labels: int) -> np.ndarray:
@@ -209,7 +238,8 @@ def true_scores(
     candidates. ``allowed`` restricts the prior to the classes a split
     draws from (the training split uses seen classes only); None means
     all classes. With zero noise the pseudo-inverse of the lift recovers
-    w_bar exactly and is used directly.
+    w_bar exactly and is used directly. With noise, a prior of more than
+    MAX_REFERENCE_SUBSETS subsets raises ValueError before any is built.
     """
     rng_sem, rng_lift, *_ = _streams(spec)
     rows = _draw_semantics(spec, rng_sem)
@@ -220,12 +250,10 @@ def true_scores(
         return pairwise_cosine(w_hat, rows, "de-noised projection")
     if allowed is None:
         allowed = np.arange(spec.n_classes)
+    counts = _subset_counts(len(allowed), spec.max_labels_per_sample)
     w_cand = _candidate_label_means(rows, np.asarray(allowed), spec.max_labels_per_sample)
     mu = w_cand @ lift.T
-    sizes = np.array(
-        [k for k in range(1, spec.max_labels_per_sample + 1) for _ in range(int(comb(len(allowed), k)))]
-    )
-    log_prior = -np.log([comb(len(allowed), int(k)) for k in sizes])
+    log_prior = -np.log(np.repeat(counts, counts))
     sq_dist = (
         (feats**2).sum(axis=1, keepdims=True)
         - 2.0 * feats @ mu.T

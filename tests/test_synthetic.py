@@ -1,7 +1,13 @@
 """Generator determinism, geometry structure, and the reference scoring rule."""
 
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gzsl_align import (
     LossConfig,
@@ -17,8 +23,10 @@ from gzsl_align import (
 from gzsl_align.data import check_inductive
 from gzsl_align.metrics import topk_metrics
 from gzsl_align.synthetic import (
+    MAX_REFERENCE_SUBSETS,
     REFERENCE_SEEDS,
     SemanticGeometry,
+    _draw_split,
     bayes_reference_auroc,
     true_scores,
 )
@@ -37,6 +45,41 @@ DEFAULT_REF_TEST = (
     0.768459174464, 0.81484741784, 0.830419309918, 0.815515151515,
     0.759561645098, 0.786465780816,
 )
+
+# A paper-width spec (NUS-WIDE's 925 seen + 81 unseen classes) small enough to pin.
+PAPER_WIDTH_SPEC = SynthSpec(n_classes=1006, n_seen=925, n_train=64, n_val=32, n_test=512, seed=1)
+
+# sha256 of each split's int8 label bytes under PAPER_WIDTH_SPEC. Labels come
+# from the random stream alone, so these hold on every BLAS kernel; the
+# features go through a matrix product and are not pinned here.
+PAPER_WIDTH_LABEL_SHA256 = {
+    "train": "319f3b1174ddd1438e4bfe0fdc0aba52621d4ba06823a2cea324375bc1bf7aba",
+    "val": "5378da48cd15e3bfc77fe959ecd479ef915e0f76567e7bcb28505fdf1157ed30",
+    "test": "4b0828096f8e69d94b739fa21e9d3970baf240939bc40649407c0199a48486d1",
+}
+
+
+def _draw_split_oracle(
+    n: int,
+    allowed: np.ndarray,
+    n_total_classes: int,
+    semantics: np.ndarray,
+    lift: np.ndarray,
+    sigma: float,
+    max_labels: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-row draw: one label row written per sample, w_bar divided by row sums."""
+    labels = np.zeros((n, n_total_classes), dtype=np.float64)
+    for i in range(n):
+        n_pos = int(rng.integers(1, max_labels + 1))
+        picked = rng.choice(allowed, size=n_pos, replace=False)
+        labels[i, picked] = 1.0
+    w_bar = (labels @ semantics) / labels.sum(axis=1, keepdims=True)
+    features = w_bar @ lift.T
+    if sigma > 0:
+        features = features + sigma * rng.standard_normal(features.shape)
+    return features, labels
 
 
 def _expected_label_rates(spec: SynthSpec, split: str) -> np.ndarray:
@@ -188,3 +231,66 @@ def test_reference_recipe_shape():
     full = reference_train_config(3)
     assert full.loss.gamma1 == full.loss.gamma2 > 0
     assert reference_spec(4).seed == 4
+
+
+@st.composite
+def _split_draws(draw):
+    n_classes = draw(st.integers(3, 30))
+    n_seen = draw(st.integers(2, n_classes - 1))
+    n_allowed = draw(st.sampled_from((n_seen, n_classes)))  # seen-only or all classes
+    max_labels = draw(st.integers(1, n_allowed))
+    sigma = draw(st.sampled_from((0.0, 0.3, 1.7)))
+    return draw(st.integers(1, 40)), n_allowed, n_classes, max_labels, sigma, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_draws())
+def test_draw_split_matches_per_row_oracle_and_reads_the_same_stream(case):
+    n, n_allowed, n_classes, max_labels, sigma, seed = case
+    geo = np.random.default_rng(seed ^ 0x5EED)
+    semantics, lift = geo.standard_normal((n_classes, 4)), geo.standard_normal((6, 4))
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_split(n, n_allowed, n_classes, semantics, lift, sigma, max_labels, rng_new)
+    want = _draw_split_oracle(
+        n, np.arange(n_allowed), n_classes, semantics, lift, sigma, max_labels, rng_old
+    )
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def test_paper_width_labels_are_pinned():
+    bundle = generate(PAPER_WIDTH_SPEC)
+    for split, digest in PAPER_WIDTH_LABEL_SHA256.items():
+        labels = bundle.split(split).labels
+        assert labels.dtype == np.int8 and labels.flags.c_contiguous
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == digest, split
+
+
+def test_generate_peaks_near_the_label_bytes():
+    """Beside the test split's float64 labels and their int8 copy, no full-size temporary."""
+    spec = SynthSpec(n_classes=1006, n_seen=925, n_train=64, n_val=32, n_test=4000, seed=1)
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * spec.n_test * spec.n_classes * (8 + 1)
+
+
+def test_bayes_reference_refuses_a_prior_too_large_to_enumerate():
+    spec = SynthSpec(n_classes=1006, n_seen=925, n_train=8, n_val=8, n_test=8, seed=1)
+    n_subsets = sum(math.comb(1006, k) for k in range(1, 6))
+    assert n_subsets > MAX_REFERENCE_SUBSETS
+    with pytest.raises(ValueError, match=f"{n_subsets} label subsets"):
+        bayes_reference_auroc(spec, "test")
+    with pytest.raises(ValueError, match="label subsets"):
+        bayes_reference_auroc(spec, "train")  # 925 seen classes
+
+
+def test_noiseless_reference_needs_no_prior_at_paper_width():
+    spec = SynthSpec(n_classes=1006, n_seen=925, n_train=8, n_val=8, n_test=8, noise_sigma=0.0, seed=1)
+    features = generate(spec).test.features
+    assert true_scores(spec, features).shape == (8, 1006)
