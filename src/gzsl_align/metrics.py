@@ -11,7 +11,6 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .records import JsonRecord, write_json
 DEFAULT_KS = (2, 3)  # the top-k cut-offs reported when none are given
 AUROC_BLOCK = 64  # score columns transposed and sorted together for AUROC
 TILE_ROWS = 512  # score rows copied into an AUROC block at a time
-PARALLEL_MIN_SCORES = 2**20  # AUROC blocks are filled and sorted on threads from this size
+PARALLEL_MIN_SCORES = 2**20  # AUROC is ranked on threads, beside top-k, from this size
 TOPK_BLOCK = 512  # score rows ranked together for top-k
 
 
@@ -93,17 +92,18 @@ def _positives(Yb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(Yb), Yb.shape[1])
 
 
-def _top_columns(B: np.ndarray, kmax: int) -> np.ndarray:
-    """Each row's ``kmax`` best columns of finite scores ``B``, best first, as an (N, kmax) array.
+def _top_columns(work: np.ndarray, kmax: int) -> np.ndarray:
+    """Each row's ``kmax`` best columns of finite scores ``work``, best first, as (N, kmax).
 
-    A copy of the block gives up one column per row ``kmax`` times: ``argmax``
-    takes a row's first maximum, so ties go to the lower column, as a stable
-    descending sort ranks them, and each taken score becomes ``-inf``, below
-    every finite one. Requires ``kmax`` <= the number of columns.
+    The rows give up one column each ``kmax`` times, in place, so ``work``
+    is spent: the caller passes a copy it reuses from block to block.
+    ``argmax`` takes a row's first maximum, so ties go to the lower column,
+    as a stable descending sort ranks them, and each taken score becomes
+    ``-inf``, below every finite one. Requires ``kmax`` <= the number of
+    columns.
     """
-    work = B.copy()
-    top = np.empty((B.shape[0], kmax), dtype=np.intp)
-    rows = np.arange(B.shape[0])
+    top = np.empty((work.shape[0], kmax), dtype=np.intp)
+    rows = np.arange(work.shape[0])
     for r in range(kmax):
         np.argmax(work, axis=1, out=top[:, r])
         work[rows, top[:, r]] = -np.inf
@@ -113,15 +113,19 @@ def _top_columns(B: np.ndarray, kmax: int) -> np.ndarray:
 def _topk(S: np.ndarray, Yb: np.ndarray, ks, pos_c: np.ndarray) -> list[TopKMetrics]:
     """Top-k metrics of checked scores for every k in ``ks``.
 
-    The rows are ranked ``TOPK_BLOCK`` at a time, once at the largest k,
-    so no copy is larger than a block and each k counts a prefix of the
-    same ranking.
+    The rows are copied ``TOPK_BLOCK`` at a time into one reused work
+    block and ranked there, once at the largest k, so each k counts a
+    prefix of the same ranking and nothing larger than a block is
+    allocated.
     """
     n, c = S.shape
     tp_c = np.zeros((len(ks), c), dtype=np.int64)
     pred_c = np.zeros((len(ks), c), dtype=np.int64)
+    work = np.empty((min(TOPK_BLOCK, n), c))
     for i in range(0, n, TOPK_BLOCK):
-        top = _top_columns(S[i:i + TOPK_BLOCK], max(ks))
+        B = work[:min(TOPK_BLOCK, n - i)]
+        np.copyto(B, S[i:i + TOPK_BLOCK])
+        top = _top_columns(B, max(ks))
         hit = np.take_along_axis(Yb[i:i + TOPK_BLOCK], top, axis=1)
         for j, k in enumerate(ks):
             pred_c[j] += np.bincount(top[:, :k].ravel(), minlength=c)
@@ -202,51 +206,67 @@ def _fill_sorted(out: np.ndarray, cols: np.ndarray) -> None:
     out.sort(axis=1)
 
 
-def _auroc(S: np.ndarray, rows: np.ndarray, cls: np.ndarray, pos_c: np.ndarray) -> list[float | None]:
-    """AUROC per column of checked scores, given the positives' rows and columns.
+def _rank_range(buf: np.ndarray, S: np.ndarray, pos_scores: list, a: int, b: int) -> list:
+    """AUROC of classes ``a`` to ``b - 1``, ``len(buf)`` at a time through the rows of ``buf``.
 
-    One ``(AUROC_BLOCK, N)`` buffer serves every block of columns: each
-    class's scores become one contiguous row, filled from row tiles and
-    sorted, and each class's positives are then ranked in its row. From
+    ``pos_scores[j]`` holds the scores of class ``j``'s positives.
+    """
+    out = []
+    for j in range(a, b, len(buf)):
+        w = min(len(buf), b - j)
+        _fill_sorted(buf[:w], S[:, j:j + w])
+        out += map(_midrank_auroc, buf[:w], pos_scores[j:j + w])
+    return out
+
+
+def _auroc(S: np.ndarray, rows: np.ndarray, cls: np.ndarray, pos_c: np.ndarray,
+           meanwhile=lambda: None) -> tuple[list[float | None], object]:
+    """Per-column AUROC of checked scores from the positives' rows and columns, and ``meanwhile()``.
+
+    One ``(AUROC_BLOCK, N)`` buffer serves every class: each class's
+    scores become one contiguous row, filled from row tiles and sorted,
+    and the class's positives are then ranked in its row. The classes are
+    split once into one contiguous range per worker, and each worker
+    takes its range through its own share of the buffer's rows. From
     ``PARALLEL_MIN_SCORES`` scores on, and with more than one usable CPU,
-    the block's rows are split into one contiguous slice per CPU and a
-    thread pool, which lives only as long as this call, fills and sorts
-    the slices (numpy releases the GIL for both). The copies are exact and
-    each sort sees the same values, so the result is the same bits for any
-    tile size or number of threads.
+    the workers are threads of a pool that lives only as long as this
+    call (numpy releases the GIL for the copies, sorts and searches), and
+    ``meanwhile`` runs on the calling thread while they rank; otherwise
+    one range covering every class runs inline, then ``meanwhile``. A
+    worker's error, or the caller's, is raised once every worker is done.
+    There are never more workers than classes or buffer rows. The copies
+    are exact and each sort and search sees the same values, so the
+    result is the same bits for any tile size or number of workers.
     """
     order = np.argsort(cls, kind="stable")  # class-major: each class's positives are contiguous
     pos_sorted = S[rows[order], cls[order]]
     ends = np.cumsum(pos_c).tolist()
     pos_scores = [pos_sorted[a:b] for a, b in zip([0, *ends], ends)]
     n, c = S.shape
-    buf = np.empty((min(AUROC_BLOCK, c), n))
-    workers = _usable_cpus() if S.size >= PARALLEL_MIN_SCORES else 1
-    out = []
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        for j in range(0, c, AUROC_BLOCK):
-            w = min(AUROC_BLOCK, c - j)
-            cuts = [w * i // workers for i in range(workers + 1)]
-            parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-            block = S[:, j:j + w]
-            # list() waits for every slice and re-raises a worker's error
-            list(run(_fill_sorted, [buf[p] for p in parts], [block[:, p] for p in parts]))
-            out += map(_midrank_auroc, buf[:w], pos_scores[j:j + w])
-    return out
+    buf = np.empty((min(AUROC_BLOCK, c) or 1, n))  # one row even for no classes
+    workers = min(_usable_cpus(), len(buf)) if S.size >= PARALLEL_MIN_SCORES else 1
+    if workers == 1:
+        return _rank_range(buf, S, pos_scores, 0, c), meanwhile()
+    cut = [c * i // workers for i in range(workers + 1)]
+    share = [len(buf) * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        ranked = [pool.submit(_rank_range, buf[share[i]:share[i + 1]], S, pos_scores,
+                              cut[i], cut[i + 1]) for i in range(workers)]
+        beside = meanwhile()
+        return [v for part in ranked for v in part.result()], beside
 
 
 def per_class_auroc(scores: np.ndarray, labels: np.ndarray) -> list[float | None]:
     """AUROC per class column; None where the column is single-class.
 
     The scores are transposed into one reused buffer ``AUROC_BLOCK``
-    columns at a time, from row tiles, on several threads for a large
-    matrix (see ``_auroc``); no full-size copy of the scores is made, and
-    the result does not depend on the number of CPUs.
+    columns at a time, from row tiles, by one worker per class range on
+    threads for a large matrix (see ``_auroc``); no full-size copy of the
+    scores is made, and the result does not depend on the number of CPUs.
     """
     S, Yb = _checked_inputs(scores, labels, "AUROC")
     rows, cls = _positives(Yb)
-    return _auroc(S, rows, cls, np.bincount(cls, minlength=S.shape[1]))
+    return _auroc(S, rows, cls, np.bincount(cls, minlength=S.shape[1]))[0]
 
 
 def gzsl_summary(
@@ -311,6 +331,9 @@ def evaluate(
     checked before any scoring; ``per_k`` is in ascending k, so the report
     round-trips through JSON. ``pairwise_cosine`` makes the scores finite
     and a ``Dataset`` makes the labels 0 or 1, so neither is checked again.
+    Top-k runs on the calling thread while the AUROC workers rank their
+    class ranges (see ``_auroc``); the report's bytes do not depend on the
+    number of workers.
     """
     if dataset.label_space is not LabelSpace.ALL_CLASSES:
         raise ValidationError("evaluation needs labels over all classes")
@@ -322,10 +345,11 @@ def evaluate(
     Yb = dataset.labels.view(np.bool_)
     rows, cls = _positives(Yb)
     pos_c = np.bincount(cls, minlength=c)
-    per_class = _auroc(scores, rows, cls, pos_c)
+    per_class, per_k = _auroc(scores, rows, cls, pos_c,
+                              lambda: _topk(scores, Yb, sorted(ks), pos_c))
     s, u, h = gzsl_summary(per_class, dataset.vocab)
     return MetricsReport(
-        per_k=tuple(_topk(scores, Yb, sorted(ks), pos_c)),
+        per_k=tuple(per_k),
         per_class_auroc=tuple(per_class),
         seen_mean=s,
         unseen_mean=u,

@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from gzsl_align import (
     infer_scores,
     pairwise_cosine,
 )
-from gzsl_align.data import ClassVocabulary, Dataset, SemanticMatrix
+from gzsl_align.data import ClassVocabulary, Dataset, LabelSpace, SemanticMatrix
 from gzsl_align.metrics import (
     AUROC_BLOCK,
     TOPK_BLOCK,
@@ -170,7 +171,8 @@ def _picked(scores, k):
     mask = np.zeros(S.shape, dtype=bool)
     for i in range(0, S.shape[0], metrics_mod.TOPK_BLOCK):
         np.put_along_axis(mask[i:i + metrics_mod.TOPK_BLOCK],
-                          metrics_mod._top_columns(S[i:i + metrics_mod.TOPK_BLOCK], k), True, axis=1)
+                          metrics_mod._top_columns(S[i:i + metrics_mod.TOPK_BLOCK].copy(), k),
+                          True, axis=1)
     return mask
 
 
@@ -305,7 +307,7 @@ def test_top_columns_equal_the_ranked_candidates_oracle_exactly(kind, n):
         pick = rank < k
         want = np.empty((n, k), dtype=col.dtype)
         want[row[pick], rank[pick]] = col[pick]
-        got = metrics_mod._top_columns(B, k)
+        got = metrics_mod._top_columns(B.copy(), k)  # it spends the block it ranks
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
@@ -366,11 +368,20 @@ def test_evaluate_equals_per_metric_oracles_exactly(auroc_block, topk_block, dat
     assert got.to_dict() == want.to_dict()
 
 
-@pytest.mark.parametrize("workers, c, block", [(3, 4, 3), (3, 2, 64), (2, 65, 64), (3, 7, 2)])
-def test_auroc_threads_with_short_blocks_and_idle_workers(workers, c, block):
-    """A last block narrower than the worker count, and workers left without rows.
+def _column_span(cols, scores):
+    """The columns ``[a, b)`` of ``scores`` that the view ``cols`` covers."""
+    a = (cols.ctypes.data - scores.ctypes.data) // scores.itemsize
+    return a, a + cols.shape[1]
 
-    Threads switch as often as the interpreter allows, so a slice written
+
+@pytest.mark.parametrize("workers, c, block",
+                         [(3, 4, 3), (3, 2, 64), (2, 65, 64), (3, 7, 2), (3, 5, 2)])
+def test_auroc_threads_with_short_blocks_and_idle_workers(workers, c, block):
+    """More CPUs than classes or buffer rows, and class ranges longer than a worker's rows.
+
+    Each worker fills its class range through its own rows of the buffer,
+    and a worker that would get no class or no row is never started.
+    Threads switch as often as the interpreter allows, so a row written
     twice or not at all would show against the oracle.
     """
     rng = np.random.default_rng(c)
@@ -383,14 +394,104 @@ def test_auroc_threads_with_short_blocks_and_idle_workers(workers, c, block):
         with mock.patch.multiple(metrics_mod, AUROC_BLOCK=block, TILE_ROWS=7,
                                  PARALLEL_MIN_SCORES=0), \
                 mock.patch.object(metrics_mod, "_usable_cpus", return_value=workers), \
-                mock.patch.object(metrics_mod, "_fill_sorted", wraps=fill) as spy:
+                mock.patch.object(metrics_mod, "_fill_sorted", wraps=fill) as spy, \
+                _pool_spy() as pool:
             got = per_class_auroc(scores, labels)
     finally:
         sys.setswitchinterval(interval)
     assert got == _per_class_auroc_full_sort(scores, labels)
-    widths = [call.args[0].shape[0] for call in spy.call_args_list]
-    assert len(widths) == workers * -(-c // block) and sum(widths) == c
-    assert 0 in widths
+    assert pool.call_args_list == [mock.call(min(workers, c, block))]
+    calls = [call.args for call in spy.call_args_list]
+    assert all(out.shape[0] == cols.shape[1] > 0 for out, cols in calls)
+    spans = sorted(_column_span(cols, scores) for _, cols in calls)
+    assert [a for a, _ in spans] == [0, *(b for _, b in spans[:-1])]  # each class filled once
+    assert spans[-1][1] == c
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 5])  # AUROC_BLOCK 4: 1, 2, block - 1 and block + 1
+def test_overlapped_evaluate_report_equals_the_inline_one(c):
+    """Top-k on the calling thread beside 1 to 3 AUROC workers gives the inline report.
+
+    A vocabulary needs two seen classes and an unseen one, so at one and
+    two classes the dataset is a stand-in and the seen/unseen summary a
+    stub; ``gzsl_summary`` is tested on its own.
+    """
+    n = 7  # TOPK_BLOCK 3: two full row blocks and a short one
+    rng = np.random.default_rng(c)
+    scores = rng.integers(0, 3, size=(n, c)) / 2.0
+    labels = (rng.random((n, c)) < 0.4).astype(np.int8)
+    ks = sorted({1, min(2, c), c})
+    test = SimpleNamespace(label_space=LabelSpace.ALL_CLASSES, features=np.zeros((n, 1)),
+                           labels=labels, vocab=None)
+    want = MetricsReport(
+        per_k=tuple(_topk_metrics_by_mask(scores, labels, k, _topk_mask_full_partition)
+                    for k in ks),
+        per_class_auroc=tuple(_per_class_auroc_full_sort(scores, labels)),
+        seen_mean=0.25,
+        unseen_mean=0.5,
+        harmonic=0.75,
+        n_samples=n,
+        n_zero_positive=int((labels.sum(axis=1) == 0).sum()),
+    ).to_dict()
+    topk = metrics_mod._topk
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            callers = []
+
+            def topk_spy(*args):
+                callers.append(threading.get_ident())
+                return topk(*args)
+
+            with mock.patch.multiple(metrics_mod, AUROC_BLOCK=4, TOPK_BLOCK=3,
+                                     PARALLEL_MIN_SCORES=0, infer_scores=lambda *a: scores,
+                                     gzsl_summary=lambda *a: (0.25, 0.5, 0.75), _topk=topk_spy), \
+                    mock.patch.object(metrics_mod, "_usable_cpus", return_value=workers), \
+                    _pool_spy() as pool:
+                got = evaluate(None, test, _stub_semantics(c), ks=tuple(ks)).to_dict()
+            assert got == want, workers
+            assert callers == [threading.get_ident()]
+            assert pool.call_count == (min(workers, c) > 1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_evaluate_raises_a_worker_or_caller_error_once_every_thread_is_done(where):
+    """A class's ranking that fails on a worker, or top-k that fails on the caller."""
+
+    class Boom(Exception):
+        pass
+
+    n, c = 40, 6
+    rng = np.random.default_rng(3)
+    scores = rng.uniform(-1.0, 1.0, (n, c))  # distinct columns: a sorted row names its class
+    labels = (rng.random((n, c)) < 0.3).astype(np.int8)
+    vocab = ClassVocabulary(names=tuple(f"c{j}" for j in range(c)),
+                            seen_ids=(0, 1, 2, 3), unseen_ids=(4, 5))
+    test = Dataset(features=np.zeros((n, 1)), labels=labels, vocab=vocab)
+    midrank, doomed, raised_on = metrics_mod._midrank_auroc, np.sort(scores[:, c - 1]), []
+
+    def fail_on_the_last_class(sorted_scores, pos_scores):
+        if np.array_equal(sorted_scores, doomed):
+            raised_on.append(threading.get_ident())
+            raise Boom
+        return midrank(sorted_scores, pos_scores)
+
+    fault = {"worker": {"_midrank_auroc": fail_on_the_last_class},
+             "caller": {"_topk": mock.Mock(side_effect=Boom)}}[where]
+    before = threading.active_count()
+    with mock.patch.multiple(metrics_mod, AUROC_BLOCK=2, PARALLEL_MIN_SCORES=0,
+                             infer_scores=lambda *a: scores, **fault), \
+            mock.patch.object(metrics_mod, "_usable_cpus", return_value=2), \
+            _pool_spy() as pool:
+        with pytest.raises(Boom):
+            evaluate(None, test, _stub_semantics(c))
+    assert pool.call_count == 1
+    assert threading.active_count() == before
+    if where == "worker":
+        assert len(raised_on) == 1 and raised_on[0] != threading.get_ident()
 
 
 def _tied_scores_above_the_threshold(seed):
