@@ -59,14 +59,14 @@ class CheckpointHeader(JsonRecord):
 
 @dataclass
 class Checkpoint:
-    """Everything a checkpoint file carries, decoded."""
+    """A checkpoint file, decoded: its header and its body's blocks.
 
+    ``adam`` is None exactly when ``header.optimizer`` is.
+    """
+
+    header: CheckpointHeader
     params: ModelParams
-    seed: int
-    epoch: int
-    config_hash: str | None
     adam: AdamState | None
-    adam_hparams: dict | None
 
 
 def _block(arrays) -> bytes:
@@ -163,16 +163,5 @@ def load_checkpoint(path) -> Checkpoint:
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid parameters: {exc}") from exc
 
-    adam = hparams = None
-    if opt is not None:
-        adam = AdamState(m=block(1), v=block(2), step_count=opt["step_count"])
-        hparams = {k: v for k, v in opt.items() if k != "step_count"}
-
-    return Checkpoint(
-        params=params,
-        seed=header.seed,
-        epoch=header.epoch,
-        config_hash=header.config_hash,
-        adam=adam,
-        adam_hparams=hparams,
-    )
+    adam = None if opt is None else AdamState(m=block(1), v=block(2), step_count=opt["step_count"])
+    return Checkpoint(header, params, adam)

@@ -27,9 +27,7 @@ from .metrics import (
     MetricsReport,
     _check_ks,
     evaluate,
-    read_report_json,
     write_report_csv,
-    write_report_json,
 )
 from .networks import ModelParams, ModelSpec, init_model_params
 from .records import to_json, write_json
@@ -230,7 +228,7 @@ def _cmd_eval(args) -> int:
             "ks": list(ks),
         },
     )
-    write_report_json(report, out / "metrics.json")
+    write_json(out / "metrics.json", report.to_dict())
     write_report_csv(report, bundle.vocab, out / "report.csv")
     print(
         f"{args.split}: seen={report.seen_mean:.4f} unseen={report.unseen_mean:.4f} "
@@ -273,7 +271,8 @@ def _render_text_table(report: MetricsReport, vocab) -> str:
 
 
 def _cmd_report(args) -> int:
-    report = read_report_json(args.metrics)
+    with open(args.metrics, encoding="utf-8") as fh:
+        report = MetricsReport.from_dict(json.load(fh))
     bundle = load_manifest(args.manifest)
     if len(report.per_class_auroc) != bundle.vocab.n_classes:
         raise ValidationError(

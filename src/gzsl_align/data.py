@@ -111,7 +111,8 @@ class Dataset:
     ``features`` is (N, v) float64 and ``labels`` (N, K) int8, where the
     width K sets ``label_space``: S is seen-only, C all classes (a
     vocabulary without unseen classes reads as seen-only). Any other
-    width, or any label that is not exactly 0 or 1, raises ValueError.
+    width, any label that is not exactly 0 or 1, or a split with no rows
+    (no metric or training pass is defined on it) raises ValueError.
     """
 
     features: np.ndarray
@@ -140,6 +141,8 @@ class Dataset:
             raise ValueError(
                 f"{feats.shape[0]} feature rows vs {labels.shape[0]} label rows"
             )
+        if not len(labels):
+            raise ValueError("a split needs at least one sample, got 0 rows")
         object.__setattr__(self, "features", _frozen(feats))
         object.__setattr__(self, "labels", _frozen(labels))
 

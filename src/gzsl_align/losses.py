@@ -308,7 +308,6 @@ def total_loss(
         raise ValueError(f"labels shape {Y.shape} != (batch {n}, seen {W.shape[0]})")
 
     need_visual = cfg.use_rank or cfg.use_align
-    need_semantic = need_visual or cfg.use_con
     n_cls = W.shape[0] if cfg.use_rank or cfg.use_con else 0  # class rows in the stack
     if not compute_grads:
         grads = None
@@ -334,28 +333,27 @@ def total_loss(
         z_hat = Z / z_norm[:, None]
         d_z = np.zeros(Z.shape) if compute_grads else None
 
-    if need_semantic:
-        n_avg = 0  # samples that take an averaged row: those with a positive
-        if cfg.use_align:
-            counts = np.add.reduce(Y, axis=1)
-            valid = counts > 0
-            n_avg = int(np.add.reduce(valid))
-            if n_avg == n:  # the usual case: a slice, so no gathers or scatters
-                valid = slice(None)
-        sem_in = np.empty((n_cls + n_avg, W.shape[1]))
-        sem_in[:n_cls] = W[:n_cls]
-        if n_avg:
-            np.matmul(Y[valid].astype(np.float64), W, out=sem_in[n_cls:])
-            sem_in[n_cls:] /= counts[valid, None]  # each sample's w_bar
-        T, tape_sem = mlp_forward(params.semantic_map, sem_in, compute_grads)
-        try:
-            t_norm = row_norms(T)
-        except DegenerateVectorError:  # name the part that holds the zero row
-            row_norms(T[:n_cls], "projected semantic")
-            row_norms(T[n_cls:], "projected averaged semantic")
-            raise
-        t_hat = T / t_norm[:, None]
-        d_t = np.zeros(T.shape) if compute_grads else None
+    n_avg = 0  # samples that take an averaged row: those with a positive
+    if cfg.use_align:
+        counts = np.add.reduce(Y, axis=1)
+        valid = counts > 0
+        n_avg = int(np.add.reduce(valid))
+        if n_avg == n:  # the usual case: a slice, so no gathers or scatters
+            valid = slice(None)
+    sem_in = np.empty((n_cls + n_avg, W.shape[1]))
+    sem_in[:n_cls] = W[:n_cls]
+    if n_avg:
+        np.matmul(Y[valid].astype(np.float64), W, out=sem_in[n_cls:])
+        sem_in[n_cls:] /= counts[valid, None]  # each sample's w_bar
+    T, tape_sem = mlp_forward(params.semantic_map, sem_in, compute_grads)
+    try:
+        t_norm = row_norms(T)
+    except DegenerateVectorError:  # name the part that holds the zero row
+        row_norms(T[:n_cls], "projected semantic")
+        row_norms(T[n_cls:], "projected averaged semantic")
+        raise
+    t_hat = T / t_norm[:, None]
+    d_t = np.zeros(T.shape) if compute_grads else None
 
     rank_val = 0.0
     if cfg.use_rank:
@@ -381,7 +379,7 @@ def total_loss(
         if compute_grads:
             d_t[:n_cls] += d_t_c
 
-    if compute_grads and need_semantic:
+    if compute_grads:
         g = _unit_rows_backward(d_t, t_hat, t_norm)
         mlp_backward(params.semantic_map, tape_sem, g, grads.semantic_map, False)
     if compute_grads and need_visual:

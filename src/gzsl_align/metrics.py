@@ -8,7 +8,6 @@ widens from the seen classes to all of them.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 from .data import ClassVocabulary, Dataset, LabelSpace, SemanticMatrix
 from .exceptions import UndefinedAurocError, ValidationError
 from .networks import ModelParams, mlp_forward, pairwise_cosine
-from .records import JsonRecord, write_json
+from .records import JsonRecord
 
 DEFAULT_KS = (2, 3)  # the top-k cut-offs reported when none are given
 AUROC_BLOCK = 64  # score columns transposed and sorted together for AUROC
@@ -357,15 +356,6 @@ def evaluate(
         n_samples=n,
         n_zero_positive=int(np.count_nonzero(np.bincount(rows, minlength=n) == 0)),
     )
-
-
-def write_report_json(report: MetricsReport, path) -> None:
-    write_json(path, report.to_dict())
-
-
-def read_report_json(path) -> MetricsReport:
-    with open(path, encoding="utf-8") as fh:
-        return MetricsReport.from_dict(json.load(fh))
 
 
 def write_report_csv(report: MetricsReport, vocab: ClassVocabulary, path) -> None:

@@ -29,7 +29,7 @@ def test_params_round_trip_bit_identically(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, seed=3, epoch=17, config_hash="abc123")
     ck = load_checkpoint(path)
-    assert ck.seed == 3 and ck.epoch == 17 and ck.config_hash == "abc123"
+    assert ck.header.seed == 3 and ck.header.epoch == 17 and ck.header.config_hash == "abc123"
     assert ck.adam is None
     for a, b in zip(params.arrays(), ck.params.arrays()):
         assert np.array_equal(a, b)
@@ -49,7 +49,7 @@ def test_adam_state_round_trips(tmp_path):
     save_checkpoint(path, params, seed=1, epoch=5, adam=state, adam_hparams=hparams)
     ck = load_checkpoint(path)
     assert ck.adam is not None and ck.adam.step_count == 42
-    assert ck.adam_hparams["lr"] == 1e-3
+    assert ck.header.optimizer["lr"] == 1e-3
     # the moments come back as one vector each, in flat's layout
     assert ck.adam.m.shape == ck.adam.v.shape == params.flat.shape
     assert np.array_equal(ck.adam.m, state.m)

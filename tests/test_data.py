@@ -142,6 +142,14 @@ def test_zero_label_rows_are_counted_not_rejected():
     assert ds.zero_label_count() == 1
 
 
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_split_with_no_rows_is_rejected_before_train_or_evaluate_sees_it(split):
+    """Top-k divides by the sample count and train's val pass needs a batch: no empty split."""
+    ds = getattr(hand_bundle(), split)
+    with pytest.raises(ValueError, match="^a split needs at least one sample, got 0 rows$"):
+        Dataset(features=ds.features[:0], labels=ds.labels[:0], vocab=ds.vocab)
+
+
 @pytest.mark.parametrize("bad, shown", [
     (2, "2"), (-1, "-1"), (0.5, "0.5"), (float("nan"), "nan"), (np.int64(257), "257"),
 ], ids=["2", "-1", "0.5", "nan", "int64 257"])

@@ -1,6 +1,7 @@
 """AUROC vs a pairwise oracle, top-k hand counts, report round-trips."""
 
 import csv
+import json
 import os
 import re
 import sys
@@ -33,12 +34,11 @@ from gzsl_align.metrics import (
     TOPK_BLOCK,
     gzsl_summary,
     per_class_auroc,
-    read_report_json,
     topk_metrics,
     write_report_csv,
-    write_report_json,
 )
 from gzsl_align.networks import ModelSpec, init_model_params, mlp_forward, row_norms
+from gzsl_align.records import write_json
 from conftest import hand_bundle, small_spec
 
 from gzsl_align import SynthSpec, generate, reference_model_params
@@ -514,7 +514,7 @@ def test_report_bytes_do_not_depend_on_the_auroc_thread_count(tmp_path):
         with mock.patch.object(metrics_mod, "infer_scores", return_value=scores), \
                 mock.patch.object(metrics_mod, "_usable_cpus", return_value=workers), \
                 _pool_spy() as pool:
-            write_report_json(evaluate(None, test, _stub_semantics(1000)), path)
+            write_json(path, evaluate(None, test, _stub_semantics(1000)).to_dict())
         assert pool.call_count == (workers > 1)
         written.append(path.read_bytes())
     assert written[0] == written[1]
@@ -777,9 +777,9 @@ def test_report_json_round_trip_is_exact(tmp_path, ks):
     report = evaluate(params, bundle.test, bundle.semantics, ks=ks)
     assert [m.k for m in report.per_k] == sorted(ks)
     path = tmp_path / "report.json"
-    write_report_json(report, path)
-    again = read_report_json(path)
-    assert again == report
+    write_json(path, report.to_dict())
+    with open(path, encoding="utf-8") as fh:
+        assert MetricsReport.from_dict(json.load(fh)) == report
     assert MetricsReport.from_dict(report.to_dict()) == report
 
 

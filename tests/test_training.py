@@ -1,15 +1,20 @@
 """Training protocol tests: determinism, selection, artifacts, grid search."""
 
+import functools
 import gc
 import hashlib
+import itertools
 import json
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gzsl_align import (
     EncoderMode,
@@ -21,22 +26,28 @@ from gzsl_align import (
     RunRecord,
     SynthSpec,
     TrainConfig,
+    UndefinedAurocError,
     evaluate,
+    infer_scores,
     load_checkpoint,
     reference_model_params,
     reference_spec,
     reference_train_config,
+    total_loss,
     train,
 )
-from gzsl_align.data import Dataset
+from gzsl_align.data import Dataset, LabelSpace
+from gzsl_align.losses import TERM_NAMES, term_switches
+from gzsl_align.metrics import per_class_auroc
 from gzsl_align.networks import init_model_params
-from gzsl_align.training import GridSpec, default_model_spec, grid_search
+from gzsl_align.training import EpochRecord, GridSpec, default_model_spec, grid_search
 import gzsl_align.losses as losses_module
 import gzsl_align.training as training_module
 from gzsl_align.data import DataBundle
 from gzsl_align.synthetic import generate
 
 from conftest import small_spec
+from test_optimizers import _per_array_adam_oracle
 
 
 def quick_cfg(epochs=3, **overrides) -> TrainConfig:
@@ -224,7 +235,7 @@ def test_metrics_csv_matches_history(bundle, tmp_path):
 def test_best_checkpoint_reproduces_best_report(bundle, tmp_path):
     rec = train(quick_cfg(epochs=4), bundle, quick_params(bundle), out_dir=tmp_path)
     ckpt = load_checkpoint(rec.best_checkpoint)
-    assert ckpt.epoch == rec.best_epoch
+    assert ckpt.header.epoch == rec.best_epoch
     assert ckpt.adam is None
     assert arrays_equal(ckpt.params, rec.best_params)
     report = evaluate(ckpt.params, bundle.val, bundle.semantics, rec.config.ks)
@@ -235,9 +246,9 @@ def test_last_checkpoint_carries_full_adam_state(bundle, tmp_path):
     cfg = quick_cfg(epochs=2, encoder_mode=EncoderMode.FROZEN)
     rec = train(cfg, bundle, quick_params(bundle), out_dir=tmp_path)
     ckpt = load_checkpoint(Path(tmp_path) / "checkpoints" / "last.ckpt")
-    assert ckpt.epoch == cfg.epochs
+    assert ckpt.header.epoch == cfg.epochs
     assert arrays_equal(ckpt.params, rec.final_params)
-    assert ckpt.adam_hparams["frozen_encoder"] is True
+    assert ckpt.header.optimizer["frozen_encoder"] is True
     # each moment is one vector in flat's layout: a zero encoder head, then nonzero moments
     n_enc = ckpt.params.encoder.spec.n_params
     for moments in (ckpt.adam.m, ckpt.adam.v):
@@ -334,15 +345,20 @@ def test_one_run_calls_each_layer_per_step_and_builds_its_constants_once(
     }
 
 
-def test_last_epoch_is_best_when_no_epoch_has_a_selection_value(bundle, tmp_path):
+def _without_harmonic(bundle) -> DataBundle:
+    """The val split with every unseen label cleared: no unseen AUROC, so no harmonic."""
     labels = bundle.val.labels.copy()
-    labels[:, list(bundle.vocab.unseen_ids)] = 0  # no unseen AUROC, so no harmonic
-    val = Dataset(features=bundle.val.features, labels=labels, vocab=bundle.vocab)
-    data = replace(bundle, val=val)
+    labels[:, list(bundle.vocab.unseen_ids)] = 0
+    return replace(bundle, val=Dataset(features=bundle.val.features, labels=labels,
+                                       vocab=bundle.vocab))
+
+
+def test_last_epoch_is_best_when_no_epoch_has_a_selection_value(bundle, tmp_path):
+    data = _without_harmonic(bundle)
     rec = train(quick_cfg(epochs=2), data, quick_params(bundle), out_dir=tmp_path)
     assert rec.best_epoch == 2 and np.isnan(rec.best_value) and rec.best_report is None
     assert arrays_equal(rec.best_params, rec.final_params)
-    assert load_checkpoint(rec.best_checkpoint).epoch == 2
+    assert load_checkpoint(rec.best_checkpoint).header.epoch == 2
 
 
 def test_scheduler_reduces_lr_when_val_loss_plateaus(bundle):
@@ -380,6 +396,135 @@ def test_seen_only_val_selects_by_seen_auroc(bundle):
     assert all(ep.val_report is None for ep in rec.epochs)
     assert np.isfinite(rec.best_value)
     assert 0.0 <= rec.best_value <= 1.0
+
+
+def _train_oracle(cfg, data, params0):
+    """README's training protocol as one plain loop, for ``train`` to equal bit for bit.
+
+    Each epoch draws a fresh permutation (or keeps the order), takes one
+    per-array Adam step per batch, scores the whole train and val splits
+    without gradients, selects on the val harmonic AUROC (the seen mean
+    on a seen-only val split; a strict gain wins, and with no finite
+    value the last epoch is best), then feeds the val loss to the
+    plateau scheduler. Returns the epoch records, the best epoch, value,
+    report and params, the last params and the text of metrics.csv.
+    """
+    frozen = cfg.encoder_mode is EncoderMode.FROZEN
+    params = params0.copy()
+    skip = len(params.encoder.arrays()) if frozen else 0  # a frozen encoder takes no step
+    ms = [np.zeros_like(a) for a in params.arrays()[skip:]]
+    vs = [np.zeros_like(a) for a in params.arrays()[skip:]]
+    seen = list(data.vocab.seen_ids)
+    W = data.semantics.rows[seen]
+    Y_train, Y_val = data.train.seen_label_view(), data.val.seen_label_view()
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    n, t = len(data.train), 0
+    best_loss, n_bad, n_cuts = np.inf, 0, 0
+    best = (0, -np.inf, None, None)
+    records, rows = [], [
+        "epoch,lr,train_rank,train_align,train_con,train_total,val_rank,val_align,val_con,"
+        "val_total,val_seen_auroc,val_unseen_auroc,val_harmonic"
+    ]
+    for epoch in range(1, cfg.epochs + 1):
+        lr = cfg.lr * cfg.lr_factor**n_cuts
+        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            _, grads = total_loss(
+                data.train.features[idx], Y_train[idx], W, params, cfg.loss, frozen_encoder=frozen
+            )
+            t += 1
+            _per_array_adam_oracle(params.arrays()[skip:], grads.arrays()[skip:], ms, vs, t, lr)
+        train_loss = total_loss(data.train.features, Y_train, W, params, cfg.loss,
+                                compute_grads=False)[0]
+        val_loss = total_loss(data.val.features, Y_val, W, params, cfg.loss, compute_grads=False)[0]
+
+        report, value = None, float("nan")
+        if data.val.label_space is LabelSpace.ALL_CLASSES:
+            try:
+                report = evaluate(params, data.val, data.semantics, cfg.ks)
+                value = report.harmonic
+            except UndefinedAurocError:
+                pass
+        else:
+            scores = infer_scores(params, data.val.features, data.semantics)[:, seen]
+            aurocs = [a for a in per_class_auroc(scores, data.val.labels) if a is not None]
+            if aurocs:
+                value = float(np.mean(aurocs))
+        if value > best[1] or (best[0] == 0 and epoch == cfg.epochs):
+            best = (epoch, value, report, params.copy())
+
+        # the first val loss only sets the baseline; a gain counts past min_delta
+        improved = epoch > 1 and val_loss.total < best_loss - cfg.min_delta
+        best_loss = min(best_loss, val_loss.total)
+        n_bad = 0 if improved else n_bad + 1
+        reduced = n_bad == cfg.patience
+        if reduced:
+            n_cuts, n_bad = n_cuts + 1, 0
+
+        records.append(EpochRecord(epoch, train_loss, val_loss, report, lr, reduced))
+        values = [lr, train_loss.rank, train_loss.align, train_loss.con, train_loss.total,
+                  val_loss.rank, val_loss.align, val_loss.con, val_loss.total]
+        aurocs = ["", "", ""] if report is None else [
+            repr(float(x)) for x in (report.seen_mean, report.unseen_mean, report.harmonic)
+        ]
+        rows.append(",".join([str(epoch), *(repr(float(x)) for x in values), *aurocs]))
+    return records, *best, params, "\n".join(rows) + "\n"
+
+
+@functools.cache
+def _oracle_bundle(val: str) -> DataBundle:
+    data = generate(small_spec(seed=3))
+    if val == "seen only":
+        return _with_seen_only_val(data)
+    return _without_harmonic(data) if val == "no harmonic" else data
+
+
+@settings(max_examples=30, deadline=None)
+# tied selection values: at lr 1e-9 every epoch has the same val AUROCs
+@example(batch_size=32, lr=1e-9, shuffle=False, patience=1, lr_factor=0.5, min_delta=0.0,
+         terms=("rank",), mode=EncoderMode.END_TO_END, val="all classes", epochs=2)
+# at lr 1e-2 the train and val losses stop improving in different epochs
+@example(batch_size=1, lr=1e-2, shuffle=False, patience=1, lr_factor=0.5, min_delta=0.0,
+         terms=("rank",), mode=EncoderMode.END_TO_END, val="all classes", epochs=4)
+# no epoch has a selection value, and each epoch draws its own order
+@example(batch_size=32, lr=1e-3, shuffle=True, patience=2, lr_factor=0.01, min_delta=1e-6,
+         terms=TERM_NAMES, mode=EncoderMode.FROZEN, val="no harmonic", epochs=3)
+@given(
+    batch_size=st.sampled_from([1, 7, 32, None]),  # None: the whole split in one batch
+    lr=st.sampled_from([1e-2, 1e-3, 1e-9]),  # 1e-9 barely moves: values tie, losses plateau
+    shuffle=st.booleans(),
+    patience=st.integers(1, 3),
+    lr_factor=st.sampled_from([0.5, 0.01]),
+    min_delta=st.sampled_from([0.0, 1e-6, 1e-2]),
+    terms=st.sampled_from([t for r in (1, 2, 3) for t in itertools.combinations(TERM_NAMES, r)]),
+    mode=st.sampled_from(list(EncoderMode)),
+    val=st.sampled_from(["all classes", "seen only", "no harmonic"]),
+    epochs=st.integers(1, 4),
+)
+def test_train_equals_the_plain_loop_oracle_bit_for_bit(
+    batch_size, lr, shuffle, patience, lr_factor, min_delta, terms, mode, val, epochs
+):
+    data = _oracle_bundle(val)
+    cfg = quick_cfg(
+        epochs=epochs, batch_size=batch_size or len(data.train), lr=lr, shuffle=shuffle,
+        patience=patience, lr_factor=lr_factor, min_delta=min_delta, encoder_mode=mode,
+        loss=LossConfig(gamma1=0.1, gamma2=0.1, **term_switches(terms)),
+    )
+    params0 = quick_params(data)
+    with tempfile.TemporaryDirectory() as out:
+        rec = train(cfg, data, params0, out_dir=out)
+        csv_text = (Path(out) / "metrics.csv").read_text(encoding="utf-8")
+    records, best_epoch, best_value, best_report, best_params, last, want_csv = _train_oracle(
+        cfg, data, params0
+    )
+    assert repr(rec.epochs) == repr(records)  # repr: exact floats, and nan equals nan
+    assert (rec.best_epoch, repr(rec.best_value), rec.best_report) == (
+        best_epoch, repr(best_value), best_report
+    )
+    assert rec.best_params.flat.tobytes() == best_params.flat.tobytes()
+    assert rec.final_params.flat.tobytes() == last.flat.tobytes()
+    assert csv_text == want_csv
 
 
 def test_rejects_unseen_positive_in_train_split(bundle):
