@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 validation failure (bad inputs, bad config,
 inductive violations), 2 runtime error. Config precedence for training
 commands is flags > config file > defaults, and the fully resolved
-config is written next to the outputs. With GZSL_ALIGN_LOG=info,
-generate logs the directory it wrote; no other command logs.
+config is written next to the outputs.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -40,17 +37,6 @@ from .training import (
     grid_search,
     train,
 )
-
-log = logging.getLogger("gzsl_align")
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("GZSL_ALIGN_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
 
 def _parse_list(text: str, kind: type, noun: str) -> tuple:
     """The non-blank items of a comma list as ``kind``; ``noun`` names them in the error."""
@@ -150,7 +136,6 @@ def _cmd_generate(args) -> int:
     bundle = generate(spec)
     manifest_path = save_manifest(bundle, out)
     write_json(out / "synth_spec.json", spec.to_dict())
-    log.info("benchmark written under %s", out)
     print(manifest_path)
     return 0
 
@@ -354,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

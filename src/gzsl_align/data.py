@@ -110,9 +110,11 @@ class Dataset:
 
     ``features`` is (N, v) float64 and ``labels`` (N, K) int8, where the
     width K sets ``label_space``: S is seen-only, C all classes (a
-    vocabulary without unseen classes reads as seen-only). Any other
-    width, any label that is not exactly 0 or 1, or a split with no rows
-    (no metric or training pass is defined on it) raises ValueError.
+    vocabulary without unseen classes reads as seen-only). A feature
+    that is not finite, any other label width, any label that is not
+    exactly 0 or 1, or a split with no rows (no metric or training pass
+    is defined on it) raises ValueError; a bad cell is named by its row
+    and column.
     """
 
     features: np.ndarray
@@ -124,6 +126,9 @@ class Dataset:
         raw = np.asarray(self.labels)
         if feats.ndim != 2 or raw.ndim != 2:
             raise ValueError("features and labels must be 2-D arrays")
+        if not np.isfinite(feats).all():
+            i, j = np.argwhere(~np.isfinite(feats))[0]
+            raise ValueError(f"features row {i} column {j} is {feats[i, j]}")
         if raw.shape[1] not in (self.vocab.n_seen, self.vocab.n_classes):
             raise ValueError(
                 f"labels have {raw.shape[1]} columns; expected "
@@ -213,45 +218,34 @@ def _member(obj, key: str, what: str):
     return obj[key]
 
 
-def _data_path(base: Path, name, what: str) -> Path:
+def _read_array(base: Path, name, what: str, dtype: np.dtype) -> np.ndarray:
+    """The 2-D array in file ``base / name``: ``.npy`` of exactly ``dtype``, else CSV text."""
     if not isinstance(name, str):
         raise ManifestError(f"{what} file name must be a string, got {name!r}")
     path = base / name
     if not path.is_file():
         raise ManifestError(f"{what} file not found: {path}")
-    return path
-
-
-def _read_csv(path: Path, what: str) -> np.ndarray:
+    npy = path.suffix == ".npy"
     try:
-        with warnings.catch_warnings():
-            # loadtxt only warns on input without data; reported below
-            warnings.simplefilter("ignore", UserWarning)
-            mat = np.loadtxt(
-                path, delimiter=",", dtype=np.float64, comments=None, ndmin=2, encoding="utf-8"
-            )
-    except ValueError as exc:  # bad cell, ragged row, or not UTF-8
-        raise ManifestError(f"{what} file {path}: {exc}") from None
-    if mat.size == 0:
-        raise ManifestError(f"{what} file is empty: {path}")
-    return mat
-
-
-def _read_array(path: Path, what: str, dtype: np.dtype) -> np.ndarray:
-    """A data file's 2-D array: a ``.npy`` file of exactly ``dtype``, else CSV text."""
-    if path.suffix != ".npy":
-        return _read_csv(path, what)
-    try:
-        with open(path, "rb") as fh:
-            mat = np.load(fh, allow_pickle=False)
-            single = isinstance(mat, np.ndarray) and not fh.read(1)  # not .npz, no bytes after
-    # np.load raises more than ValueError/OSError/EOFError on a damaged
-    # file: a cut header gives tokenize.TokenError, a garbled one SyntaxError
+        if npy:
+            with open(path, "rb") as fh:
+                mat = np.load(fh, allow_pickle=False)
+                single = isinstance(mat, np.ndarray) and not fh.read(1)  # not .npz, no bytes after
+        else:
+            with warnings.catch_warnings():
+                # loadtxt only warns on input without data; reported below
+                warnings.simplefilter("ignore", UserWarning)
+                mat = np.loadtxt(
+                    path, delimiter=",", dtype=np.float64, comments=None, ndmin=2, encoding="utf-8"
+                )
+    # loadtxt raises ValueError on a bad cell, a ragged row or bytes that are
+    # not UTF-8; np.load raises more than ValueError/OSError/EOFError on a
+    # damaged file: a cut header gives tokenize.TokenError, a garbled one SyntaxError
     except Exception as exc:
         raise ManifestError(f"{what} file {path}: {exc}") from None
-    if not single:
+    if npy and not single:
         raise ManifestError(f"{what} file {path}: not exactly one .npy array")
-    if mat.dtype != dtype or mat.ndim != 2:
+    if npy and (mat.dtype != dtype or mat.ndim != 2):
         raise ManifestError(
             f"{what} file {path}: {mat.dtype.str} array of shape {mat.shape}, "
             f"expected a 2-D {dtype.str} array"
@@ -259,12 +253,6 @@ def _read_array(path: Path, what: str, dtype: np.dtype) -> np.ndarray:
     if mat.size == 0:
         raise ManifestError(f"{what} file is empty: {path}")
     return mat
-
-
-def _require_finite(mat: np.ndarray, what: str) -> None:
-    if not np.isfinite(mat).all():
-        i, j = np.argwhere(~np.isfinite(mat))[0]
-        raise ManifestError(f"{what} row {i} column {j} is {mat[i, j]}")
 
 
 def load_manifest(path) -> DataBundle:
@@ -308,9 +296,7 @@ def load_manifest(path) -> DataBundle:
     except ValueError as exc:
         raise ManifestError(str(exc)) from None
 
-    raw_emb = _read_array(_data_path(base, doc["embeddings"], "embeddings"), "embeddings",
-                          _NPY_FLOAT)
-    _require_finite(raw_emb, "embeddings")
+    raw_emb = _read_array(base, doc["embeddings"], "embeddings", _NPY_FLOAT)
     if raw_emb.shape[1] != d:
         raise ManifestError(f"embeddings have {raw_emb.shape[1]} columns, manifest declares d={d}")
     if not all(map(is_int, emb_rows)) or sorted(emb_rows) != list(range(vocab.n_classes)):
@@ -327,17 +313,14 @@ def load_manifest(path) -> DataBundle:
     splits = {}
     for split in SPLIT_NAMES:
         ref = _member(doc["splits"], split, "manifest splits")
-        what = f"{split} features"
-        path = _data_path(base, _member(ref, "features", f"{split} split"), what)
-        feats = _read_array(path, what, _NPY_FLOAT)
-        _require_finite(feats, f"{split} features")
+        feats = _read_array(base, _member(ref, "features", f"{split} split"),
+                            f"{split} features", _NPY_FLOAT)
         if feats.shape[1] != v:
             raise ManifestError(
                 f"{split} features have {feats.shape[1]} columns, manifest declares v={v}"
             )
-        what = f"{split} labels"
-        path = _data_path(base, _member(ref, "labels", f"{split} split"), what)
-        labels = _read_array(path, what, _NPY_LABEL)
+        labels = _read_array(base, _member(ref, "labels", f"{split} split"),
+                             f"{split} labels", _NPY_LABEL)
         try:
             splits[split] = Dataset(feats, labels, vocab)
         except ValueError as exc:

@@ -161,6 +161,15 @@ def test_non_binary_label_is_rejected_with_its_cell(bad, shown):
         Dataset(b.train.features, labels, b.vocab)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_feature_is_rejected_with_its_cell(bad):
+    b = hand_bundle()
+    features = b.train.features.copy()
+    features[3, 1] = bad
+    with pytest.raises(ValueError, match=f"^features row 3 column 1 is {bad}$"):
+        Dataset(features, b.train.labels, b.vocab)
+
+
 def test_non_binary_label_past_the_first_block_is_named_with_its_row():
     b = hand_bundle()
     labels = np.zeros((LABEL_BLOCK + 3, 2), dtype=np.int8)
@@ -447,6 +456,7 @@ MALFORMED_MANIFESTS = {
     "non-finite feature": _edit_bytes("val_features.csv", lambda b: b"nan" + b[b.index(b","):]),
     "embedding norm overflows": _edit_bytes("embeddings.csv", lambda b: b"1e200" + b[b.index(b","):]),
     "npy non-finite feature": _edit_npy("val_features.npy", _set_cell(np.inf)),
+    "npy non-finite embedding": _edit_npy("embeddings.npy", _set_cell(np.nan)),
     "npy non-binary label": _edit_npy("train_labels.npy", _set_cell(2)),
     "npy embedding norm overflows": _edit_npy("embeddings.npy", _set_cell(1e200)),
     "npy features not float64": _edit_npy("test_features.npy", lambda a: a.astype(np.float32)),
@@ -464,9 +474,30 @@ def test_malformed_manifest_raises_manifest_error(tmp_path, edit):
         load_manifest(manifest)
 
 
-def test_non_binary_label_cell_is_named_with_its_split(tmp_path):
-    manifest = _edit_npy("val_labels.npy", _set_cell(5))(generate(TOY_SPEC), tmp_path)
-    with pytest.raises(ManifestError, match="^val: labels row 0 column 0: non-binary value 5$"):
+@pytest.mark.parametrize("name, value, shown", [
+    ("val_labels.npy", 5, "val: labels row 0 column 0: non-binary value 5"),
+    ("val_features.npy", np.inf, "val: features row 0 column 0 is inf"),
+], ids=["label", "feature"])
+def test_non_binary_label_cell_is_named_with_its_split(tmp_path, name, value, shown):
+    manifest = _edit_npy(name, _set_cell(value))(generate(TOY_SPEC), tmp_path)
+    with pytest.raises(ManifestError, match=f"^{shown}$"):
+        load_manifest(manifest)
+
+
+def test_non_finite_embedding_is_named_with_its_vocabulary_row(tmp_path):
+    """File row 0 holds class 1's embedding, so the message names semantic row 1."""
+    with pytest.raises(ValueError, match="^semantic row 1 component 0 is not finite$"):
+        SemanticMatrix(np.array([[1.0, 0.0], [np.inf, 1.0]]))
+
+    def class_1_from_a_nan_row_0(manifest: Path) -> None:
+        doc = json.loads(manifest.read_text())
+        doc["classes"][0]["embedding_row"], doc["classes"][1]["embedding_row"] = 1, 0
+        manifest.write_text(json.dumps(doc))
+        path = manifest.parent / "embeddings.npy"
+        np.save(path, _set_cell(np.nan)(np.load(path)))
+
+    manifest = _edit_manifest(class_1_from_a_nan_row_0)(generate(TOY_SPEC), tmp_path)
+    with pytest.raises(ManifestError, match="^semantic row 1 component 0 is not finite$"):
         load_manifest(manifest)
 
 

@@ -551,23 +551,15 @@ def test_rejects_unseen_positive_in_train_split(bundle):
 
 
 def test_nonfinite_loss_names_epoch_and_batch(bundle):
-    # cosine scoring absorbs mere overflow, but NaN features must be fatal
-    blown = Dataset(
-        features=np.full_like(bundle.train.features, np.nan),
-        labels=bundle.train.labels,
-        vocab=bundle.vocab,
-    )
-    data = DataBundle(
-        vocab=bundle.vocab,
-        semantics=bundle.semantics,
-        train=blown,
-        val=bundle.val,
-        test=bundle.test,
-    )
-    with pytest.raises(NonFiniteLossError) as exc_info:
-        train(quick_cfg(epochs=1), data, quick_params(bundle))
+    # Dataset rejects NaN features when built, so train meets a non-finite
+    # loss only when its own steps diverge: at lr=1e300 the first batch's
+    # update overflows the weights
+    with pytest.raises(ValueError, match="^features row 0 column 0 is nan$"):
+        Dataset(np.full_like(bundle.train.features, np.nan), bundle.train.labels, bundle.vocab)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLossError) as exc_info:
+        train(quick_cfg(epochs=1, lr=1e300), bundle, quick_params(bundle))
     assert exc_info.value.epoch == 1
-    assert exc_info.value.batch_index == 0
+    assert exc_info.value.batch_index == 1
 
 
 def test_dimension_mismatch_rejected(bundle):
