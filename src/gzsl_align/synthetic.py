@@ -106,17 +106,29 @@ class SynthSpec(JsonRecord):
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x)
+    return x / np.sqrt(np.add.reduce(x * x))
+
+
+def _orthonormal_rows(gauss: np.ndarray) -> np.ndarray:
+    """Q of ``gauss = QR`` with a positive diagonal, transposed, by modified Gram–Schmidt."""
+    q = gauss.T.copy()
+    for j in range(len(q)):
+        q[j] = _unit(q[j])
+        q[j + 1 :] -= np.add.reduce(q[j + 1 :] * q[j], axis=1)[:, None] * q[j]
+    return q
 
 
 def _draw_semantics(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    """Seen rows as a centered random frame, unseen rows from seen parents."""
+    """Seen rows as a centered random frame, unseen rows from seen parents.
+
+    Every sum is an explicit ``np.add.reduce``, with no BLAS product, so
+    the rows are the same bits on any OpenBLAS kernel.
+    """
     g = spec.geometry
     rows = np.empty((spec.n_classes, spec.d))
     gauss = rng.standard_normal((spec.d, spec.n_seen))
     if spec.n_seen <= spec.d:
-        q, r = np.linalg.qr(gauss)
-        frame = (q * np.sign(np.diag(r))).T
+        frame = _orthonormal_rows(gauss)
     else:
         frame = gauss.T / np.linalg.norm(gauss.T, axis=1, keepdims=True)
     centered = frame - frame.mean(axis=0)
@@ -125,7 +137,7 @@ def _draw_semantics(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
         k = int(rng.integers(g.parents_min, g.parents_max + 1))
         parents = rng.choice(spec.n_seen, size=k, replace=False)
         weights = rng.dirichlet(np.ones(k))
-        combo = weights @ rows[parents]
+        combo = np.add.reduce(weights[:, None] * rows[parents], axis=0)
         rows[i] = _unit(combo + g.jitter * _unit(rng.standard_normal(spec.d)))
     return rows
 
@@ -138,36 +150,53 @@ def _feature_map(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 def _draw_split(
     n: int,
     n_allowed: int,
-    n_total_classes: int,
     semantics: np.ndarray,
     lift: np.ndarray,
     sigma: float,
     max_labels: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Features and float64 0/1 labels of ``n`` samples over classes 0..n_allowed-1.
+    """Features and int8 0/1 labels of ``n`` samples over classes 0..n_allowed-1.
 
-    Sample by sample, in order, the stream gives the positive count
-    ``integers(1, max_labels + 1)`` and then that many distinct classes,
-    ``choice(n_allowed, size=count, replace=False)``; after the last
-    sample, when ``sigma > 0``, it gives the feature noise. The picks land
-    in one index vector and are scattered into the label matrix at once.
+    The stream gives, in order: all ``n`` positive counts,
+    ``integers(1, max_labels + 1, size=n)``; then the classes by Floyd's
+    algorithm one label slot at a time: for slot t, each sample whose
+    count k exceeds t, in row order, draws ``integers(0, j + 1)`` with
+    ``j = n_allowed - k + t`` and picks ``j`` if the draw repeats one of
+    its earlier picks, else the draw; then, when ``sigma > 0``, the
+    feature noise. So the count is uniform on 1..max_labels and every
+    k-subset of the allowed classes is equally likely.
+
+    w̄ starts at 0.0 and adds a sample's class rows in class order
+    before it is divided by the count, and the features sum
+    ``w̄[:, t] ⊗ lift[:, t]`` for t = 0..d-1 in order. No sum goes
+    through BLAS, so the same rows, lift and stream give the same bits
+    on any OpenBLAS kernel and CPU feature set.
     """
-    counts = np.empty(n, dtype=np.intp)
-    picks = np.empty(n * max_labels, dtype=np.intp)
-    end = 0
-    integers, choice = rng.integers, rng.choice  # bound once: 20000 samples at paper scale
-    for i in range(n):
-        k = int(integers(1, max_labels + 1))
-        picks[end : end + k] = choice(n_allowed, size=k, replace=False)
-        counts[i] = k
-        end += k
-    labels = np.zeros((n, n_total_classes), dtype=np.float64)
-    labels[np.repeat(np.arange(n), counts), picks[:end]] = 1.0
-    w_bar = (labels @ semantics) / counts[:, None]
-    features = w_bar @ lift.T
+    counts = rng.integers(1, max_labels + 1, size=n)
+    picks = np.full((n, max_labels), n_allowed)  # unused slots sort last
+    labels = np.zeros((n, n_allowed), dtype=np.int8)
+    for t in range(max_labels):
+        live = np.flatnonzero(counts > t)
+        j = n_allowed - counts[live] + t
+        draw = rng.integers(0, j + 1)
+        repeat = np.zeros(len(live), dtype=bool)
+        for u in range(t):
+            repeat |= picks[live, u] == draw
+        pick = np.where(repeat, j, draw)
+        picks[live, t] = pick
+        labels[live, pick] = 1
+    picks.sort(axis=1)
+    w_bar = np.zeros((n, semantics.shape[1]))
+    for t in range(max_labels):
+        live = np.flatnonzero(counts > t)
+        w_bar[live] += semantics[picks[live, t]]
+    w_bar /= counts[:, None]
+    features = np.multiply.outer(w_bar[:, 0], lift[:, 0])
+    for t in range(1, lift.shape[1]):
+        features += np.multiply.outer(w_bar[:, t], lift[:, t])
     if sigma > 0:
-        features = features + sigma * rng.standard_normal(features.shape)
+        features += sigma * rng.standard_normal(features.shape)
     return features, labels
 
 
@@ -194,11 +223,11 @@ def generate(spec: SynthSpec) -> DataBundle:
     lift = _feature_map(spec, rng_lift)
 
     c, s, m = spec.n_classes, spec.n_seen, spec.max_labels_per_sample
-    f_tr, y_tr = _draw_split(spec.n_train, s, c, rows, lift, spec.noise_sigma, m, rng_train)
-    f_va, y_va = _draw_split(spec.n_val, c, c, rows, lift, spec.noise_sigma, m, rng_val)
-    f_te, y_te = _draw_split(spec.n_test, c, c, rows, lift, spec.noise_sigma, m, rng_test)
+    f_tr, y_tr = _draw_split(spec.n_train, s, rows, lift, spec.noise_sigma, m, rng_train)
+    f_va, y_va = _draw_split(spec.n_val, c, rows, lift, spec.noise_sigma, m, rng_val)
+    f_te, y_te = _draw_split(spec.n_test, c, rows, lift, spec.noise_sigma, m, rng_test)
 
-    train = Dataset(features=f_tr, labels=y_tr[:, :s], vocab=vocab)
+    train = Dataset(features=f_tr, labels=y_tr, vocab=vocab)
     val = Dataset(features=f_va, labels=y_va, vocab=vocab)
     test = Dataset(features=f_te, labels=y_te, vocab=vocab)
     return DataBundle(vocab=vocab, semantics=semantics, train=train, val=val, test=test)

@@ -4,8 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import tokenize
 import tracemalloc
@@ -247,28 +250,38 @@ def test_canonical_manifest_reads_no_label_file_with_loadtxt(tmp_path, monkeypat
 # sha256 of every file save_manifest writes for generate(TOY_SPEC): any byte
 # drift in a .npy file or in manifest.json fails.
 TOY_MANIFEST_SHA256 = {
-    "embeddings.npy": "a713aae8f888e70b6dfe41e9b8ebde6f890630793b0ad776fdb7e305a89df4de",
+    "embeddings.npy": "972fbffa9546f450626a0f2a0aa1ea19ecf042091c25825458e57405d0874e26",
     "manifest.json": "e9ca068fc19d0dba6facc9c0ef152bcb2a053cd4423d8ab8f98ee43e62ebce15",
-    "test_features.npy": "a7478a4bda467c49711b23f54ef4e719866470a30738d8defbf9e8fac7431f55",
-    "test_labels.npy": "5bd7dc2e3cb91cd528efb3e7ce69943fdd759dbe5252b66f85b089d9b66ef567",
-    "train_features.npy": "47d49a7a8a805fcee32c5fcf31964c5074752ed6e48635d18238e41670e55fd5",
-    "train_labels.npy": "ead78e41867bd73a27b27d2b08cbbc9e15e74598a09c9f6309bf9b53e23fd3a5",
-    "val_features.npy": "c6a80d7274073684111a06115c82bf75fef2486e129410494ee8a25a2a5a3792",
-    "val_labels.npy": "dd5de13f3911072b955b42f09378fd0fdaa26914d5bbebd8e0cc5758627b5ac4",
+    "test_features.npy": "05241532d2e5b725116f1286839895b8b4d1d40ab68d5ca86a1b9c49664fda48",
+    "test_labels.npy": "b9930399f67ec3de2d83a8cab436f93385fda145d669fd825d44e70c72f7d829",
+    "train_features.npy": "1ca52ce88cfa743d706e4fa054283e5bdd1db0a9d5bf7354b622833e15cd3c9a",
+    "train_labels.npy": "4182a99c24395ae777ffec3782392afb16bcbdd064bc23172fadea367d9dbce8",
+    "val_features.npy": "e84a9ed74a9eb0904b4129fae26d9d4e4e095c7e893b55256b28cd069ce1cd7b",
+    "val_labels.npy": "2078c7bda8b190e7003281669def3687013d826376699290d9f02001a5c745bd",
 }
 
-# the same bundle in the CSV layout, pinned to the bytes that save_manifest
-# wrote before it switched to .npy, so the CSV reader keeps being tested on
-# exactly what older versions wrote
+# the same bundle in the CSV layout that save_manifest wrote before it switched
+# to .npy, so the CSV reader keeps being tested on that layout. The layout is
+# the old one; the values are those of today's generate, whose draw has
+# changed since.
 CSV_MANIFEST_SHA256 = {
-    "embeddings.csv": "9ad17b15526a67ccf4d3e940d03b2f76cff2eb686c9c15986cf92bf6ed2aff03",
+    "embeddings.csv": "fdbbed92751f0c905b2d715a33290f7d4f924930c50e54952747995605eaed04",
     "manifest.json": "43b431297869d1e4d0287b26242c42c5835340fd3731534bbbc8fa995cbc82cd",
-    "test_features.csv": "a913f687c2062d323c5b049115a77b3d1aa8b7feb502cb133b4d88be0742aebf",
-    "test_labels.csv": "1081e97c1b3caaa58b20ec575e2a0e8273f16e88c0df955fc2ca50163a667531",
-    "train_features.csv": "07a3efadf443a0d775874c500decd85d006bd6a814ab347da8d6826f5cc9ffff",
-    "train_labels.csv": "d1cb1b155ffe6c710f6a712eca1a9b4baedd3ff12760388356e10dd418abf580",
-    "val_features.csv": "26c70023425715be544b5f53a199abe908ec3c9d4184b3a349f8ae322bb6d4fd",
-    "val_labels.csv": "e5e2704869bfbea8e16ad494a80949f76975162a8947c6da5e73b0e9ea7a1fc9",
+    "test_features.csv": "8298cc9158a7ea99270cfe7ddf0d446ef913c831b11535a8f24d388569ea85de",
+    "test_labels.csv": "b9a3256e5c275f4eabbf076df515376c5ba180af3d9200653f185e9addd592ef",
+    "train_features.csv": "aa9b91a881a235ff9049ed9271d83f544e83f1fdb6e70f8a3ffe665268f3f53d",
+    "train_labels.csv": "f9467597c0c6664d33656d28b28658096eacf5a26fcfb38500423d4466871e63",
+    "val_features.csv": "7dea6aeb29578fe7dc64b63551dc6ca49271b2ad6a656730a759a213586f2154",
+    "val_labels.csv": "9415e7b14b3c65f958c29ceefc51dd065926da991074f09ec6ff9fd6ced853f2",
+}
+
+# Settings that load another OpenBLAS kernel, or keep numpy off its newer SIMD
+# targets. generate sums without BLAS, so none of them may move a byte.
+KERNEL_ENVIRONMENTS = {
+    "default": {},
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "no-avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
 }
 
 
@@ -278,6 +291,22 @@ def _digests(out: Path) -> dict[str, str]:
 
 def test_toy_manifest_files_are_pinned(tmp_path):
     save_manifest(generate(TOY_SPEC), tmp_path)
+    assert _digests(tmp_path) == TOY_MANIFEST_SHA256
+
+
+@pytest.mark.parametrize("settings", KERNEL_ENVIRONMENTS.values(), ids=KERNEL_ENVIRONMENTS)
+def test_toy_manifest_is_the_same_bytes_on_every_kernel(tmp_path, settings):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    src = Path(__file__).resolve().parents[1] / "src"
+    env.update(settings, PYTHONPATH=os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")])))
+    code = (
+        "import json, sys\n"
+        "from gzsl_align import SynthSpec, generate, save_manifest\n"
+        "save_manifest(generate(SynthSpec.from_dict(json.loads(sys.argv[1]))), sys.argv[2])\n"
+    )
+    argv = [sys.executable, "-c", code, json.dumps(TOY_SPEC.to_dict()), str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     assert _digests(tmp_path) == TOY_MANIFEST_SHA256
 
 

@@ -34,49 +34,71 @@ from conftest import small_spec
 
 # Reference-rule AUROCs on the default benchmark, frozen from a committed run.
 DEFAULT_REF_VAL = (
-    0.742769307987, 0.819115268303, 0.823923517013, 0.808229288394,
-    0.873866873867, 0.754369885434, 0.769666031121, 0.776495943205,
-    0.775092690678, 0.865776397516, 0.798105276366, 0.808886916836,
-    0.744639376218, 0.763881845842,
+    0.821168146704, 0.761864143921, 0.848793867361, 0.812911184211,
+    0.783167701863, 0.788257082104, 0.790451094799, 0.834868837471,
+    0.786886343848, 0.696184077079, 0.808296296296, 0.791710805085,
+    0.758547008547, 0.788363367981,
 )
 DEFAULT_REF_TEST = (
-    0.82103965245, 0.785668364571, 0.81918027668, 0.833530487149,
-    0.784518213866, 0.793269287164, 0.816017971629, 0.808922025474,
-    0.768459174464, 0.81484741784, 0.830419309918, 0.815515151515,
-    0.759561645098, 0.786465780816,
+    0.849119897959, 0.784170945751, 0.820393769553, 0.837335977282,
+    0.827250698975, 0.780479843316, 0.817008892886, 0.783345879485,
+    0.774595481401, 0.813883972468, 0.815539400398, 0.840278787879,
+    0.806899949437, 0.785374341719,
 )
 
 # A paper-width spec (NUS-WIDE's 925 seen + 81 unseen classes) small enough to pin.
 PAPER_WIDTH_SPEC = SynthSpec(n_classes=1006, n_seen=925, n_train=64, n_val=32, n_test=512, seed=1)
 
-# sha256 of each split's int8 label bytes under PAPER_WIDTH_SPEC. Labels come
-# from the random stream alone, so these hold on every BLAS kernel; the
-# features go through a matrix product and are not pinned here.
-PAPER_WIDTH_LABEL_SHA256 = {
-    "train": "319f3b1174ddd1438e4bfe0fdc0aba52621d4ba06823a2cea324375bc1bf7aba",
-    "val": "5378da48cd15e3bfc77fe959ecd479ef915e0f76567e7bcb28505fdf1157ed30",
-    "test": "4b0828096f8e69d94b739fa21e9d3970baf240939bc40649407c0199a48486d1",
+# sha256 of each split's int8 label bytes, then of its float64 feature bytes,
+# under PAPER_WIDTH_SPEC. No BLAS product computes either, so these hold on
+# every OpenBLAS kernel.
+PAPER_WIDTH_SHA256 = {
+    "train": (
+        "33c605368aee74ef7b85fc2a659c6448232812e376cfa5ecaeb4b4d043ff61b5",
+        "a7c199a4e99f46b4d1d87c3907c8785e06daae817c7390860d1f71ccab5a4fc3",
+    ),
+    "val": (
+        "1eaa25d1b17df67aad889bf79cc324fc7bd729ec86895124ab130433945c232f",
+        "ef7a78792cc1d23d790a3a60ee0e7c8600823d5b60fc9198ace93e08bc54ae60",
+    ),
+    "test": (
+        "7809db5dc34a271af8ff268eb62b2b4054d2f3eb9889c80d737bc1f3b2f17d5b",
+        "96706c03ea3e3a6af6d014b859ed94b78fb0a9db4cab9cd3b4ec281206802572",
+    ),
 }
 
 
 def _draw_split_oracle(
     n: int,
-    allowed: np.ndarray,
-    n_total_classes: int,
+    n_allowed: int,
     semantics: np.ndarray,
     lift: np.ndarray,
     sigma: float,
     max_labels: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The per-row draw: one label row written per sample, w_bar divided by row sums."""
-    labels = np.zeros((n, n_total_classes), dtype=np.float64)
+    """The slot-order draw with one scalar call per count and per pick, built row by row."""
+    counts = [int(rng.integers(1, max_labels + 1)) for _ in range(n)]
+    picks: list[list[int]] = [[] for _ in range(n)]
+    for t in range(max_labels):
+        for i in range(n):
+            if counts[i] > t:
+                j = n_allowed - counts[i] + t
+                draw = int(rng.integers(0, j + 1))
+                picks[i].append(j if draw in set(picks[i]) else draw)
+    labels = np.zeros((n, n_allowed), dtype=np.int8)
+    w_bar = np.zeros((n, semantics.shape[1]))
+    features = np.zeros((n, lift.shape[0]))
     for i in range(n):
-        n_pos = int(rng.integers(1, max_labels + 1))
-        picked = rng.choice(allowed, size=n_pos, replace=False)
-        labels[i, picked] = 1.0
-    w_bar = (labels @ semantics) / labels.sum(axis=1, keepdims=True)
-    features = w_bar @ lift.T
+        w = np.zeros(semantics.shape[1])
+        for c in sorted(picks[i]):
+            labels[i, c] = 1
+            w = w + semantics[c]
+        w_bar[i] = w / counts[i]
+        f = w_bar[i, 0] * lift[:, 0]
+        for t in range(1, lift.shape[1]):
+            f = f + w_bar[i, t] * lift[:, t]
+        features[i] = f
     if sigma > 0:
         features = features + sigma * rng.standard_normal(features.shape)
     return features, labels
@@ -245,31 +267,51 @@ def _split_draws(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_split_draws())
-def test_draw_split_matches_per_row_oracle_and_reads_the_same_stream(case):
+def test_draw_split_matches_slot_order_oracle_and_reads_the_same_stream(case):
     n, n_allowed, n_classes, max_labels, sigma, seed = case
     geo = np.random.default_rng(seed ^ 0x5EED)
     semantics, lift = geo.standard_normal((n_classes, 4)), geo.standard_normal((6, 4))
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _draw_split(n, n_allowed, n_classes, semantics, lift, sigma, max_labels, rng_new)
-    want = _draw_split_oracle(
-        n, np.arange(n_allowed), n_classes, semantics, lift, sigma, max_labels, rng_old
-    )
+    got = _draw_split(n, n_allowed, semantics, lift, sigma, max_labels, rng_new)
+    want = _draw_split_oracle(n, n_allowed, semantics, lift, sigma, max_labels, rng_old)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    labels = got[1]
+    assert labels.shape == (n, n_allowed) and labels.flags.c_contiguous
+    assert set(np.unique(labels)) <= {0, 1}
+    per_row = labels.sum(axis=1)
+    assert per_row.min() >= 1 and per_row.max() <= max_labels
 
 
-def test_paper_width_labels_are_pinned():
+def test_every_label_subset_of_a_count_is_equally_likely():
+    """Floyd's picks: 60 000 draws put each k-subset within 10% of its share (about 4.5 sigma)."""
+    n, n_allowed, max_labels = 60_000, 5, 3
+    _, labels = _draw_split(
+        n, n_allowed, np.eye(n_allowed), np.eye(n_allowed), 0.0, max_labels,
+        np.random.default_rng(11),
+    )
+    subsets, freq = np.unique(labels, axis=0, return_counts=True)
+    per_count = subsets.sum(axis=1)
+    for k in range(1, max_labels + 1):
+        got = freq[per_count == k]
+        assert len(got) == math.comb(n_allowed, k)
+        want = n / max_labels / math.comb(n_allowed, k)
+        assert np.abs(got / want - 1.0).max() <= 0.1, k
+
+
+def test_paper_width_split_bytes_are_pinned():
     bundle = generate(PAPER_WIDTH_SPEC)
-    for split, digest in PAPER_WIDTH_LABEL_SHA256.items():
-        labels = bundle.split(split).labels
-        assert labels.dtype == np.int8 and labels.flags.c_contiguous
-        assert hashlib.sha256(labels.tobytes()).hexdigest() == digest, split
+    for split, (label_digest, feature_digest) in PAPER_WIDTH_SHA256.items():
+        ds = bundle.split(split)
+        assert ds.labels.dtype == np.int8 and ds.labels.flags.c_contiguous
+        assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == label_digest, split
+        assert hashlib.sha256(ds.features.tobytes()).hexdigest() == feature_digest, split
 
 
 def test_generate_peaks_near_the_label_bytes():
-    """Beside the test split's float64 labels and their int8 copy, no full-size temporary."""
+    """Under a float64 label matrix plus its int8 copy; the draw itself builds only int8 labels."""
     spec = SynthSpec(n_classes=1006, n_seen=925, n_train=64, n_val=32, n_test=4000, seed=1)
     tracemalloc.start()
     try:

@@ -707,39 +707,37 @@ def test_train_config_validation():
         GridSpec(gamma_candidates=(0.1,), lr_candidates=(0.0,)).configs(quick_cfg())
 
 
-# Artifacts of 3-epoch reference runs at seed 1, per encoder mode. The
-# metrics.csv text was recorded with the direct (N, S, S) margin-tensor
-# ranking term (end-to-end) and with per-array parameter storage (frozen).
-# The checkpoint digests were recorded once the semantic map ran one
-# stacked pass over [W; w_bar], which changed the order its weight
-# gradient sums in. Refactors that keep the maths must reproduce the
-# checkpoints byte for byte, and config.json, whose model section the
-# model spec's codec writes.
+# Artifacts of 3-epoch reference runs at seed 1, per encoder mode, recorded
+# once generate drew its splits slot by slot with no BLAS product. Training's
+# own products still sum in the order of the OpenBLAS kernel they run on, so
+# these hold on the SkylakeX kernel they were recorded on (ROADMAP item 13).
+# Refactors that keep the maths must reproduce the checkpoints byte for
+# byte, and config.json, whose model section the model spec's codec writes.
 PINNED_RUNS = {
     EncoderMode.END_TO_END: (
         {
-            "checkpoints/best.ckpt": "8dcde13f170a3dd7ae141c9ecb73bc60d98d3dbff685955a73a7a49618f229d1",
-            "checkpoints/last.ckpt": "a7446c3c881d5d5b3b7cdc3501869330ee72d6ab55d6ce64756d4658c29b683d",
+            "checkpoints/best.ckpt": "1acc626ee3a6ca40e53ff8d0751f9caa00aaea6484c565b84ab6e3968834676f",
+            "checkpoints/last.ckpt": "de3087a513d8e19ef7450e2474555acbddf3ad438206e6852bc66be76c4c72d6",
             "config.json": "fec81462886d6150cdaec65a7bcb45a871246668618ce020ba9abe04475938f3",
         },
         """\
 epoch,lr,train_rank,train_align,train_con,train_total,val_rank,val_align,val_con,val_total,val_seen_auroc,val_unseen_auroc,val_harmonic
-1,0.001,0.5653019720780127,0.5670457988418417,1.1947360073916922,0.7414801527013661,0.5212284679601816,0.6526763382832331,1.1947360073916922,0.7059697025276742,0.7093950471730607,0.6545439185255014,0.6808665572823844
-2,0.001,0.4813068580414121,0.5315314949813644,0.6483841597610022,0.5992984235156488,0.4652072671227692,0.618111892991453,0.6483841597610022,0.5918568723980147,0.7410887076732715,0.6936456645108673,0.7165827752672688
-3,0.001,0.4334832644259534,0.4799434464074981,0.7295675360654256,0.5544343626732458,0.45396083226425293,0.5849832945081362,0.7295675360654256,0.5854159153216091,0.7553262318001284,0.702148260659653,0.7277671103444096
+1,0.001,0.586456236876051,0.5808519268769221,1.0091265534598408,0.7454540849097273,0.4964091150037649,0.6683926401275622,1.0091265534598408,0.6641610343625053,0.6976433015965373,0.6654285860605667,0.681155264017582
+2,0.001,0.4889994041038215,0.536072003812604,0.6744331537662344,0.6100499198617053,0.43421713978204385,0.6280183675829177,0.6744331537662344,0.5644622919169591,0.737205031316566,0.7241613584958088,0.7306249831525022
+3,0.001,0.4597606149153748,0.5086845884703122,0.6251810292591147,0.5731471766883174,0.4234435766916552,0.6095442559365948,0.6251810292591147,0.5469161052112261,0.7554122340368199,0.7401102599823758,0.7476829631954462
 """,
     ),
     EncoderMode.FROZEN: (
         {
-            "checkpoints/best.ckpt": "630a9f8afd5152b9c867be93cfd6ef5b378dd3ba8415f87f537163770fd24980",
-            "checkpoints/last.ckpt": "42a2a3daec236e59119ccc6a56e86068e55abaa1eae86fcf2aee60bbf3177421",
+            "checkpoints/best.ckpt": "775fe46e464481204cfba149440876be0cb14b61631a36321b286d1703353ddc",
+            "checkpoints/last.ckpt": "3c88200d8538dcf9419f068658c88219d99e0675b9ee0bf5d12eacc9954edeb8",
             "config.json": "a058467a8896aaa974c21756e082238aeecaae2ff972c60af1c989b6b4450f27",
         },
         """\
 epoch,lr,train_rank,train_align,train_con,train_total,val_rank,val_align,val_con,val_total,val_seen_auroc,val_unseen_auroc,val_harmonic
-1,0.001,0.6405846889838497,0.6167415743411442,1.1761933405512452,0.8198781804730886,0.565451190512593,0.6897517238010862,1.1761933405512452,0.7520456969478262,0.6831128463249219,0.6192112070884375,0.6495942834532216
-2,0.001,0.5713972612114123,0.5768557645675262,0.7102760828631832,0.7001104459544834,0.5192838362596077,0.6480719174396283,0.7102760828631832,0.6551186362898889,0.7057092381324428,0.6529692866747749,0.6783156565877475
-3,0.001,0.5380388783452525,0.5387999180683603,0.6115286904220332,0.6530717391942918,0.5194679262384464,0.6299792551771096,0.6115286904220332,0.6436187207983607,0.7186700947014838,0.660323089331982,0.6882622229585658
+1,0.001,0.6687327621337026,0.613995281658139,1.2513937128939003,0.8552716615889064,0.536103101072592,0.685973570058495,1.2513937128939003,0.7298398293678314,0.6738497658524908,0.6422312881566513,0.6576607144813389
+2,0.001,0.5894910380173595,0.582113747153326,0.6497733480245769,0.7126797475351497,0.4808107089353975,0.6532474841008558,0.6497733480245769,0.6111127921479408,0.7077758757170003,0.6695348826843319,0.6881244991726099
+3,0.001,0.5652609862908003,0.5749803706611571,0.6353793673210179,0.6862969600890179,0.4734866362750124,0.648845024915118,0.6353793673210179,0.601909075498626,0.7212715528805751,0.6853491992818075,0.7028516826181199
 """,
     ),
 }
