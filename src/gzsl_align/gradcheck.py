@@ -92,7 +92,9 @@ def _kink_floor(params: ModelParams, F, Y, W, cfg: LossConfig) -> float:
     def feed(net, x):
         nonlocal floor
         out, tape = mlp_forward(net, np.atleast_2d(x))
-        for z in tape.preacts[:-1]:
+        for a, w, b in zip(tape[:-1], net.weights, net.biases):
+            z = a @ w  # the hidden pre-activation, negative units included
+            z += b
             if z.size:
                 floor = min(floor, float(np.min(np.abs(z))))
         return out

@@ -72,20 +72,6 @@ def _check_ks(ks, name: str, n_classes: int | None = None) -> None:
         raise ValueError(f"top-k {max(ks)} exceeds the {n_classes} classes")
 
 
-def _checked_inputs(scores, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """A caller's scores as a float64 matrix and its labels as a positive mask (label > 0.5).
-
-    ValueError on unequal shapes; ValidationError, naming ``what``, on a non-finite score.
-    """
-    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    Yb = np.atleast_2d(np.asarray(labels)) > 0.5
-    if S.shape != Yb.shape:
-        raise ValueError(f"scores shape {S.shape} != labels shape {Yb.shape}")
-    if not np.isfinite(S).all():
-        raise ValidationError(f"{what} scores must be finite")
-    return S, Yb
-
-
 def _positives(Yb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of every positive, in row-major order."""
     return np.divmod(np.flatnonzero(Yb), Yb.shape[1])
@@ -150,22 +136,6 @@ def _topk(S: np.ndarray, Yb: np.ndarray, ks, pos_c: np.ndarray) -> list[TopKMetr
         out.append(TopKMetrics(k, recall, precision, _f1(precision, recall),
                                macro_r, macro_p, macro_f))
     return out
-
-
-def topk_metrics(scores: np.ndarray, labels: np.ndarray, k: int) -> TopKMetrics:
-    """Overall recall/precision/f1 of the top-k predictions per sample.
-
-    Micro counts pool true positives across the whole set: precision is
-    TP/(N*k), recall is TP/(total ground-truth positives). Samples without
-    positives still occupy precision denominators. Macro variants average
-    per-class rates over classes that have at least one positive; a class
-    never predicted gets precision 0 there. Zero samples raise ValidationError.
-    """
-    S, Yb = _checked_inputs(scores, labels, "top-k")
-    if S.shape[0] == 0:
-        raise ValidationError("top-k needs at least one sample")
-    _check_ks((k,), "k", S.shape[1])
-    return _topk(S, Yb, (k,), Yb.sum(axis=0))[0]
 
 
 def _midrank_auroc(sorted_scores: np.ndarray, pos_scores: np.ndarray) -> float | None:
@@ -262,8 +232,15 @@ def per_class_auroc(scores: np.ndarray, labels: np.ndarray) -> list[float | None
     columns at a time, from row tiles, by one worker per class range on
     threads for a large matrix (see ``_auroc``); no full-size copy of the
     scores is made, and the result does not depend on the number of CPUs.
+    Labels above 0.5 count as positive. ValueError on unequal shapes;
+    ValidationError on a non-finite score.
     """
-    S, Yb = _checked_inputs(scores, labels, "AUROC")
+    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    Yb = np.atleast_2d(np.asarray(labels)) > 0.5
+    if S.shape != Yb.shape:
+        raise ValueError(f"scores shape {S.shape} != labels shape {Yb.shape}")
+    if not np.isfinite(S).all():
+        raise ValidationError("AUROC scores must be finite")
     rows, cls = _positives(Yb)
     return _auroc(S, rows, cls, np.bincount(cls, minlength=S.shape[1]))[0]
 

@@ -3,9 +3,9 @@
 Three nets make up the model: an optional feature encoder, a visual
 mapping net, and a semantic mapping net. Both mapping nets project into
 a shared latent space where cosine similarity scores class relevance.
-Forward passes record a tape of layer inputs and pre-activations (unless
-told not to); backward passes replay the tape for exact parameter and
-input gradients.
+Each hidden ReLU runs in place on its layer's output. A forward pass
+records its tape, the list of layer inputs (unless told not to); a
+backward pass reads the tape for exact parameter and input gradients.
 
 :class:`ModelSpec` is the one description of the model's shape: the
 nets' layer widths, their order in ``flat`` and the rules that make them
@@ -76,41 +76,33 @@ class MlpParams:
         return out
 
 
-@dataclass
-class MlpTape:
-    """Cached forward state: per-layer inputs and pre-activations."""
-
-    inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
-
-
 def mlp_forward(
     params: MlpParams, x: np.ndarray, tape: bool = True
-) -> tuple[np.ndarray, MlpTape | None]:
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Evaluate the net on a batch of row vectors.
 
-    Returns the (N, out) output and the tape needed by :func:`mlp_backward`.
-    With ``tape`` off, no tape is kept (None is returned in its place) and
-    each ReLU overwrites its own pre-activation; the input is never written.
+    Returns the (N, out) output and the tape that :func:`mlp_backward`
+    reads: the input of every layer, ``x`` first (None with ``tape`` off).
+    Each ReLU overwrites its own layer's output; the input is never written.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != params.spec.layer_dims[0]:
         raise ValueError(f"input shape {a.shape} is not (N, {params.spec.layer_dims[0]}) rows")
     n = len(params.weights)
-    inputs, preacts = [None] * n, [None] * n  # filled layer by layer when taped
+    inputs = [None] * n if tape else None  # filled layer by layer when taped
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w
-        z += b
         if tape:
             inputs[k] = a
-            preacts[k] = z
-        a = z if k == n - 1 else np.maximum(z, 0.0, out=None if tape else z)
-    return a, MlpTape(inputs, preacts) if tape else None
+        a = a @ w
+        a += b
+        if k < n - 1:
+            np.maximum(a, 0.0, out=a)
+    return a, inputs
 
 
 def mlp_backward(
     params: MlpParams,
-    tape: MlpTape,
+    tape: list[np.ndarray],
     grad_out: np.ndarray,
     grads: MlpParams,
     input_grad: bool = True,
@@ -120,16 +112,18 @@ def mlp_backward(
     Writes the parameter gradients into ``grads``, a net of the same spec
     (typically views into a gradient store), over whatever it held, and
     returns the gradient with respect to the input, or None with
-    ``input_grad`` off, which skips its product. The ReLU subgradient at 0
-    is taken as 0.
+    ``input_grad`` off, which skips its product. A hidden unit passes
+    gradient where the next layer's input is positive, which is where its
+    pre-activation is, so the ReLU subgradient at 0 is taken as 0.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     n = len(params.weights)
-    if g.shape != tape.preacts[-1].shape:
-        raise ValueError(f"grad_out shape {g.shape} != output shape {tape.preacts[-1].shape}")
+    out_shape = (tape[0].shape[0], params.spec.layer_dims[-1])
+    if g.shape != out_shape:
+        raise ValueError(f"grad_out shape {g.shape} != output shape {out_shape}")
     for k in reversed(range(n)):
-        dz = g if k == n - 1 else g * (tape.preacts[k] > 0.0)
-        np.matmul(tape.inputs[k].T, dz, out=grads.weights[k])
+        dz = g if k == n - 1 else g * (tape[k + 1] > 0.0)
+        np.matmul(tape[k].T, dz, out=grads.weights[k])
         np.add.reduce(dz, axis=0, out=grads.biases[k])
         if k == 0 and not input_grad:
             return None

@@ -29,8 +29,9 @@ from gzsl_align import (
 )
 from gzsl_align import losses
 from gzsl_align.networks import ModelSpec, init_model_params, mlp_backward, mlp_forward, row_norms
-from gzsl_align.gradcheck import GradcheckResult, run_gradient_check
+from gzsl_align.gradcheck import GradcheckResult, _kink_floor, run_gradient_check
 from gzsl_align.losses import CON_BLOCK, TERM_NAMES
+from test_networks import _taped_forward_oracle
 
 TERM_MASKS = [t for r in (1, 2, 3) for t in itertools.combinations(TERM_NAMES, r)]
 
@@ -820,14 +821,15 @@ def _cosine_rows_backward(Xhat, xnorm, Yhat, ynorm, C, dC):
     return dX, dY
 
 
-def _accumulating_backward(params, tape, grad_out, grads):
-    """The former ``mlp_backward`` body: adds into ``grads``, so the oracle's
-    two semantic-map passes sum their parameter gradients."""
+def _accumulating_backward(params, taped, grad_out, grads):
+    """The former ``mlp_backward`` body on an oracle tape: adds into ``grads``, so
+    the oracle's two semantic-map passes sum their parameter gradients."""
+    inputs, preacts = taped
     g = np.asarray(grad_out, dtype=np.float64)
     n = len(params.weights)
     for k in reversed(range(n)):
-        dz = g if k == n - 1 else g * (tape.preacts[k] > 0.0)
-        grads.weights[k] += tape.inputs[k].T @ dz
+        dz = g if k == n - 1 else g * (preacts[k] > 0.0)
+        grads.weights[k] += inputs[k].T @ dz
         grads.biases[k] += dz.sum(axis=0)
         g = dz @ params.weights[k].T
     return g
@@ -837,37 +839,44 @@ def _total_loss_oracle(F, Y, W, params, cfg):
     """The former composition: each term takes its own norm gradients, and the
     semantic map runs twice, once over the class rows and once over the w_bar rows.
 
-    Returns the (rank, align, con, total) values and d(total)/d(params.flat).
+    Returns the (rank, align, con, total) values, d(total)/d(params.flat) and
+    the largest gradient w.r.t. a unit latent row that a term passes back.
     """
     grads = params.zeros_like()
-    rank = align = con = 0.0
+    rank = align = con = unit = 0.0
     if cfg.use_rank or cfg.use_align:
-        enc, tape_enc = (F, None) if params.encoder is None else mlp_forward(params.encoder, F)
-        Z, tape_vis = mlp_forward(params.visual_map, enc)
+        enc, tape_enc = (
+            (F, None) if params.encoder is None else _taped_forward_oracle(params.encoder, F)
+        )
+        Z, tape_vis = _taped_forward_oracle(params.visual_map, enc)
         z_norm = row_norms(Z)
         z_hat = Z / z_norm[:, None]
         dZ = np.zeros_like(Z)
     if cfg.use_rank or cfg.use_con:
-        T, tape_cls = mlp_forward(params.semantic_map, W)
+        T, tape_cls = _taped_forward_oracle(params.semantic_map, W)
         t_norm = row_norms(T)
         t_hat = T / t_norm[:, None]
         dT = np.zeros_like(T)
     if cfg.use_rank:
         scores = np.clip(z_hat @ t_hat.T, -1.0, 1.0)
         rank, d_scores = rank_term(scores, Y, cfg.delta, cfg.pair_normalize)
+        unit = max(unit, np.abs(d_scores @ t_hat).max(), np.abs(d_scores.T @ z_hat).max())
         dZ_r, dT_r = _cosine_rows_backward(z_hat, z_norm, t_hat, t_norm, scores, d_scores)
         dZ += dZ_r
         dT += dT_r
     if cfg.use_align:
         counts = Y.sum(axis=1)
         valid = counts > 0
-        A, tape_avg = mlp_forward(params.semantic_map, (Y[valid] @ W) / counts[valid, None])
+        w_bar = (Y[valid] @ W) / counts[valid, None]
+        A, tape_avg = _taped_forward_oracle(params.semantic_map, w_bar)
         a_norm = row_norms(A)
         a_hat = A / a_norm[:, None]
         zv, zn = z_hat[valid], z_norm[valid]
         cos = np.clip((zv * a_hat).sum(axis=1), -1.0, 1.0)
         align = float(np.mean(1.0 - cos)) if cos.size else 0.0
         coeff = cfg.gamma1 / max(cos.size, 1)
+        if cos.size:  # d/d(a_hat) is -coeff * zv and d/d(zv) is -coeff * a_hat
+            unit = max(unit, coeff * np.abs(zv).max(), coeff * np.abs(a_hat).max())
         dZ[valid] -= coeff * (a_hat - cos[:, None] * zv) / zn[:, None]
         dA = -coeff * (zv - cos[:, None] * a_hat) / a_norm[:, None]
         _accumulating_backward(params.semantic_map, tape_avg, dA, grads.semantic_map)
@@ -879,6 +888,7 @@ def _total_loss_oracle(F, Y, W, params, cfg):
         H = np.sign(diff)
         H = H + H.T
         h_c = (H * c_proj).sum(axis=1, keepdims=True)
+        unit = max(unit, cfg.gamma2 * np.abs(H @ t_hat).max())
         dT += cfg.gamma2 * (H @ t_hat - h_c * t_hat) / t_norm[:, None]
     if cfg.use_rank or cfg.use_con:
         _accumulating_backward(params.semantic_map, tape_cls, dT, grads.semantic_map)
@@ -886,7 +896,7 @@ def _total_loss_oracle(F, Y, W, params, cfg):
         d_enc = _accumulating_backward(params.visual_map, tape_vis, dZ, grads.visual_map)
         if params.encoder is not None:
             _accumulating_backward(params.encoder, tape_enc, d_enc, grads.encoder)
-    return (rank, align, con, rank + cfg.gamma1 * align + cfg.gamma2 * con), grads.flat
+    return (rank, align, con, rank + cfg.gamma1 * align + cfg.gamma2 * con), grads.flat, unit
 
 
 @settings(max_examples=80, deadline=None)
@@ -899,6 +909,8 @@ def _total_loss_oracle(F, Y, W, params, cfg):
 )
 # dead hidden units map both classes onto one row: a zero consistency gradient
 @example(s=2, with_encoder=False, terms=("con",), pair_normalize=False, seed=512472)
+# the same for the ranking term: every parameter gradient is rounding residue near 1e-18
+@example(s=2, with_encoder=True, terms=("rank",), pair_normalize=False, seed=19388)
 def test_total_loss_matches_two_pass_oracle(s, with_encoder, terms, pair_normalize, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 12))
@@ -913,11 +925,16 @@ def test_total_loss_matches_two_pass_oracle(s, with_encoder, terms, pair_normali
     cfg = cfg.with_terms(terms)
 
     breakdown, grads = total_loss(feats, labels, sem, params, cfg)
-    want, want_grad = _total_loss_oracle(feats, labels, sem, params, cfg)
+    want, want_grad, unit = _total_loss_oracle(feats, labels, sem, params, cfg)
     got = (breakdown.rank, breakdown.align, breakdown.con, breakdown.total)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * abs(w)
-    assert np.abs(grads.flat - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+    # Dead units can cancel a gradient to rounding residue that differs between
+    # the sides. Both round sums of products scaled by the terms' unit-row
+    # gradients, which that cancellation leaves whole, so the bound has a floor
+    # of 1e-12 of their largest entry (3000 drawn cases read at most 5.6e-14).
+    bound = 1e-12 * max(np.abs(want_grad).max(), unit)
+    assert np.abs(grads.flat - want_grad).max() <= bound
     assert total_loss(feats, labels, sem, params, cfg, compute_grads=False) == (breakdown, None)
 
 
@@ -1048,3 +1065,16 @@ def test_gradient_check_result_is_pinned():
         worst_array="visual_map.layer1.bias",
         n_resampled=4,
     )
+
+
+@pytest.mark.parametrize("gap", [1e-9, -1e-9], ids=["above", "below"])
+def test_kink_floor_sees_a_hidden_unit_at_its_relu_kink(gap):
+    """The check's screen reads every hidden pre-activation, a negative one included."""
+    rng = np.random.default_rng(5)
+    params = init_model_params(ModelSpec((5, 6, 3), (4, 6, 3)), seed=5)
+    F, W = rng.standard_normal((4, 5)), rng.standard_normal((3, 4))
+    Y, cfg = np.eye(4, 3), LossConfig()
+    assert _kink_floor(params, F, Y, W, cfg) > 1e-6
+    net = params.visual_map
+    net.biases[0][2] = gap - (F @ net.weights[0])[1, 2]  # unit 2 of row 1 sits at 0 + gap
+    assert _kink_floor(params, F, Y, W, cfg) < 1e-8

@@ -34,7 +34,6 @@ from gzsl_align.metrics import (
     TOPK_BLOCK,
     gzsl_summary,
     per_class_auroc,
-    topk_metrics,
     write_report_csv,
 )
 from gzsl_align.networks import ModelSpec, init_model_params, mlp_forward, row_norms
@@ -134,8 +133,16 @@ def _topk_mask_full_partition(S, k):
     return picked
 
 
+def _topk_metrics(scores, labels, k):
+    """Top-k metrics of a score matrix at one ``k``, from ``_topk`` after ``evaluate``'s ``ks`` rule."""
+    S = np.asarray(scores, dtype=np.float64)
+    Yb = np.asarray(labels) > 0.5
+    metrics_mod._check_ks((k,), "k", S.shape[1])
+    return metrics_mod._topk(S, Yb, (k,), Yb.sum(axis=0))[0]
+
+
 def _topk_metrics_by_mask(scores, labels, k, topk_mask):
-    """topk_metrics as it was before the shared ranking: counts taken from a full (N, C) mask."""
+    """Top-k metrics as they were before the shared ranking: counts taken from a full (N, C) mask."""
     S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(labels)) > 0.5
     n, c = S.shape
@@ -244,7 +251,7 @@ def test_blocked_metrics_equal_full_matrix_oracles_exactly(auroc_block, topk_blo
         for k in ks:
             np.testing.assert_array_equal(_picked(scores, k), _topk_mask_full_partition(scores, k))
             want = _topk_metrics_by_mask(scores, labels, k, _topk_mask_full_partition)
-            assert topk_metrics(scores, labels, k) == want
+            assert _topk_metrics(scores, labels, k) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -284,7 +291,7 @@ def test_topk_on_all_tied_scores_peaks_below_half_a_score_matrix():
     labels = (np.random.default_rng(0).random(scores.shape) < 0.01).astype(np.int8)
     tracemalloc.start()
     try:
-        got = topk_metrics(scores, labels, 3)
+        got = _topk_metrics(scores, labels, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -593,7 +600,7 @@ def test_topk_equals_stable_argsort_oracle_exactly(case):
     for k in range(1, c + 1):
         np.testing.assert_array_equal(_picked(scores, k), _topk_mask_oracle(scores, k))
         want = _topk_metrics_by_mask(scores, labels, k, _topk_mask_oracle)
-        assert topk_metrics(scores, labels, k) == want
+        assert _topk_metrics(scores, labels, k) == want
     every = metrics_mod._top_columns(scores, c)  # k = C: each row lists each column once
     np.testing.assert_array_equal(np.sort(every, axis=1), np.broadcast_to(np.arange(c), every.shape))
 
@@ -606,18 +613,13 @@ def test_metrics_reject_non_finite_scores_and_bad_k():
         poisoned[1, 1] = bad
         with pytest.raises(ValidationError):
             per_class_auroc(poisoned, labels)
-        with pytest.raises(ValidationError):
-            topk_metrics(poisoned, labels, 1)
     for k in (0, 3, -1):
         with pytest.raises(ValueError):
-            topk_metrics(scores, labels, k)
-    with pytest.raises(ValidationError, match="top-k"):
-        topk_metrics(np.empty((0, 5)), np.empty((0, 5)), 2)
-    for metric in (per_class_auroc, lambda s, y: topk_metrics(s, y, 1)):
-        for bad_scores, bad_labels in ((scores, labels[:2]), (scores[:, :1], labels)):
-            with pytest.raises(ValueError, match=r"^scores shape \(\d, \d\) != labels shape ") as exc:
-                metric(bad_scores, bad_labels)
-            assert exc.type is ValueError
+            _topk_metrics(scores, labels, k)
+    for bad_scores, bad_labels in ((scores, labels[:2]), (scores[:, :1], labels)):
+        with pytest.raises(ValueError, match=r"^scores shape \(\d, \d\) != labels shape ") as exc:
+            per_class_auroc(bad_scores, bad_labels)
+        assert exc.type is ValueError
 
 
 def test_auroc_fixture_is_three_quarters():
@@ -669,7 +671,7 @@ def test_topk_hand_counted_table():
             [0, 0, 0, 1],
         ]
     )
-    m = topk_metrics(scores, labels, k=2)
+    m = _topk_metrics(scores, labels, k=2)
     # picks: {0,2}, {2,1}, {0,1} (row of ties resolves to lowest indices)
     assert m.precision == 3 / 6
     assert m.recall == 3 / 4
@@ -681,7 +683,7 @@ def test_topk_hand_counted_table():
 def test_topk_perfect_model_on_exactly_k_positives():
     labels = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
     scores = labels + 0.0
-    m = topk_metrics(scores, labels, k=2)
+    m = _topk_metrics(scores, labels, k=2)
     assert m.precision == m.recall == m.f1 == 1.0
 
 
@@ -699,7 +701,7 @@ def test_topk_counting_invariants(seed):
     labels = (rng.uniform(size=(n, c)) < 0.4).astype(np.int8)
     prev = 0.0
     for k in range(1, c + 1):
-        m = topk_metrics(scores, labels, k)
+        m = _topk_metrics(scores, labels, k)
         assert m.recall >= prev - 1e-15  # recall never drops as k grows
         prev = m.recall
         tp_from_p = m.precision * n * k

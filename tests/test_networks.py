@@ -50,6 +50,36 @@ def _oracle_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return h
 
 
+def _taped_forward_oracle(params: MlpParams, x: np.ndarray):
+    """The former taped forward: each layer's input and pre-activation, the ReLU into a new array.
+
+    Returns the output and the ``(inputs, preacts)`` pair.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    n = len(params.weights)
+    inputs, preacts = [], []
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w
+        z += b
+        inputs.append(a)
+        preacts.append(z)
+        a = z if k == n - 1 else np.maximum(z, 0.0)
+    return a, (inputs, preacts)
+
+
+def _preact_backward(params: MlpParams, taped, grad_out: np.ndarray, grads: MlpParams):
+    """The former ``mlp_backward`` body: each ReLU mask read off its pre-activation."""
+    inputs, preacts = taped
+    g = np.asarray(grad_out, dtype=np.float64)
+    n = len(params.weights)
+    for k in reversed(range(n)):
+        dz = g if k == n - 1 else g * (preacts[k] > 0.0)
+        np.matmul(inputs[k].T, dz, out=grads.weights[k])
+        np.add.reduce(dz, axis=0, out=grads.biases[k])
+        g = dz @ params.weights[k].T
+    return g
+
+
 def test_zero_params_give_zero_output():
     p = _net((4, 3, 2), seed=0)
     for w in p.weights:
@@ -193,6 +223,60 @@ def test_tape_free_forward_is_bit_equal_at_reference_shapes():
     has = counts > 0
     w_bar = (y[has] @ w) / counts[has, None]
     _assert_tape_free_forward_matches(params.semantic_map, np.vstack([w, w_bar]))
+
+
+def test_relu_is_positive_exactly_where_its_input_is():
+    """The tape's premise: ``relu(z) > 0`` exactly where ``z > 0``, NaN and -0.0 included."""
+    z = np.array([-0.0, 0.0, np.nan, -np.nan, 5e-324, -5e-324, np.inf, -np.inf, 2.0, -2.0])
+    relu = z.copy()
+    np.maximum(relu, 0.0, out=relu)
+    assert np.array_equal(relu > 0.0, z > 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=3, max_size=6),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_forward_and_backward_match_the_preactivation_oracle(dims, n, seed):
+    """Both tape modes against the former forward and backward, bit for bit.
+
+    Zero rows make the first layer's pre-activations exactly its biases,
+    some of which are 0.0 or -0.0; rows of the smallest subnormal give
+    products that round to a signed 0; a bias of -10 leaves a unit dead
+    for most rows.
+    """
+    rng = np.random.default_rng(seed)
+    net = _net(tuple(dims), seed=seed)
+    for b in net.biases:
+        b[...] = rng.standard_normal(b.shape)
+        b[...] = np.choose(rng.integers(0, 4, b.shape), [b, 0.0, -0.0, -10.0])
+    x = rng.standard_normal((n, dims[0]))
+    kind = rng.integers(0, 3, n)
+    x[kind == 1] = np.copysign(0.0, x[kind == 1])
+    x[kind == 2] = np.copysign(5e-324, x[kind == 2])
+    keep = x.copy()
+    want, taped = _taped_forward_oracle(net, x)
+    g_out = rng.standard_normal(want.shape)
+    want_grads = _zeros(net)
+    want_in = _preact_backward(net, taped, g_out, want_grads)
+
+    got, no_tape = mlp_forward(net, x, False)
+    assert no_tape is None and got.tobytes() == want.tobytes()
+    got, tape = mlp_forward(net, x)
+    assert got.tobytes() == want.tobytes()
+    inputs, preacts = taped
+    assert len(tape) == len(inputs)
+    for t, a in zip(tape, inputs):
+        assert t.shape == a.shape and t.tobytes() == a.tobytes()
+    for t, z in zip(tape[1:], preacts):
+        assert np.array_equal(t > 0.0, z > 0.0)
+    grads = _zeros(net)
+    assert mlp_backward(net, tape, g_out, grads).tobytes() == want_in.tobytes()
+    for a, b in zip(grads.arrays(), want_grads.arrays()):
+        assert a.tobytes() == b.tobytes()
+    assert x.tobytes() == keep.tobytes()
 
 
 @pytest.mark.parametrize("dims", [(4, 5, 3), (4, 3), (6, 5, 4, 2)])

@@ -21,7 +21,6 @@ from gzsl_align import (
     train,
 )
 from gzsl_align.data import check_inductive
-from gzsl_align.metrics import topk_metrics
 from gzsl_align.synthetic import (
     MAX_REFERENCE_SUBSETS,
     REFERENCE_SEEDS,
@@ -31,6 +30,7 @@ from gzsl_align.synthetic import (
     true_scores,
 )
 from conftest import small_spec
+from test_metrics import _topk_metrics
 
 # Reference-rule AUROCs on the default benchmark, frozen from a committed run.
 DEFAULT_REF_VAL = (
@@ -228,7 +228,7 @@ def test_noiseless_training_separates_classes():
     )
     rec = train(cfg, bundle, reference_model_params(spec, 2))
     scores = infer_scores(rec.best_params, bundle.train.features, bundle.semantics)
-    m = topk_metrics(scores[:, : spec.n_seen], bundle.train.labels, k=1)
+    m = _topk_metrics(scores[:, : spec.n_seen], bundle.train.labels, k=1)
     assert m.recall == 1.0
 
 
